@@ -8,7 +8,8 @@ Usage:
 Configs are INI-style key=value sections (see ``list-suites NAME`` for a
 template of each suite).  Exit codes: 0 when every suite contract held,
 1 when a contract was violated (the failures are enumerated on stderr),
-2 for config parse/validation errors.
+2 for config parse/validation errors, 3 when a Newton solve or truncation
+continuation failed (the failing stage, iteration and residual go to stderr).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import os
 import sys
 
 from .nfunctions import DomainError
+from .solver import ContinuationError, NonConvergenceError
 from .suites import SUITES, run_suite
 from .tableio import write_csv, write_json
 
@@ -145,6 +147,20 @@ def write_outputs(result, seed: int, out_dir: str) -> None:
             trace.to_csv(os.path.join(trace_dir, f"{name}.csv"))
 
 
+def _solve_failure(exc) -> str:
+    """The failed solve's last Newton iteration and residual, then its message.
+
+    A continuation failure names its stage in the message and carries the
+    failed solve, with its trace, as its cause.
+    """
+    newton = exc.__cause__ if isinstance(exc, ContinuationError) else exc
+    trace = getattr(newton, "trace", None)
+    if trace is None or not trace.rows:
+        return str(exc)
+    iteration, _, residual, _ = trace.rows[-1]
+    return f"Newton iteration {iteration}, residual {residual:.3e}; {exc}"
+
+
 def _cmd_run(args) -> int:
     try:
         kind, seed, jobs, out, options = parse_config(args.config)
@@ -162,6 +178,9 @@ def _cmd_run(args) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ContinuationError, NonConvergenceError) as exc:
+        print(f"error: run failed: {_solve_failure(exc)}", file=sys.stderr)
+        return 3
 
     write_outputs(result, seed, out_dir)
     for check in result.contracts:

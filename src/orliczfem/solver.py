@@ -239,7 +239,7 @@ def delta_continuation(
             u, trace = solve(mesh, stage_spec, stage_f, cfg, initial=u)
         except NonConvergenceError as exc:
             raise ContinuationError(
-                f"stage (trunc_lo={lo}, trunc_hi={hi}) failed: {exc}", stages
+                f"stage {len(stages)} (trunc_lo={lo}, trunc_hi={hi}) failed: {exc}", stages
             ) from exc
         l2_part, semi_part = w12_norm_v(stage_spec, u)
         v_now = v_strain_mandel(stage_spec, u)

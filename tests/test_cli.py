@@ -2,6 +2,7 @@
 
 import filecmp
 import json
+import re
 
 import pytest
 
@@ -112,16 +113,55 @@ def test_determinism_byte_identical(tmp_path):
     assert filecmp.cmp(a / "summary.json", b / "summary.json", shallow=False)
 
 
+REDUCED_SWEEP = (
+    "[experiment]\nkind = regularity_sweep\nseed = 5\n\n[sweep]\np_values = 1.5 3.0\n\n"
+    "[mesh]\nh = 0.5 0.25\nlattice_n = 32\n"
+)
+
+
+KORN_SMALL = (
+    "[experiment]\nkind = korn_suite\nseed = 5\n\n[korn]\nensemble = 10\n\n"
+    "[mesh]\nh = 0.5 0.25\n\n[sweep]\np_values = 1.5 2.0\n"
+)
+
+
 def test_jobs_do_not_change_output(tmp_path):
-    cfg = _write(
-        tmp_path,
-        "[experiment]\nkind = korn_suite\nseed = 5\n\n[korn]\nensemble = 10\n\n"
-        "[mesh]\nh = 0.5 0.25\n\n[sweep]\np_values = 1.5 2.0\n",
-    )
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["run", cfg, "--out", str(a), "--jobs", "1"]) == 0
-    assert main(["run", cfg, "--out", str(b), "--jobs", "4"]) == 0
-    assert filecmp.cmp(a / "korn_suite.csv", b / "korn_suite.csv", shallow=False)
+    # the sweep is a solver suite: Newton traces, and per-mesh state memoised
+    # in QuadCache; at h = 0.5 it legitimately misses its p = 3 h-stability
+    # contract, so both runs exit 1
+    for name, text, jobs, code in (("korn", KORN_SMALL, 4, 0), ("sweep", REDUCED_SWEEP, 2, 1)):
+        cfg = _write(tmp_path, text, f"{name}.ini")
+        a, b = tmp_path / f"{name}_a", tmp_path / f"{name}_b"
+        assert main(["run", cfg, "--out", str(a), "--jobs", "1"]) == code
+        assert main(["run", cfg, "--out", str(b), "--jobs", str(jobs)]) == code
+        for directory in (a, a / "trace"):  # korn_suite writes no traces
+            names = sorted(path.name for path in directory.glob("*.csv"))
+            _, mismatch, errors = filecmp.cmpfiles(
+                directory, b / directory.relative_to(a), names, shallow=False
+            )
+            assert mismatch == [] and errors == []
+        assert filecmp.cmp(a / "summary.json", b / "summary.json", shallow=False)
+    assert len(list((tmp_path / "sweep_a" / "trace").glob("*.csv"))) == 24
+
+
+@pytest.mark.parametrize(
+    "text,where",
+    [
+        (REDUCED_SWEEP + "\n[solver]\nmax_iters = 1\n", r"stage \d \(trunc_lo="),
+        (
+            "[experiment]\nkind = manufactured\nseed = 1\n\n[manufactured]\nh = 0.5 0.25\n\n"
+            "[solver]\nmax_iters = 1\n",
+            "no convergence within 1 Newton iterations",
+        ),
+    ],
+    ids=["continuation", "newton"],
+)
+def test_run_failure_exit_3_names_stage_iteration_residual(tmp_path, capsys, text, where):
+    cfg = _write(tmp_path, text)
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert re.search(r"run failed: Newton iteration 1, residual \d\.\d{3}e[-+]\d+", err)
+    assert re.search(where, err)
 
 
 def test_parse_config_types(tmp_path):

@@ -289,6 +289,46 @@ def test_locate_and_evaluate(disk):
     assert grads[:, 1, 0] == pytest.approx(np.ones(len(pts)), abs=1e-11)
 
 
+def _brute_force_barycentrics(mesh, pts):
+    """(n_points, n_cells, 3) barycentrics of every point in every cell."""
+    p = mesh.nodes[mesh.cells]
+    e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    rel = pts[:, None, :] - p[None, :, 0]
+    l1 = (rel[..., 0] * e2[:, 1] - rel[..., 1] * e2[:, 0]) / det
+    l2 = (e1[:, 0] * rel[..., 1] - e1[:, 1] * rel[..., 0]) / det
+    return np.stack([1.0 - l1 - l2, l1, l2], axis=-1)
+
+
+def test_locate_points_matches_brute_force_scan():
+    mesh = build_mesh("unit_disk", 1.0 / 16.0)
+    lo, hi = mesh.nodes.min(axis=0), mesh.nodes.max(axis=0)
+    xs = np.linspace(lo[0], hi[0], 64)
+    ys = np.linspace(lo[1], hi[1], 64)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    midpoints = mesh.nodes[mesh.edges].mean(axis=1)
+    pts = np.vstack([np.column_stack([X.ravel(), Y.ravel()]), mesh.nodes, midpoints])
+
+    cells, bary = locate_points(mesh, pts)
+    tol = 1e-10
+    contained = np.concatenate(
+        [
+            np.all(_brute_force_barycentrics(mesh, chunk) >= -tol, axis=-1)
+            for chunk in np.array_split(pts, 16)
+        ]
+    )  # (n_points, n_cells)
+    outside = ~contained.any(axis=1)
+    assert 900 <= outside.sum() <= 1100  # the lattice corners outside the disk
+    assert np.array_equal(cells == -1, outside)
+    inside = ~outside
+    # on a shared edge or vertex any containing cell is a correct answer
+    assert np.all(contained[inside, cells[inside]])
+    corners = mesh.nodes[mesh.cells[cells[inside]]]  # (n, 3, 2)
+    rebuilt = np.einsum("nk,nkd->nd", bary[inside], corners)
+    assert np.abs(rebuilt - pts[inside]).max() <= 1e-12
+    assert np.all(bary[outside] == 0.0)
+
+
 def test_evaluate_outside_is_zero_extension(disk):
     u = FemField.from_callable(disk, lambda x, y: np.stack([1.0 + 0 * x, 0 * y]))
     far = np.array([[2.0, 2.0], [-3.0, 0.0]])

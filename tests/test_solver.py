@@ -7,10 +7,12 @@ import pytest
 
 from orliczfem.fem import (
     FemField,
+    assemble_jacobian,
     assemble_residual,
     gradient_at_qp,
     quad_cache,
     random_zero_boundary_field,
+    strain_mandel,
     values_at_qp,
 )
 from orliczfem.manufactured import (
@@ -27,6 +29,7 @@ from orliczfem.solver import (
     NonConvergenceError,
     SolveConfig,
     delta_continuation,
+    energy,
     solve,
 )
 
@@ -114,6 +117,76 @@ def test_trace_csv(disk, swirl, tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "iter,energy,residual,step"
     assert len(lines) == len(trace.rows) + 1
+
+
+# ---------------------------------------------------------------------------
+# the residual is the energy gradient, the Jacobian its derivative and SPD
+# ---------------------------------------------------------------------------
+
+FD_STEP = 1e-6
+
+
+def _level_in_gap(t, q):
+    """A level near the q-quantile of t, halfway across the widest nearby gap.
+
+    Keeping every strain magnitude well away from the truncation kinks keeps
+    the central differences below on one branch of phi'' at each point.
+    """
+    ts = np.sort(t.ravel())
+    k = int(q * len(ts))
+    window = ts[k - 5 : k + 6]
+    j = int(np.argmax(np.diff(window)))
+    return 0.5 * (window[j] + window[j + 1])
+
+
+def _gate_case(disk, p, kind):
+    """(truncated spec, field, direction): strains of the random field straddle both levels."""
+    rng = np.random.default_rng(11)
+    rough = random_zero_boundary_field(disk, rng)
+    E = strain_mandel(rough)
+    t = np.sqrt(np.sum(E * E, axis=-1))
+    lo, hi = _level_in_gap(t, 0.25), _level_in_gap(t, 0.75)
+    assert np.any(t < lo) and np.any((t > lo) & (t < hi)) and np.any(t > hi)
+    assert np.min(np.abs(t - lo)) > 1e3 * FD_STEP * lo
+    assert np.min(np.abs(t - hi)) > 1e3 * FD_STEP * hi
+    u = rough if kind == "straddle" else FemField.zeros(disk)
+    direction = random_zero_boundary_field(disk, rng)
+    return PowerLaw(p).truncate(lo, hi), u, direction
+
+
+def _shifted(u, direction, s):
+    return FemField(u.mesh, u.coeffs + s * direction.coeffs, zero_boundary=True)
+
+
+@pytest.mark.parametrize("kind", ["straddle", "zero"])
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_residual_is_energy_gradient(disk, swirl, p, kind):
+    spec, u, v = _gate_case(disk, p, kind)
+    residual = assemble_residual(spec, u, swirl)
+    exact = float(residual @ v.coeffs.ravel())
+    fd = (
+        energy(spec, _shifted(u, v, FD_STEP), swirl)
+        - energy(spec, _shifted(u, v, -FD_STEP), swirl)
+    ) / (2.0 * FD_STEP)
+    assert fd == pytest.approx(exact, rel=1e-6)
+
+
+@pytest.mark.parametrize("kind", ["straddle", "zero"])
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_jacobian_is_residual_derivative_and_spd(disk, swirl, p, kind):
+    spec, u, v = _gate_case(disk, p, kind)
+    jac = assemble_jacobian(spec, u)
+    exact = jac @ v.coeffs.ravel()
+    fd = (
+        assemble_residual(spec, _shifted(u, v, FD_STEP), swirl)
+        - assemble_residual(spec, _shifted(u, v, -FD_STEP), swirl)
+    ) / (2.0 * FD_STEP)
+    assert np.linalg.norm(fd - exact) <= 1e-6 * np.linalg.norm(exact)
+
+    free = ~quad_cache(disk).boundary_vector()
+    jac_ff = jac[free][:, free].toarray()
+    assert np.abs(jac_ff - jac_ff.T).max() <= 1e-13 * np.abs(jac_ff).max()
+    assert np.linalg.eigvalsh(jac_ff).min() > 0.0
 
 
 # ---------------------------------------------------------------------------
