@@ -154,10 +154,7 @@ def _solve_failure(exc) -> str:
     failed solve, with its trace, as its cause.
     """
     newton = exc.__cause__ if isinstance(exc, ContinuationError) else exc
-    trace = getattr(newton, "trace", None)
-    if trace is None or not trace.rows:
-        return str(exc)
-    iteration, _, residual, _ = trace.rows[-1]
+    iteration, _, residual, _ = newton.trace.rows[-1]
     return f"Newton iteration {iteration}, residual {residual:.3e}; {exc}"
 
 

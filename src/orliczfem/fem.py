@@ -15,6 +15,7 @@ euclidean dot products of the packed vectors equal Frobenius contractions.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field as dataclass_field
 
@@ -28,6 +29,7 @@ from .tensors import SymTensor, mandel_to_sym
 
 __all__ = [
     "QuadCache",
+    "LocatedLattice",
     "FemField",
     "quad_cache",
     "sym_grad",
@@ -42,6 +44,7 @@ __all__ = [
     "random_zero_boundary_field",
     "locate_points",
     "evaluate_field",
+    "evaluate_located",
     "evaluate_field_gradient",
     "write_field_text",
     "read_field_text",
@@ -126,6 +129,9 @@ class QuadCache:
     grads: np.ndarray = dataclass_field(init=False)  # (nc, 6, 6, 2)
     strain_B: np.ndarray = dataclass_field(init=False)  # (nc, 6, 3, 12)
     strain_D: np.ndarray = dataclass_field(init=False)  # (nc, 2, 3, 12)
+    cell_origin: np.ndarray = dataclass_field(init=False)  # (nc, 2) first vertex
+    cell_inv: np.ndarray = dataclass_field(init=False)  # (nc, 2, 2) inverse affine Jacobian
+    _lattices: dict = dataclass_field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self):
         mesh = self.mesh
@@ -146,6 +152,8 @@ class QuadCache:
         inv[:, 0, 1] = -jac[:, 0, 1] / det
         inv[:, 1, 0] = -jac[:, 1, 0] / det
         inv[:, 1, 1] = jac[:, 0, 0] / det
+        self.cell_origin = p[:, 0]
+        self.cell_inv = inv
 
         self.weights = np.abs(det)[:, None] * (0.5 * _QW)[None, :]
         ref_xy = _QP_BARY[:, 1:]  # (6, 2) reference coordinates (xi, eta)
@@ -198,6 +206,34 @@ class QuadCache:
         out[0::2] = self.boundary_scalar
         out[1::2] = self.boundary_scalar
         return out
+
+    def lattice(self, n: int) -> "LocatedLattice":
+        """The n x n lattice over the mesh bounding box, located once per mesh.
+
+        The box is the nodes' bounding box padded by 1e-9 of its extent.
+        """
+        located = self._lattices.get(n)
+        if located is None:
+            nodes = self.mesh.nodes
+            lo, hi = nodes.min(axis=0), nodes.max(axis=0)
+            pad = 1e-9 * max(hi - lo)
+            xs = np.linspace(lo[0] - pad, hi[0] + pad, n)
+            ys = np.linspace(lo[1] - pad, hi[1] + pad, n)
+            X, Y = np.meshgrid(xs, ys, indexing="ij")
+            cells, bary = locate_points(self.mesh, np.column_stack([X.ravel(), Y.ravel()]))
+            located = LocatedLattice((xs[0], ys[0]), xs[1] - xs[0], cells, bary)
+            self._lattices[n] = located
+        return located
+
+
+@dataclass(frozen=True)
+class LocatedLattice:
+    """A square lattice (row-major in x) with the mesh cell of each point."""
+
+    origin: tuple  # (x0, y0) of the lower-left lattice point
+    spacing: float
+    cells: np.ndarray  # (n*n,) cell ids, -1 outside the mesh
+    bary: np.ndarray  # (n*n, 3) barycentric coordinates in those cells
 
 
 def quad_cache(mesh: Mesh) -> QuadCache:
@@ -292,8 +328,8 @@ def values_at_qp(field: FemField) -> np.ndarray:
 def gradient_at_qp(field: FemField) -> np.ndarray:
     """(nc, 6q, 2, 2) Jacobians du_e/dx_d at the quadrature points."""
     cache = quad_cache(field.mesh)
-    loc = field.coeffs[cache.cell_dofs]
-    return np.einsum("cqbd,cbe->cqed", cache.grads, loc)
+    loc = field.coeffs[cache.cell_dofs]  # (nc, 6b, 2e)
+    return loc.transpose(0, 2, 1)[:, None] @ cache.grads
 
 
 def sym_grad(field: FemField, cell: int, quad_pt: int) -> SymTensor:
@@ -462,9 +498,10 @@ def assemble_jacobian(spec: NFunction, field: FemField) -> sparse.csr_matrix:
     M = a1[..., None, None] * np.eye(3) + (a2 - a1)[..., None, None] * (
         unit[..., :, None] * unit[..., None, :]
     )
-    j_loc = np.einsum(
-        "cq,cqik,cqij,cqjl->ckl", cache.weights, cache.strain_B, M, cache.strain_B
-    )
+    nc = E.shape[0]
+    B = cache.strain_B.reshape(nc, 18, 12)  # quadrature points stacked over strain rows
+    wMB = ((cache.weights[..., None, None] * M) @ cache.strain_B).reshape(nc, 18, 12)
+    j_loc = B.transpose(0, 2, 1) @ wMB
     dofs = cache.vector_dofs()
     rows = np.repeat(dofs, 12, axis=1).ravel()
     cols = np.tile(dofs, (1, 12)).ravel()
@@ -514,62 +551,53 @@ def w12_norm_v(spec: NFunction, field: FemField):
 # ---------------------------------------------------------------------------
 
 
-def _cell_geometry(mesh: Mesh):
-    p = mesh.nodes[mesh.cells]
-    jac = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
-    det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-    inv = np.empty_like(jac)
-    inv[:, 0, 0] = jac[:, 1, 1] / det
-    inv[:, 0, 1] = -jac[:, 0, 1] / det
-    inv[:, 1, 0] = -jac[:, 1, 0] / det
-    inv[:, 1, 1] = jac[:, 0, 0] / det
-    return p[:, 0], inv
-
-
 def locate_points(mesh: Mesh, points: np.ndarray, tol: float = 1e-10):
     """Locate points in cells: returns (cell ids with -1 for outside, barycentric).
 
-    Candidate cells come from a KD-tree over centroids; each point checks the
-    nearest candidates and falls back to -1 (outside) if none contains it.
+    A point within ``tol`` (in barycentric coordinates) of a cell lies within
+    that cell's largest centroid-to-vertex distance, grown by 4 tol, of its
+    centroid.  A KD-tree over the centroids returns every cell that can
+    therefore contain the point; the exact in-cell test runs on those alone,
+    and a point none of them contains is outside the mesh.  Of several
+    containing cells (a point on an edge) the one with the nearest centroid
+    is returned.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    origin, inv = _cell_geometry(mesh)
-    centroids = mesh.nodes[mesh.cells].mean(axis=1)
-    tree = cKDTree(centroids)
-    k = min(mesh.n_cells, 24)
-    _, candidates = tree.query(pts, k=k)
-    candidates = np.atleast_2d(candidates)
+    cache = quad_cache(mesh)
+    corners = mesh.nodes[mesh.cells]
+    centroids = corners.mean(axis=1)
+    reach = np.sqrt(np.max(np.sum((corners - centroids[:, None]) ** 2, axis=-1), axis=1))
+    reach *= 1.0 + 4.0 * tol
+
+    near = cKDTree(centroids).query_ball_point(pts, float(reach.max()))
+    counts = np.fromiter(map(len, near), dtype=np.int64, count=len(pts))
+    point = np.repeat(np.arange(len(pts)), counts)
+    cand = np.fromiter(itertools.chain.from_iterable(near), dtype=np.int64, count=counts.sum())
+    dist = np.sqrt(np.sum((pts[point] - centroids[cand]) ** 2, axis=1))
+    keep = dist <= reach[cand]
+    point, cand, dist = point[keep], cand[keep], dist[keep]
+
+    local = (cache.cell_inv[cand] @ (pts[point] - cache.cell_origin[cand])[:, :, None])[..., 0]
+    lam = np.column_stack([1.0 - local.sum(axis=1), local])
+    ok = np.all(lam >= -tol, axis=1)
+    point, cand, dist, lam = point[ok], cand[ok], dist[ok], lam[ok]
+    order = np.lexsort((dist, point))  # by point, then nearest centroid first
+    first = order[np.unique(point[order], return_index=True)[1]]
 
     cells = np.full(len(pts), -1, dtype=np.int64)
     bary = np.zeros((len(pts), 3))
-    remaining = np.arange(len(pts))
-    for col in range(candidates.shape[1]):
-        if remaining.size == 0:
-            break
-        cand = candidates[remaining, col]
-        local = np.einsum("ced,cd->ce", inv[cand], pts[remaining] - origin[cand])
-        lam = np.column_stack([1.0 - local.sum(axis=1), local])
-        ok = np.all(lam >= -tol, axis=1)
-        hit = remaining[ok]
-        cells[hit] = cand[ok]
-        bary[hit] = lam[ok]
-        remaining = remaining[~ok]
-    # exact fallback for the rare point whose cell is not among the nearest
-    # centroids; points genuinely outside the mesh stay at -1
-    if remaining.size and candidates.shape[1] < mesh.n_cells:
-        for idx in remaining:
-            local = np.einsum("ced,cd->ce", inv, pts[idx][None, :] - origin)
-            lam = np.column_stack([1.0 - local.sum(axis=1), local])
-            ok = np.flatnonzero(np.all(lam >= -tol, axis=1))
-            if ok.size:
-                cells[idx] = ok[0]
-                bary[idx] = lam[ok[0]]
+    cells[point[first]] = cand[first]
+    bary[point[first]] = lam[first]
     return cells, bary
 
 
 def evaluate_field(field: FemField, points: np.ndarray) -> np.ndarray:
     """Field values at arbitrary points; zero outside the mesh (zero extension)."""
-    cells, bary = locate_points(field.mesh, points)
+    return evaluate_located(field, *locate_points(field.mesh, points))
+
+
+def evaluate_located(field: FemField, cells: np.ndarray, bary: np.ndarray) -> np.ndarray:
+    """Field values at located points (see :func:`locate_points`); zero at cell -1."""
     cache = quad_cache(field.mesh)
     out = np.zeros((len(bary), 2))
     inside = cells >= 0
@@ -584,12 +612,11 @@ def evaluate_field_gradient(field: FemField, points: np.ndarray) -> np.ndarray:
     """Field Jacobians du_e/dx_d at arbitrary points; zero outside the mesh."""
     cells, bary = locate_points(field.mesh, points)
     cache = quad_cache(field.mesh)
-    _, inv = _cell_geometry(field.mesh)
     out = np.zeros((len(bary), 2, 2))
     inside = cells >= 0
     if np.any(inside):
         ref = _p2_ref_grads(bary[inside])  # (n, 6, 2)
-        phys = np.einsum("ned,nbe->nbd", inv[cells[inside]], ref)
+        phys = np.einsum("ned,nbe->nbd", cache.cell_inv[cells[inside]], ref)
         loc = field.coeffs[cache.cell_dofs[cells[inside]]]
         out[inside] = np.einsum("nbd,nbe->ned", phys, loc)
     return out

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-from scipy.sparse.linalg import factorized
+from scipy.sparse.linalg import splu
 
 from .fem import (
     FemField,
@@ -115,6 +115,16 @@ class ContinuationError(RuntimeError):
         self.stages = stages
 
 
+def factorized(matrix):
+    """Solve callable of the sparse LU factorisation of an SPD matrix (CSC).
+
+    The minimum-degree ordering of A^T + A with diagonal pivots keeps the
+    factor symmetric in structure, which is valid, and pivots stably, because
+    every matrix factored here is symmetric positive definite.
+    """
+    return splu(matrix, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True}).solve
+
+
 def energy(spec: NFunction, field: FemField, f: FemField) -> float:
     """J(u) = int phi(|eps u|) - int f . u with the assembly quadrature."""
     cache = quad_cache(field.mesh)
@@ -134,6 +144,8 @@ def solve(
     """Newton-solve the zero-boundary problem; returns (field, trace).
 
     The spec must have quadratic growth (truncate degenerate specs first).
+    The free-dof Jacobian is then SPD, so its factorisation uses a symmetric
+    fill ordering (see :func:`factorized`).
     """
     cfg = cfg or SolveConfig()
     if not spec.has_quadratic_growth():

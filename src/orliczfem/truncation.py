@@ -24,7 +24,7 @@ import numpy as np
 from scipy.signal import fftconvolve
 from scipy.spatial.distance import cdist
 
-from .fem import FemField, evaluate_field, quad_cache
+from .fem import FemField, evaluate_located, quad_cache
 from .nfunctions import DomainError, NFunction
 
 __all__ = [
@@ -227,23 +227,17 @@ def f_truncation_for_solver(
     the mesh), both components are truncated against a shared bad set computed
     from the joint gradient magnitude, and the result is interpolated back to
     the P2 dofs with the boundary re-zeroed.  When the bad set is empty the
-    original field is returned unchanged.
+    original field is returned unchanged.  The lattice is located in the mesh
+    once and reused by every later call on the same mesh and lattice size.
     """
     if not f.zero_boundary:
         raise DomainError("f_truncation_for_solver expects a zero-trace forcing")
     lam = float(spec.d_phi(np.asarray(trunc_hi)))
     mesh = f.mesh
-    lo = mesh.nodes.min(axis=0)
-    hi = mesh.nodes.max(axis=0)
-    pad = 1e-9 * max(hi - lo)
-    bbox = (lo[0] - pad, hi[0] + pad, lo[1] - pad, hi[1] + pad)
-
-    xs = np.linspace(bbox[0], bbox[1], lattice_n)
-    ys = np.linspace(bbox[2], bbox[3], lattice_n)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    vals = evaluate_field(f, np.column_stack([X.ravel(), Y.ravel()]))
+    lattice = quad_cache(mesh).lattice(lattice_n)
+    vals = evaluate_located(f, lattice.cells, lattice.bary)
     comps = [
-        GridFunction(vals[:, c].reshape(lattice_n, lattice_n), (bbox[0], bbox[2]), xs[1] - xs[0])
+        GridFunction(vals[:, c].reshape(lattice_n, lattice_n), lattice.origin, lattice.spacing)
         for c in (0, 1)
     ]
 
