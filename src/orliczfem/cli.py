@@ -19,7 +19,7 @@ import configparser
 import os
 import sys
 
-from .nfunctions import DomainError
+from .nfunctions import SPEC_KEYS, DomainError
 from .solver import ContinuationError, NonConvergenceError
 from .suites import SUITES, run_suite
 from .tableio import write_csv, write_json
@@ -33,19 +33,11 @@ class ConfigError(ValueError):
 
 _FLOAT_LIST = "float_list"
 
-_SPEC_KEYS = {
-    "variant": str,
-    "p": float,
-    "q": float,
-    "delta": float,
-    "trunc_lo": float,
-    "trunc_hi": float,
-}
 _SOLVER_KEYS = {"newton_tol": float, "max_iters": int, "armijo_c": float}
 
 _SCHEMAS = {
-    "indices_suite": {"spec": _SPEC_KEYS},
-    "hammer_suite": {"hammer": {"pairs": int, "fd_samples": int}, "spec": _SPEC_KEYS},
+    "indices_suite": {"spec": SPEC_KEYS},
+    "hammer_suite": {"hammer": {"pairs": int, "fd_samples": int}, "spec": SPEC_KEYS},
     "korn_suite": {
         "korn": {"ensemble": int},
         "mesh": {"domain": str, "h": _FLOAT_LIST},

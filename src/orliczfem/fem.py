@@ -24,7 +24,8 @@ from scipy import sparse
 from scipy.spatial import cKDTree
 
 from .meshing import Mesh
-from .nfunctions import DomainError, NFunction, SingularityError
+from . import radial
+from .nfunctions import DomainError, NFunction
 from .tensors import SymTensor, mandel_to_sym
 
 __all__ = [
@@ -40,6 +41,7 @@ __all__ = [
     "poincare_ratio",
     "assemble_residual",
     "assemble_jacobian",
+    "v_strain_mandel",
     "w12_norm_v",
     "random_zero_boundary_field",
     "locate_points",
@@ -342,40 +344,6 @@ def sym_grad(field: FemField, cell: int, quad_pt: int) -> SymTensor:
 
 
 # ---------------------------------------------------------------------------
-# radial coefficient helpers (quadratic-branch limits at zero strain)
-# ---------------------------------------------------------------------------
-
-
-def _dd_at_zero(spec: NFunction) -> float:
-    try:
-        return float(spec.dd_phi(np.zeros(1))[0])
-    except SingularityError:
-        raise SingularityError(
-            f"{spec.describe()}: zero strain hit a singular stress derivative; "
-            "solve with a truncated spec (trunc_lo > 0)"
-        ) from None
-
-
-def _coeff_ratio(spec, t):
-    """phi'(t)/t with its limit at t = 0."""
-    out = np.empty_like(t)
-    pos = t > 0.0
-    out[pos] = spec.d_phi(t[pos]) / t[pos]
-    if np.any(~pos):
-        out[~pos] = _dd_at_zero(spec)
-    return out
-
-
-def _coeff_second(spec, t):
-    out = np.empty_like(t)
-    pos = t > 0.0
-    out[pos] = spec.dd_phi(t[pos])
-    if np.any(~pos):
-        out[~pos] = _dd_at_zero(spec)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # modular integrals and inequality ratios
 # ---------------------------------------------------------------------------
 
@@ -472,7 +440,7 @@ def assemble_residual(spec: NFunction, field: FemField, f: FemField) -> np.ndarr
         raise DomainError("field and forcing live on different meshes")
     E = strain_mandel(field)
     t = np.sqrt(np.sum(E * E, axis=-1))
-    A = _coeff_ratio(spec, t)[..., None] * E
+    A = radial.ratio(spec, t)[..., None] * E
     r_loc = np.einsum("cq,cqi,cqik->ck", cache.weights, A, cache.strain_B)
 
     F = values_at_qp(f)
@@ -489,15 +457,9 @@ def assemble_jacobian(spec: NFunction, field: FemField) -> sparse.csr_matrix:
     cache = quad_cache(field.mesh)
     E = strain_mandel(field)
     t = np.sqrt(np.sum(E * E, axis=-1))
-    a1 = _coeff_ratio(spec, t)
-    a2 = _coeff_second(spec, t)
-    unit = np.zeros_like(E)
-    pos = t > 0.0
-    unit[pos] = E[pos] / t[pos][..., None]
-
-    M = a1[..., None, None] * np.eye(3) + (a2 - a1)[..., None, None] * (
-        unit[..., :, None] * unit[..., None, :]
-    )
+    a1, a2 = radial.coefficients(spec, t)
+    # M[j] is the derivative of the stress in the direction of Mandel basis vector j
+    M = radial.derivative(a1[..., None], a2[..., None], radial.unit(E, t)[..., None, :], np.eye(3))
     nc = E.shape[0]
     B = cache.strain_B.reshape(nc, 18, 12)  # quadrature points stacked over strain rows
     wMB = ((cache.weights[..., None, None] * M) @ cache.strain_B).reshape(nc, 18, 12)
@@ -511,6 +473,13 @@ def assemble_jacobian(spec: NFunction, field: FemField) -> sparse.csr_matrix:
     return mat.tocsr()
 
 
+def v_strain_mandel(spec: NFunction, field: FemField) -> np.ndarray:
+    """(nc, q, 3) Mandel form of v_map(eps u) at the quadrature points."""
+    E = strain_mandel(field)
+    t = np.sqrt(np.sum(E * E, axis=-1))
+    return np.sqrt(radial.ratio(spec, t))[..., None] * E
+
+
 def w12_norm_v(spec: NFunction, field: FemField):
     """(int |v_map(eps u)|^2, int |grad v_map(eps u)|^2) by cellwise chain rule.
 
@@ -520,28 +489,15 @@ def w12_norm_v(spec: NFunction, field: FemField):
     passed in truncated form (the solver's stage spec).
     """
     cache = quad_cache(field.mesh)
-    E = strain_mandel(field)
-    t = np.sqrt(np.sum(E * E, axis=-1))
-    b1_sq = _coeff_ratio(spec, t)  # (psi'(t)/t)^2 = phi'(t)/t
-    V = np.sqrt(b1_sq)[..., None] * E
+    V = v_strain_mandel(spec, field)
     l2_part = float(np.sum(cache.weights * np.sum(V * V, axis=-1)))
 
-    dE = strain_grad_mandel(field)  # (nc, 2, 3)
-    d = _coeff_second(spec, t)
-    dphi = b1_sq * t  # phi'(t)
-    b1 = np.sqrt(b1_sq)
-    b2 = np.empty_like(t)
-    pos = t > 0.0
-    b2[pos] = (d[pos] * t[pos] + dphi[pos]) / (2.0 * np.sqrt(dphi[pos] * t[pos]))
-    b2[~pos] = b1[~pos]
-    unit = np.zeros_like(E)
-    unit[pos] = E[pos] / t[pos][..., None]
-
-    inner = np.einsum("cdi,cqi->cqd", dE, unit)
-    dV = (
-        b1[..., None, None] * dE[:, None, :, :]
-        + ((b2 - b1)[..., None] * inner)[..., None] * unit[:, :, None, :]
-    )
+    E = strain_mandel(field)
+    t = np.sqrt(np.sum(E * E, axis=-1))
+    b1, b2 = radial.transform_coefficients(spec, t)
+    unit = radial.unit(E, t)[:, :, None, :]  # (nc, q, 1, 3)
+    dE = strain_grad_mandel(field)[:, None]  # (nc, 1, 2, 3), cellwise constant
+    dV = radial.derivative(b1[..., None], b2[..., None], unit, dE)
     semi_part = float(np.sum(cache.weights * np.sum(dV * dV, axis=(-2, -1))))
     return l2_part, semi_part
 

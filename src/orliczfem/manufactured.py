@@ -1,10 +1,10 @@
 """Manufactured solutions: pick u*, derive f = -div(a_map(eps u*)) symbolically.
 
 The strain entries of u* and their partial derivatives come from sympy; the
-divergence of the stress is then assembled by the exact chain rule
+divergence of the stress sigma = a_map(eps) is then assembled by the exact
+chain rule d_j sigma = DA(eps)[d_j eps] (see :mod:`orliczfem.radial`),
 
-    f_i = - sum_j [ g'(t) (d_j t) eps_ij + g(t) d_j eps_ij ],
-    g(t) = phi'(t)/t,   d_j t = (eps : d_j eps) / t,
+    f_i = - sum_j DA(eps)[d_j eps]_ij,
 
 evaluated with the same (typically truncated) spec the solver uses, so the
 discrete solution converges to u* without a modelling gap.
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import sympy
 
+from . import radial
 from .fem import FemField, gradient_at_qp, quad_cache, values_at_qp
 from .meshing import Mesh, build_mesh
 from .nfunctions import NFunction
@@ -33,6 +34,12 @@ __all__ = [
 ]
 
 _X, _Y = sympy.symbols("x y", real=True)
+_SQRT2 = math.sqrt(2.0)
+
+
+def _mandel(e11, e22, e12):
+    """(..., 3) Mandel vectors of the symmetric matrices [[e11, e12], [e12, e22]]."""
+    return np.stack([e11, e22, _SQRT2 * e12], axis=-1)
 
 
 @dataclass
@@ -82,23 +89,15 @@ class ManufacturedCase:
         """f(x, y) -> (..., 2) with f = -div(stress of eps u*) for ``spec``."""
 
         def f(x, y):
-            e11, e22, e12 = self.strain(x, y)
+            E = _mandel(*self.strain(x, y))
             dxe11, dye11, dxe22, dye22, dxe12, dye12 = self.strain_derivs(x, y)
-            t = np.sqrt(e11 * e11 + e22 * e22 + 2.0 * e12 * e12)
-            pos = t > 0.0
-            g = np.empty_like(t)
-            g[pos] = spec.d_phi(t[pos]) / t[pos]
-            if np.any(~pos):
-                g[~pos] = spec.dd_phi(np.zeros(1))[0]
-            gp = np.zeros_like(t)  # g'(t) = (phi'' t - phi') / t^2
-            gp[pos] = (spec.dd_phi(t[pos]) * t[pos] - spec.d_phi(t[pos])) / t[pos] ** 2
-            # d_j t = (eps : d_j eps) / t, zero where the branch is quadratic
-            dt1 = np.zeros_like(t)
-            dt2 = np.zeros_like(t)
-            dt1[pos] = (e11 * dxe11 + e22 * dxe22 + 2 * e12 * dxe12)[pos] / t[pos]
-            dt2[pos] = (e11 * dye11 + e22 * dye22 + 2 * e12 * dye12)[pos] / t[pos]
-            f1 = -(gp * (dt1 * e11 + dt2 * e12) + g * (dxe11 + dye12))
-            f2 = -(gp * (dt1 * e12 + dt2 * e22) + g * (dxe12 + dye22))
+            t = np.sqrt(np.sum(E * E, axis=-1))
+            a1, a2 = radial.coefficients(spec, t)
+            n = radial.unit(E, t)
+            Sx = radial.derivative(a1, a2, n, _mandel(dxe11, dxe22, dxe12))  # d_x sigma
+            Sy = radial.derivative(a1, a2, n, _mandel(dye11, dye22, dye12))  # d_y sigma
+            f1 = -(Sx[..., 0] + Sy[..., 2] / _SQRT2)
+            f2 = -(Sx[..., 2] / _SQRT2 + Sy[..., 1])
             return np.stack([f1, f2], axis=-1)
 
         return f

@@ -73,13 +73,6 @@ class Mesh:
             - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
         )
 
-    def max_cell_diameter(self) -> float:
-        p = self.nodes[self.cells]
-        lengths = [
-            np.linalg.norm(p[:, i] - p[:, j], axis=1) for i, j in ((0, 1), (1, 2), (2, 0))
-        ]
-        return float(np.max(lengths))
-
     def boundary_distance(self, points: np.ndarray) -> np.ndarray:
         """Distance from each point to the nearest boundary node (polygonal proxy)."""
         bpts = self.nodes[self.boundary_nodes]

@@ -38,7 +38,10 @@ __all__ = [
     "simonenko_gap",
     "truncation_dual_gap",
     "from_text",
+    "from_mapping",
     "to_text",
+    "SPEC_KEYS",
+    "invert_increasing",
     "INDEX_GRID",
 ]
 
@@ -86,6 +89,37 @@ def _as_float_array(t):
     if np.any(arr < 0.0):
         raise DomainError("N-function arguments must be nonnegative")
     return arr
+
+
+def invert_increasing(func, s):
+    """Solve func(t) = s for t >= 0, elementwise, by bracketed bisection.
+
+    ``func`` must be increasing with func(0) = 0 and func(t) -> oo, as phi'
+    is; entries s <= 0 map to 0.  The relative tolerance is 1e-12.
+    """
+    s = np.asarray(s, dtype=float)
+    out = np.zeros_like(s)
+    pos = s > 0.0
+    if np.any(pos):
+        sp = s[pos]
+        hi = np.ones_like(sp)
+        for _ in range(1100):
+            need = func(hi) < sp
+            if not need.any():
+                break
+            hi[need] *= 2.0
+        else:  # pragma: no cover - cannot happen for valid N-functions
+            raise RuntimeError("bisection bracket not found")
+        lo = np.zeros_like(sp)
+        for _ in range(_BISECT_MAX_ITERS):
+            mid = 0.5 * (lo + hi)
+            below = func(mid) < sp
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+            if np.all(hi - lo <= _BISECT_RTOL * hi):
+                break
+        out[pos] = 0.5 * (lo + hi)
+    return out
 
 
 def _piecewise(t, pairs):
@@ -149,28 +183,7 @@ class NFunction:
     def d_phi_inv(self, s):
         """Inverse of phi', by bracketed bisection to relative tolerance 1e-12."""
         scalar = np.isscalar(s) or np.ndim(s) == 0
-        arr = _as_float_array(s)
-        out = np.zeros_like(arr)
-        pos = arr > 0.0
-        if np.any(pos):
-            sp = arr[pos]
-            hi = np.ones_like(sp)
-            for _ in range(1100):
-                need = self.d_phi(hi) < sp
-                if not need.any():
-                    break
-                hi[need] *= 2.0
-            else:  # pragma: no cover - cannot happen for valid N-functions
-                raise RuntimeError("bisection bracket not found")
-            lo = np.zeros_like(sp)
-            for _ in range(_BISECT_MAX_ITERS):
-                mid = 0.5 * (lo + hi)
-                below = self.d_phi(mid) < sp
-                lo = np.where(below, mid, lo)
-                hi = np.where(below, hi, mid)
-                if np.all(hi - lo <= _BISECT_RTOL * hi):
-                    break
-            out[pos] = 0.5 * (lo + hi)
+        out = invert_increasing(self.d_phi, _as_float_array(s))
         return float(out) if scalar else out
 
     def conjugate(self, s):
@@ -497,7 +510,7 @@ class _Conjugate(NFunction):
         except SingularityError:
             dd0 = math.inf
         # (phi*)''(0) = 1 / phi''(0): singular exactly when phi''(0) = 0.
-        self._dd_at_zero = None if dd0 == 0.0 else 1.0 / dd0
+        self._second_at_zero = None if dd0 == 0.0 else 1.0 / dd0
         self.singular_at_zero = dd0 == 0.0
 
     def _fields(self):
@@ -513,12 +526,12 @@ class _Conjugate(NFunction):
         s = np.asarray(s, dtype=float)
         zero = s == 0.0
         if np.any(zero):
-            if self._dd_at_zero is None:
+            if self._second_at_zero is None:
                 raise SingularityError("conjugate spec: phi'' singular at t=0")
             return _piecewise(
                 s,
                 [
-                    (zero, lambda x: np.full_like(x, self._dd_at_zero)),
+                    (zero, lambda x: np.full_like(x, self._second_at_zero)),
                     (~zero, lambda x: 1.0 / self.base.dd_phi(self.base.d_phi_inv(x))),
                 ],
             )
@@ -591,7 +604,15 @@ def truncation_dual_gap(base: NFunction, lo: float, hi: float, s):
 # Plain-text serialization
 # ---------------------------------------------------------------------------
 
-_SPEC_KEYS = {"variant", "p", "q", "delta", "trunc_lo", "trunc_hi"}
+#: The keys of a spec block and the types of their values.
+SPEC_KEYS = {
+    "variant": str,
+    "p": float,
+    "q": float,
+    "delta": float,
+    "trunc_lo": float,
+    "trunc_hi": float,
+}
 
 
 def to_text(spec: NFunction) -> str:
@@ -617,10 +638,16 @@ def from_text(text: str) -> NFunction:
         if "=" not in chunk:
             raise DomainError(f"malformed spec entry {chunk!r} (expected key=value)")
         key, _, value = chunk.partition("=")
-        key = key.strip()
-        if key not in _SPEC_KEYS:
+        pairs[key.strip()] = value.strip()
+    return from_mapping(pairs)
+
+
+def from_mapping(block) -> NFunction:
+    """Build a spec from a mapping over :data:`SPEC_KEYS`; values may be text."""
+    pairs = dict(block)
+    for key in pairs:
+        if key not in SPEC_KEYS:
             raise DomainError(f"unknown spec key {key!r}")
-        pairs[key] = value.strip()
 
     variant = pairs.pop("variant", None)
     if variant is None:
@@ -633,7 +660,7 @@ def from_text(text: str) -> NFunction:
                 raise DomainError(f"spec variant {variant!r} requires key {key!r}")
             return default
         try:
-            return float(raw)
+            return SPEC_KEYS[key](raw)
         except ValueError:
             raise DomainError(f"spec key {key!r} has non-numeric value {raw!r}") from None
 

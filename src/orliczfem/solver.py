@@ -21,12 +21,11 @@ from scipy.sparse.linalg import splu
 
 from .fem import (
     FemField,
-    _coeff_ratio,
     assemble_jacobian,
     assemble_residual,
     modular,
     quad_cache,
-    strain_mandel,
+    v_strain_mandel,
     values_at_qp,
     w12_norm_v,
 )
@@ -201,13 +200,6 @@ def solve(
         f"(residual {res_norm:.3e} > tol {cfg.newton_tol:.3e})",
         trace,
     )
-
-
-def v_strain_mandel(spec: NFunction, field: FemField) -> np.ndarray:
-    """(nc, q, 3) Mandel form of v_map(eps u) at the quadrature points."""
-    E = strain_mandel(field)
-    t = np.sqrt(np.sum(E * E, axis=-1))
-    return np.sqrt(_coeff_ratio(spec, t))[..., None] * E
 
 
 @dataclass

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,7 +54,7 @@ from .nfunctions import (
     PowerLaw,
     SumPower,
     Truncated,
-    from_text,
+    from_mapping,
     truncation_dual_gap,
 )
 from .regularity import (
@@ -154,7 +155,7 @@ def _spec_from_options(options: dict) -> NFunction | None:
     block = options.get("spec")
     if not block:
         return None
-    return from_text("\n".join(f"{k}={v}" for k, v in block.items()))
+    return from_mapping(block)
 
 
 def _solve_config(options: dict) -> SolveConfig:
@@ -349,6 +350,16 @@ def run_hammer_suite(options: dict, seed: int, jobs: int) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
+class KornRow(NamedTuple):
+    """Ensemble maxima of one (p, h) case."""
+
+    p: float
+    h: float
+    korn_max: float
+    korn_meanfree_max: float
+    poincare_max: float
+
+
 def run_korn_suite(options: dict, seed: int, jobs: int) -> SuiteResult:
     block = options.get("korn", {})
     ensemble = int(block.get("ensemble", 100))
@@ -359,7 +370,7 @@ def run_korn_suite(options: dict, seed: int, jobs: int) -> SuiteResult:
 
     items = [(i, p, h) for i, (p, h) in enumerate((p, h) for p in p_values for h in h_values)]
 
-    def work(item):
+    def work(item) -> KornRow:
         index, p, h = item
         rng = np.random.default_rng([seed, index])
         spec = PowerLaw(p)
@@ -370,18 +381,17 @@ def run_korn_suite(options: dict, seed: int, jobs: int) -> SuiteResult:
             korn_max = max(korn_max, korn_ratio(spec, field))
             meanfree_max = max(meanfree_max, korn_ratio_meanfree(spec, field))
             poincare_max = max(poincare_max, poincare_ratio(spec, field, r=1.0))
-        return p, h, korn_max, meanfree_max, poincare_max
+        return KornRow(p, h, korn_max, meanfree_max, poincare_max)
 
-    results = _parallel(work, items, jobs)
-    header = ["p", "h", "korn_max", "korn_meanfree_max", "poincare_max"]
-    rows = [list(r) for r in results]
-
-    korn_ok = all(r[2] <= KORN_ENVELOPE and r[3] <= KORN_ENVELOPE for r in results)
-    poincare_ok = all(r[4] <= POINCARE_ENVELOPE for r in results)
+    rows = _parallel(work, items, jobs)
+    korn_ok = all(
+        r.korn_max <= KORN_ENVELOPE and r.korn_meanfree_max <= KORN_ENVELOPE for r in rows
+    )
+    poincare_ok = all(r.poincare_max <= POINCARE_ENVELOPE for r in rows)
     stable = True
     details = []
     for p in p_values:
-        maxima = [r[2] for r in results if r[0] == p]
+        maxima = [r.korn_max for r in rows if r.p == p]
         for a, b in zip(maxima, maxima[1:]):
             if abs(b - a) / a > KORN_STABILITY:
                 stable = False
@@ -395,7 +405,7 @@ def run_korn_suite(options: dict, seed: int, jobs: int) -> SuiteResult:
             "; ".join(details) or f"maxima move <= {KORN_STABILITY:.0%} under refinement",
         ),
     ]
-    return SuiteResult("korn_suite", header, rows, contracts)
+    return SuiteResult("korn_suite", list(KornRow._fields), rows, contracts)
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +461,28 @@ _CACC_CENTERS = ((0.0, 0.0), (0.25, 0.1), (-0.15, 0.2))
 _CACC_RADII = (0.05, 0.1, 0.2, 0.3)
 
 
+class SweepRow(NamedTuple):
+    """One measured ratio lhs/rhs; the columns an experiment does not use are None.
+
+    ``energy`` and ``regularity`` rows are per truncation stage (delta_lo,
+    delta_hi), ``caccioppoli`` rows per ball (center, radius) and the
+    ``interp_step`` row at the final stage.
+    """
+
+    experiment: str
+    p: float
+    h: float
+    delta_lo: float | None = None
+    delta_hi: float | None = None
+    center_x: float | None = None
+    center_y: float | None = None
+    radius: float | None = None
+    lhs: float | None = None
+    rhs: float | None = None
+    ratio: float | None = None
+    cauchy: float | None = None
+
+
 def run_regularity_sweep(options: dict, seed: int, jobs: int) -> SuiteResult:
     mesh_block = options.get("mesh", {})
     domain = mesh_block.get("domain", "unit_disk")
@@ -466,47 +498,25 @@ def run_regularity_sweep(options: dict, seed: int, jobs: int) -> SuiteResult:
         mesh = build_mesh(domain, h)
         f = default_disk_forcing(mesh, amplitude)
         report, stages = regularity_ratio(spec, mesh, f, cfg, lattice_n)
+        weights = quad_cache(mesh).weights
+        fv = values_at_qp(f)
+        f_mag = np.sqrt(np.sum(fv * fv, axis=-1))
         rows = []
         traces = {}
         for k, stage in enumerate(stages):
             stage_spec = spec.truncate(stage.trunc_lo, stage.trunc_hi)
             lhs_energy = modular(stage_spec, stage.field, "sym_grad")
-            conj = stage_spec.conjugate_spec()
-            cache = quad_cache(mesh)
-            fv = values_at_qp(f)
-            rhs_energy = float(
-                np.sum(cache.weights * conj.phi(np.sqrt(np.sum(fv * fv, axis=-1))))
-            )
+            rhs_energy = float(np.sum(weights * stage_spec.conjugate_spec().phi(f_mag)))
             rows.append(
-                (
-                    "energy",
-                    p,
-                    h,
-                    stage.trunc_lo,
-                    stage.trunc_hi,
-                    None,
-                    None,
-                    None,
-                    lhs_energy,
-                    rhs_energy,
-                    lhs_energy / rhs_energy,
-                    stage.cauchy_prev,
+                SweepRow(
+                    "energy", p, h, stage.trunc_lo, stage.trunc_hi, lhs=lhs_energy,
+                    rhs=rhs_energy, ratio=lhs_energy / rhs_energy, cauchy=stage.cauchy_prev,
                 )
             )
             rows.append(
-                (
-                    "regularity",
-                    p,
-                    h,
-                    stage.trunc_lo,
-                    stage.trunc_hi,
-                    None,
-                    None,
-                    None,
-                    stage.w12_total,
-                    report.rhs,
-                    stage.w12_total / report.rhs,
-                    stage.cauchy_prev,
+                SweepRow(
+                    "regularity", p, h, stage.trunc_lo, stage.trunc_hi, lhs=stage.w12_total,
+                    rhs=report.rhs, ratio=stage.w12_total / report.rhs, cauchy=stage.cauchy_prev,
                 )
             )
             traces[f"p{p:g}_h{h:g}_stage{k}"] = stage.trace
@@ -521,31 +531,17 @@ def run_regularity_sweep(options: dict, seed: int, jobs: int) -> SuiteResult:
                     continue
                 ratio = caccioppoli_ratio(spec, final.field, f, (cx, cy), radius)
                 rows.append(
-                    ("caccioppoli", p, h, None, None, cx, cy, radius, None, None, ratio, None)
+                    SweepRow(
+                        "caccioppoli", p, h, center_x=cx, center_y=cy, radius=radius, ratio=ratio
+                    )
                 )
         if p < 2.0:
             ratio = interpolation_step_check(spec, final.field, final_spec)
-            rows.append(
-                ("interp_step", p, h, final.trunc_lo, final.trunc_hi, None, None, None, None, None, ratio, None)
-            )
+            rows.append(SweepRow("interp_step", p, h, final.trunc_lo, final.trunc_hi, ratio=ratio))
         return rows, traces
 
     items = [(p, h) for p in p_values for h in h_values]
     results = _parallel(work, items, jobs)
-    header = [
-        "experiment",
-        "p",
-        "h",
-        "delta_lo",
-        "delta_hi",
-        "center_x",
-        "center_y",
-        "radius",
-        "lhs",
-        "rhs",
-        "ratio",
-        "cauchy",
-    ]
     rows = []
     traces = {}
     for row_block, trace_block in results:
@@ -553,7 +549,7 @@ def run_regularity_sweep(options: dict, seed: int, jobs: int) -> SuiteResult:
         traces.update(trace_block)
 
     contracts = []
-    energy_ratios = np.array([r[10] for r in rows if r[0] == "energy"])
+    energy_ratios = np.array([r.ratio for r in rows if r.experiment == "energy"])
     spread = float(energy_ratios.max() / np.median(energy_ratios))
     contracts.append(
         ContractCheck(
@@ -568,10 +564,10 @@ def run_regularity_sweep(options: dict, seed: int, jobs: int) -> SuiteResult:
     for p in p_values:
         finals = []
         for h in h_sorted:
-            stage_rows = [r for r in rows if r[0] == "regularity" and r[1] == p and r[2] == h]
-            finals.append(stage_rows[-1][10])
+            stage_rows = [r for r in rows if r.experiment == "regularity" and r.p == p and r.h == h]
+            finals.append(stage_rows[-1].ratio)
             if h == h_sorted[-1]:
-                stage_seq = [r[10] for r in stage_rows]
+                stage_seq = [r.ratio for r in stage_rows]
         monotone = all(b <= a * 1.02 for a, b in zip(finals, finals[1:]))
         last_step = _rel_step(finals[-2], finals[-1]) if len(finals) > 1 else 0.0
         ok_h = monotone or last_step <= REG_H_STEP
@@ -592,15 +588,13 @@ def run_regularity_sweep(options: dict, seed: int, jobs: int) -> SuiteResult:
         )
 
     for p in p_values:
-        cacc = np.array([r[10] for r in rows if r[0] == "caccioppoli" and r[1] == p])
+        cacc_rows = [r for r in rows if r.experiment == "caccioppoli" and r.p == p]
+        cacc = np.array([r.ratio for r in cacc_rows])
         if cacc.size == 0:  # every ball below mesh resolution
             continue
         cacc_med = float(np.median(cacc))
         ok_env = bool(np.all(np.isfinite(cacc))) and cacc.max() <= CACC_SPREAD * cacc_med
-        per_h_max = [
-            max((r[10] for r in rows if r[0] == "caccioppoli" and r[1] == p and r[2] == h), default=None)
-            for h in h_sorted
-        ]
+        per_h_max = [max((r.ratio for r in cacc_rows if r.h == h), default=None) for h in h_sorted]
         per_h_max = [v for v in per_h_max if v is not None]
         ok_stab = (
             len(per_h_max) < 2 or _rel_step(per_h_max[-2], per_h_max[-1]) <= CACC_H_STABILITY
@@ -614,9 +608,9 @@ def run_regularity_sweep(options: dict, seed: int, jobs: int) -> SuiteResult:
             )
         )
 
-    interp = [r for r in rows if r[0] == "interp_step"]
+    interp = [r.ratio for r in rows if r.experiment == "interp_step"]
     if interp:
-        vals = np.array([r[10] for r in interp])
+        vals = np.array(interp)
         ok = bool(np.all(vals >= INTERP_MIN) and np.all(vals <= INTERP_MAX))
         contracts.append(
             ContractCheck(
@@ -632,7 +626,7 @@ def run_regularity_sweep(options: dict, seed: int, jobs: int) -> SuiteResult:
         "p_values": list(p_values),
         "schedule": [list(s) for s in cfg.delta_schedule],
     }
-    return SuiteResult("regularity_sweep", header, rows, contracts, summary, traces)
+    return SuiteResult("regularity_sweep", list(SweepRow._fields), rows, contracts, summary, traces)
 
 
 # ---------------------------------------------------------------------------

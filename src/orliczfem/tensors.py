@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nfunctions import DomainError, NFunction
+from . import radial
+from .nfunctions import DomainError, NFunction, invert_increasing
 
 __all__ = [
     "SymTensor",
@@ -38,9 +39,6 @@ __all__ = [
     "mandel_to_sym",
     "random_sym",
 ]
-
-_BISECT_RTOL = 1e-12
-
 
 class SymTensor:
     """Symmetric n x n matrix value (n in {2, 3}) with upper-triangular storage."""
@@ -145,64 +143,6 @@ def frobenius(P):
 
 
 # ---------------------------------------------------------------------------
-# radial coefficients
-# ---------------------------------------------------------------------------
-
-
-def _ratio_d_phi(spec: NFunction, t: np.ndarray) -> np.ndarray:
-    """phi'(t)/t with the quadratic-branch limit phi''(0) at t = 0."""
-    out = np.empty_like(t)
-    pos = t > 0.0
-    out[pos] = spec.d_phi(t[pos]) / t[pos]
-    if np.any(~pos):
-        out[~pos] = spec.dd_phi(np.zeros(1))[0]  # raises SingularityError if singular
-    return out
-
-
-def _psi_prime(spec: NFunction, t: np.ndarray) -> np.ndarray:
-    return np.sqrt(spec.d_phi(t) * t)
-
-
-def _psi_second(spec: NFunction, t: np.ndarray) -> np.ndarray:
-    """psi''(t) = (phi''(t) t + phi'(t)) / (2 sqrt(phi'(t) t)), limit at 0."""
-    out = np.empty_like(t)
-    pos = t > 0.0
-    if np.any(pos):
-        tp = t[pos]
-        d = spec.d_phi(tp)
-        dd = spec.dd_phi(tp)
-        out[pos] = (dd * tp + d) / (2.0 * np.sqrt(d * tp))
-    if np.any(~pos):
-        out[~pos] = math.sqrt(spec.dd_phi(np.zeros(1))[0])
-    return out
-
-
-def _psi_prime_inv(spec: NFunction, s: np.ndarray) -> np.ndarray:
-    """Inverse of psi'(t) = sqrt(phi'(t) t) by bracketed bisection."""
-    out = np.zeros_like(s)
-    pos = s > 0.0
-    if not np.any(pos):
-        return out
-    sp = s[pos]
-    hi = np.ones_like(sp)
-    for _ in range(1100):
-        need = _psi_prime(spec, hi) < sp
-        if not need.any():
-            break
-        hi[need] *= 2.0
-    lo = np.zeros_like(sp)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        below = _psi_prime(spec, mid) < sp
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-        if np.all(hi - lo <= _BISECT_RTOL * hi):
-            break
-    out[pos] = 0.5 * (lo + hi)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # the maps
 # ---------------------------------------------------------------------------
 
@@ -231,43 +171,26 @@ def v_inv(spec: NFunction, Q):
     """Inverse of :func:`v_map`: solves sqrt(phi'(t) t) = |Q| radially."""
     arr, wrap = _unwrap(Q)
     s = np.sqrt(np.sum(arr * arr, axis=(-2, -1)))
-    shape = s.shape
-    tau = _psi_prime_inv(spec, np.atleast_1d(s).ravel()).reshape(shape)
+    tau = invert_increasing(lambda t: np.sqrt(spec.d_phi(t) * t), s)
     scale = np.zeros_like(s)
     pos = s > 0.0
     scale[pos] = tau[pos] / s[pos]
     return wrap(scale[..., None, None] * arr)
 
 
-def _directional_deriv(spec, P, H, t_coeffs, zero_limit):
-    """Shared form a1 H + (a2 - a1) (Phat : H) Phat of the radial-map derivative."""
+def _radial_derivative(coefficients, spec, P, H):
+    """:func:`radial.derivative` on matrices, flattened so that n : H is the
+    Frobenius contraction; ``coefficients(spec, t)`` gives (c1, c2)."""
     arr, wrap = _unwrap(P)
     h_arr, _ = _unwrap(H)
     if h_arr.shape[-1] != arr.shape[-1]:
         raise DomainError("P and H must have the same tensor dimension")
     arr, h_arr = np.broadcast_arrays(arr, h_arr)
-    t = np.sqrt(np.sum(arr * arr, axis=(-2, -1)))
-    a1 = np.empty_like(t)
-    a2 = np.empty_like(t)
-    pos = t > 0.0
-    if np.any(pos):
-        c1, c2 = t_coeffs(t[pos])
-        a1[pos] = c1
-        a2[pos] = c2
-    if np.any(~pos):
-        # at P = 0 both coefficients collapse to the quadratic-branch value
-        z = zero_limit()
-        a1[~pos] = z
-        a2[~pos] = z
-    unit = np.zeros_like(arr)
-    unit[pos] = arr[pos] / t[pos][..., None, None]
-    inner = np.sum(unit * h_arr, axis=(-2, -1))
-    out = a1[..., None, None] * h_arr + ((a2 - a1) * inner)[..., None, None] * unit
-    return wrap(out)
-
-
-def _dd_at_zero(spec):
-    return spec.dd_phi(np.zeros(1))[0]  # raises SingularityError if singular
+    E = arr.reshape(arr.shape[:-2] + (-1,))
+    t = np.sqrt(np.sum(E * E, axis=-1))
+    c1, c2 = coefficients(spec, t)
+    out = radial.derivative(c1, c2, radial.unit(E, t), h_arr.reshape(E.shape))
+    return wrap(out.reshape(arr.shape))
 
 
 def da_map(spec: NFunction, P, H):
@@ -277,20 +200,12 @@ def da_map(spec: NFunction, P, H):
     collapse to phi''(0) on a quadratic branch, so truncated specs are smooth
     through P = 0 while singular specs raise there.
     """
-
-    def coeffs(t):
-        return spec.d_phi(t) / t, spec.dd_phi(t)
-
-    return _directional_deriv(spec, P, H, coeffs, lambda: _dd_at_zero(spec))
+    return _radial_derivative(radial.coefficients, spec, P, H)
 
 
 def dv_map(spec: NFunction, P, H):
     """Gateaux derivative of :func:`v_map` at P in direction H."""
-
-    def coeffs(t):
-        return np.sqrt(spec.d_phi(t) / t), _psi_second(spec, t)
-
-    return _directional_deriv(spec, P, H, coeffs, lambda: math.sqrt(_dd_at_zero(spec)))
+    return _radial_derivative(radial.transform_coefficients, spec, P, H)
 
 
 @dataclass(frozen=True)

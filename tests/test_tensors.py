@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from orliczfem.fem import FemField, assemble_residual, w12_norm_v
+from orliczfem.meshing import build_mesh
 from orliczfem.nfunctions import DomainError, PowerLaw, SingularityError, Truncated
 from orliczfem.tensors import (
     HammerTriple,
@@ -188,9 +190,25 @@ def test_da_quadratic_branch_of_truncated():
     assert np.allclose(da_map(spec, np.zeros((2, 2)), H), slope * H, rtol=1e-13)
 
 
-def test_da_singular_at_zero_for_singular_spec():
-    with pytest.raises(SingularityError):
-        da_map(PowerLaw(1.5), np.zeros((2, 2)), np.eye(2))
+def _zero_strain_residual(spec):
+    u = FemField.zeros(build_mesh("unit_square", 0.5))
+    return assemble_residual(spec, u, u)
+
+
+@pytest.mark.parametrize(
+    "at_zero",
+    [
+        lambda spec: da_map(spec, np.zeros((2, 2)), np.eye(2)),
+        lambda spec: dv_map(spec, np.zeros((2, 2)), np.eye(2)),
+        _zero_strain_residual,
+        lambda spec: w12_norm_v(spec, FemField.zeros(build_mesh("unit_square", 0.5))),
+    ],
+    ids=["da_map", "dv_map", "assemble_residual", "w12_norm_v"],
+)
+def test_da_singular_at_zero_for_singular_spec(at_zero):
+    # every path to the t = 0 limit raises the same advice
+    with pytest.raises(SingularityError, match="trunc"):
+        at_zero(PowerLaw(1.5))
 
 
 def test_da_is_spd_with_pinched_eigenvalues(spec):
@@ -217,6 +235,16 @@ def test_dv_self_consistency(spec):
     ratio = lhs / rhs
     assert np.all(ratio >= 0.5)
     assert np.all(ratio <= 2.0)
+
+
+@pytest.mark.parametrize("deriv", [da_map, dv_map])
+def test_derivative_of_one_matrix_matches_batch(spec, deriv):
+    P, H = _fd_samples(spec, 4)
+    if not spec.singular_at_zero:
+        P[0] = 0.0  # the t = 0 limit on a lone matrix
+    batch = np.asarray(deriv(spec, P, H))
+    for k in range(4):
+        assert np.allclose(deriv(spec, P[k], H[k]), batch[k], rtol=1e-14, atol=0.0)
 
 
 def test_truncated_maps_converge_to_base():
