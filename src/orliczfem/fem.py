@@ -23,8 +23,8 @@ import numpy as np
 from scipy import sparse
 from scipy.spatial import cKDTree
 
-from .meshing import Mesh
 from . import radial
+from .meshing import Mesh
 from .nfunctions import DomainError, NFunction
 from .tensors import SymTensor, mandel_to_sym
 
