@@ -20,7 +20,7 @@ import os
 import sys
 
 from .nfunctions import SPEC_KEYS, DomainError
-from .solver import ContinuationError, NonConvergenceError
+from .solver import SOLVER_KEYS, ContinuationError, NonConvergenceError
 from .suites import SUITES, run_suite
 from .tableio import write_csv, write_json
 
@@ -33,8 +33,6 @@ class ConfigError(ValueError):
 
 _FLOAT_LIST = "float_list"
 
-_SOLVER_KEYS = {"newton_tol": float, "max_iters": int, "armijo_c": float}
-
 _SCHEMAS = {
     "indices_suite": {"spec": SPEC_KEYS},
     "hammer_suite": {"hammer": {"pairs": int, "fd_samples": int}, "spec": SPEC_KEYS},
@@ -43,11 +41,11 @@ _SCHEMAS = {
         "mesh": {"domain": str, "h": _FLOAT_LIST},
         "sweep": {"p_values": _FLOAT_LIST},
     },
-    "manufactured": {"manufactured": {"h": _FLOAT_LIST}, "solver": _SOLVER_KEYS},
+    "manufactured": {"manufactured": {"h": _FLOAT_LIST}, "solver": SOLVER_KEYS},
     "regularity_sweep": {
         "sweep": {"p_values": _FLOAT_LIST},
         "mesh": {"domain": str, "h": _FLOAT_LIST, "lattice_n": int},
-        "solver": _SOLVER_KEYS,
+        "solver": SOLVER_KEYS,
         "schedule": {"delta_lo": _FLOAT_LIST, "delta_hi": _FLOAT_LIST},
         "forcing": {"amplitude": float},
     },

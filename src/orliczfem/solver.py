@@ -42,12 +42,16 @@ __all__ = [
     "solve",
     "delta_continuation",
     "DEFAULT_SCHEDULE",
+    "SOLVER_KEYS",
 ]
 
 #: trunc_lo decreasing, trunc_hi = 1/trunc_lo increasing.  Six decades: the
 #: singular exponents need the extra stages before the W^{1,2} data of the
 #: transformed strain settles between consecutive stages.
 DEFAULT_SCHEDULE = tuple((10.0 ** (-k), 10.0**k) for k in range(1, 7))
+
+#: The ``SolveConfig`` fields a config's ``[solver]`` section may set, with their types.
+SOLVER_KEYS = {"newton_tol": float, "max_iters": int, "armijo_c": float}
 
 
 @dataclass(frozen=True)

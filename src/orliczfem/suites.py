@@ -63,15 +63,17 @@ from .regularity import (
     interpolation_step_check,
     regularity_ratio,
 )
-from .solver import SolveConfig
+from .solver import SOLVER_KEYS, SolveConfig
 from .tensors import a_map, da_map, dv_map, frobenius, hammer_triple, random_sym, v_map
 from .truncation import (
     GridFunction,
-    bad_set,
+    _bad_from_maximal,
+    _truncate_outside,
     discrete_lipschitz,
     f_truncation_for_solver,
+    gradient_magnitude,
     grid_modular,
-    lipschitz_truncate,
+    maximal_function,
 )
 
 __all__ = ["ContractCheck", "SuiteResult", "SUITES", "run_suite", "DEFAULT_SPEC_ROSTER"]
@@ -161,13 +163,13 @@ def _spec_from_options(options: dict) -> NFunction | None:
 def _solve_config(options: dict) -> SolveConfig:
     solver = options.get("solver", {})
     schedule = options.get("schedule", {})
-    kwargs = {}
-    if "newton_tol" in solver:
-        kwargs["newton_tol"] = solver["newton_tol"]
-    if "max_iters" in solver:
-        kwargs["max_iters"] = solver["max_iters"]
-    if "armijo_c" in solver:
-        kwargs["armijo_c"] = solver["armijo_c"]
+    unknown = sorted(solver.keys() - SOLVER_KEYS.keys())
+    if unknown:
+        raise DomainError(
+            f"unknown solver key(s) {', '.join(map(repr, unknown))}; "
+            f"valid: {', '.join(SOLVER_KEYS)}"
+        )
+    kwargs = dict(solver)
     if schedule:
         los = schedule.get("delta_lo")
         his = schedule.get("delta_hi")
@@ -671,6 +673,26 @@ def _test_functions(seed: int):
 _LAMBDA_SWEEP = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 64.0, 256.0)
 
 
+class TruncationRow(NamedTuple):
+    """One truncation measurement; the columns an experiment does not use are None.
+
+    ``dual_gap`` rows are per (spec, trunc_lo, trunc_hi), ``lipschitz`` rows
+    per (test function, level) and ``kdelta`` rows per (spec, trunc_lo,
+    trunc_hi) of the truncated forcing; ``value`` is the gap, the discrete
+    Lipschitz constant and the modular ratio respectively.
+    """
+
+    experiment: str
+    label: str
+    trunc_lo: float | None = None
+    trunc_hi: float | None = None
+    level: float | None = None
+    value: float | None = None
+    contained: int | None = None
+    diff_modular: float | None = None
+    bad_fraction: float | None = None
+
+
 def run_truncation_suite(options: dict, seed: int, jobs: int) -> SuiteResult:
     lattice_n = int(options.get("truncation", {}).get("lattice_n", 64))
     rows = []
@@ -682,7 +704,7 @@ def run_truncation_suite(options: dict, seed: int, jobs: int) -> SuiteResult:
         s = np.linspace(0.0, float(spec.d_phi(np.asarray(hi))), 256)
         gap = float(np.max(truncation_dual_gap(spec, lo, hi, s)))
         dual_worst = max(dual_worst, gap)
-        rows.append(("dual_gap", spec.describe(), lo, hi, None, gap, None, None, None))
+        rows.append(TruncationRow("dual_gap", spec.describe(), lo, hi, value=gap))
     contracts.append(
         ContractCheck(
             "truncation_duality",
@@ -701,19 +723,23 @@ def run_truncation_suite(options: dict, seed: int, jobs: int) -> SuiteResult:
     for name, func in _test_functions(seed).items():
         gf = GridFunction.sample(func, bbox, lattice_n)
         scale = max(1.0, float(np.abs(gf.values).max()))
+        # M(grad v) and the modulars of v do not depend on the level: one
+        # maximal function per test function, one bad set per level for both
+        # the truncation and the containment check
+        maximal = maximal_function(gradient_magnitude(gf), gf.spacing)
+        val_den = grid_modular(spec_mod, gf, "value")
+        grad_den = grid_modular(spec_mod, gf, "grad")
         diff_mods = []
         for lam in _LAMBDA_SWEEP:
-            trunc = lipschitz_truncate(gf, lam)
+            bad = _bad_from_maximal(gf, maximal, lam)
+            trunc = _truncate_outside(gf, bad, lam)
             lip = discrete_lipschitz(trunc)
-            bad = bad_set(gf, lam)
             disagree = np.abs(gf.values - trunc.values) > 1e-12 * scale
             contained = not np.any(disagree & ~bad)
             diff = GridFunction(gf.values - trunc.values, gf.origin, gf.spacing)
             diff_mod = grid_modular(spec_mod, diff, "grad")
             val_num = grid_modular(spec_mod, trunc, "value")
-            val_den = grid_modular(spec_mod, gf, "value")
             grad_num = grid_modular(spec_mod, trunc, "grad")
-            grad_den = grid_modular(spec_mod, gf, "grad")
             ratio_v = val_num / val_den if val_den else 0.0
             ratio_g = grad_num / grad_den if grad_den else 0.0
             ratio_worst = max(ratio_worst, ratio_v, ratio_g)
@@ -721,7 +747,15 @@ def run_truncation_suite(options: dict, seed: int, jobs: int) -> SuiteResult:
             containment_ok &= contained
             diff_mods.append(diff_mod)
             rows.append(
-                ("lipschitz", name, None, None, lam, lip, int(contained), diff_mod, bad.mean())
+                TruncationRow(
+                    "lipschitz",
+                    name,
+                    level=lam,
+                    value=lip,
+                    contained=int(contained),
+                    diff_modular=diff_mod,
+                    bad_fraction=bad.mean(),
+                )
             )
         # recovery: exactly v at the top of the sweep, bounded on the way there
         recovery_ok &= diff_mods[-1] == 0.0
@@ -776,7 +810,7 @@ def run_truncation_suite(options: dict, seed: int, jobs: int) -> SuiteResult:
             rhs = float(spec.phi(np.asarray(lo))) + base_mod
             ratio = lhs / rhs
             kdelta_worst = max(kdelta_worst, ratio)
-            rows.append(("kdelta", spec.describe(), lo, hi, None, ratio, None, None, None))
+            rows.append(TruncationRow("kdelta", spec.describe(), lo, hi, value=ratio))
     contracts.append(
         ContractCheck(
             "truncated_forcing_bound",
@@ -786,18 +820,7 @@ def run_truncation_suite(options: dict, seed: int, jobs: int) -> SuiteResult:
         )
     )
 
-    header = [
-        "experiment",
-        "label",
-        "trunc_lo",
-        "trunc_hi",
-        "level",
-        "value",
-        "contained",
-        "diff_modular",
-        "bad_fraction",
-    ]
-    return SuiteResult("truncation_suite", header, rows, contracts)
+    return SuiteResult("truncation_suite", list(TruncationRow._fields), rows, contracts)
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,23 @@ the truncation T_lam v
   discrete Hardy-Littlewood maximal operator over dyadic lattice-ball radii
   and c < 1 is a fixed level constant absorbing the discrete chaining factor;
 * is lam-Lipschitz by construction: it is the clipped midpoint of the two
-  McShane envelopes min/max_y (v(y) +/- lam |x - y|) over the good set, an
+  McShane envelopes min/max_y (v(y) +/- lam |x - y|) over the good set G, an
   infimum/supremum of lam-Lipschitz cones.
 
 The agreement property holds whenever v restricted to the good set is itself
 pairwise lam-Lipschitz, which the maximal-function level is chosen to ensure;
 the Lipschitz bound holds unconditionally.
+
+The envelopes are exact but search only the good points that can attain
+them.  Let d0(x) be the distance from x to the nearest good point and
+s = max_G v - min_G v.  Then upper(x) <= max_G v + lam d0(x), while any y in
+G with |x - y| > R(x) = d0(x) + s / lam has
+v(y) + lam |x - y| > min_G v + lam d0(x) + s >= upper(x), so y is never the
+minimiser; the same bound holds for the lower envelope.  This needs nothing
+of v, so there is no fallback.  d0 is the lattice's Euclidean distance
+transform; the lattice is cut into square tiles of ENVELOPE_TILE points a
+side, and each tile takes its candidates from one KD-tree ball about its
+centre of radius max_tile R + half the tile diagonal.
 """
 
 from __future__ import annotations
@@ -21,7 +32,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.ndimage import distance_transform_edt
 from scipy.signal import fftconvolve
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .fem import FemField, evaluate_located, quad_cache
@@ -42,6 +55,12 @@ __all__ = [
 
 #: Bad-set level constant c: the dyadic bad set is {M(grad v) > c * lam}.
 BAD_SET_LEVEL = 0.25
+
+#: Side, in lattice points, of the tiles that share one envelope candidate search.
+ENVELOPE_TILE = 8
+
+#: Relative growth of a tile's search radius, covering rounding in the distances.
+_SEARCH_SLACK = 1e-9
 
 
 @dataclass
@@ -125,32 +144,50 @@ def maximal_function(mag: np.ndarray, spacing: float) -> np.ndarray:
 
 def bad_set(gf: GridFunction, lam: float, joint_magnitude: np.ndarray | None = None):
     """{M(grad v) > BAD_SET_LEVEL * lam}, with the lattice boundary kept good."""
+    mag = gradient_magnitude(gf) if joint_magnitude is None else joint_magnitude
+    return _bad_from_maximal(gf, maximal_function(mag, gf.spacing), lam)
+
+
+def _bad_from_maximal(gf: GridFunction, maximal: np.ndarray, lam: float) -> np.ndarray:
+    """The bad set of ``bad_set`` from an already computed maximal function.
+
+    M(grad v) does not depend on the level, so a level sweep computes it once
+    and thresholds it here per level.
+    """
     if not (lam > 0.0):
         raise DomainError(f"truncation level must be positive, got {lam}")
-    mag = gradient_magnitude(gf) if joint_magnitude is None else joint_magnitude
-    bad = maximal_function(mag, gf.spacing) > BAD_SET_LEVEL * lam
+    bad = maximal > BAD_SET_LEVEL * lam
     bad &= ~gf.boundary_mask()  # the zero extension keeps the rim exact
     return bad
 
 
 def _mcshane_midpoint(gf: GridFunction, good: np.ndarray, lam: float) -> np.ndarray:
+    """Clipped midpoint of the McShane envelopes over ``good`` (pruned, see module docstring)."""
     X, Y = gf.coords()
-    pts = np.column_stack([X.ravel(), Y.ravel()])
-    good_flat = good.ravel()
-    good_pts = pts[good_flat]
-    good_vals = gf.values.ravel()[good_flat]
+    good_pts = np.column_stack([X[good], Y[good]])
+    good_vals = gf.values[good]
+    nearest = distance_transform_edt(~good) * gf.spacing
+    reach = nearest + (good_vals.max() - good_vals.min()) / lam
+    tree = cKDTree(good_pts)
 
-    n_all = len(pts)
-    upper = np.empty(n_all)
-    lower = np.empty(n_all)
-    chunk = max(256, int(4e6) // max(1, len(good_pts)))
-    for start in range(0, n_all, chunk):
-        d = cdist(pts[start : start + chunk], good_pts)
-        upper[start : start + chunk] = np.min(good_vals[None, :] + lam * d, axis=1)
-        lower[start : start + chunk] = np.max(good_vals[None, :] - lam * d, axis=1)
+    upper = np.empty(X.shape)
+    lower = np.empty(X.shape)
+    n0, n1 = X.shape
+    for i in range(0, n0, ENVELOPE_TILE):
+        for j in range(0, n1, ENVELOPE_TILE):
+            tile = np.s_[i : i + ENVELOPE_TILE, j : j + ENVELOPE_TILE]
+            tx, ty = X[tile], Y[tile]
+            centre = (0.5 * (tx[0, 0] + tx[-1, -1]), 0.5 * (ty[0, 0] + ty[-1, -1]))
+            half_diag = 0.5 * math.hypot(tx[-1, -1] - tx[0, 0], ty[-1, -1] - ty[0, 0])
+            radius = (half_diag + reach[tile].max()) * (1.0 + _SEARCH_SLACK)
+            near = tree.query_ball_point(centre, radius)
+            cone = lam * cdist(np.column_stack([tx.ravel(), ty.ravel()]), good_pts[near])
+            vals = good_vals[near]
+            upper[tile] = np.min(vals + cone, axis=1).reshape(tx.shape)
+            lower[tile] = np.max(vals - cone, axis=1).reshape(tx.shape)
     mid = 0.5 * (upper + lower)
     np.clip(mid, gf.values.min(), gf.values.max(), out=mid)
-    return mid.reshape(gf.values.shape)
+    return mid
 
 
 def lipschitz_truncate(
@@ -161,14 +198,17 @@ def lipschitz_truncate(
     ``joint_magnitude`` optionally replaces |grad v| in the bad set, so the
     components of a vector field can share one bad set.
     """
+    return _truncate_outside(gf, bad_set(gf, lam, joint_magnitude), lam)
+
+
+def _truncate_outside(gf: GridFunction, bad: np.ndarray, lam: float) -> GridFunction:
+    """``lipschitz_truncate`` given its bad set (a copy of ``gf`` when it is empty)."""
     rim = np.abs(gf.values[gf.boundary_mask()])
     if rim.size and rim.max() > 1e-12 * max(1.0, float(np.abs(gf.values).max())):
         raise DomainError("lipschitz_truncate expects zero values on the lattice boundary")
-    bad = bad_set(gf, lam, joint_magnitude)
     if not bad.any():
         return GridFunction(gf.values.copy(), gf.origin, gf.spacing)
-    out = _mcshane_midpoint(gf, ~bad, lam)
-    return GridFunction(out, gf.origin, gf.spacing)
+    return GridFunction(_mcshane_midpoint(gf, ~bad, lam), gf.origin, gf.spacing)
 
 
 def discrete_lipschitz(gf: GridFunction) -> float:
@@ -202,7 +242,7 @@ def truncation_modular_bounds(spec: NFunction, gf: GridFunction, lam: float):
     * lattice fraction of the bad set.
     """
     bad = bad_set(gf, lam)
-    trunc = lipschitz_truncate(gf, lam)
+    trunc = _truncate_outside(gf, bad, lam)
     diff = GridFunction(gf.values - trunc.values, gf.origin, gf.spacing)
 
     num_v = grid_modular(spec, trunc, "value")

@@ -1,7 +1,8 @@
 """The fast demos run to completion.
 
-Demo 01 exercises the bisection-based conjugates, 02 the tensor maps and 04
-the manufactured forcing; the slow 03, 05 and 06 are left out.
+Demo 01 exercises the bisection-based conjugates, 02 the tensor maps, 04 the
+manufactured forcing and 06 the lattice Lipschitz truncation; the slow 03
+(Korn ensembles) and 05 (regularity sweep) are left out.
 """
 
 import pathlib
@@ -13,7 +14,13 @@ DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
 
 
 @pytest.mark.parametrize(
-    "name", ["01_nfunction_calculus", "02_stress_transform_maps", "04_manufactured_convergence"]
+    "name",
+    [
+        "01_nfunction_calculus",
+        "02_stress_transform_maps",
+        "04_manufactured_convergence",
+        "06_lipschitz_truncation",
+    ],
 )
 def test_demo_runs(name, capsys):
     runpy.run_path(str(DEMOS / f"{name}.py"), run_name="__main__")

@@ -2,9 +2,12 @@
 
 import pytest
 
+from orliczfem.cli import _SCHEMAS
 from orliczfem.nfunctions import DomainError
+from orliczfem.solver import SOLVER_KEYS
 from orliczfem.suites import (
     DEFAULT_SPEC_ROSTER,
+    TruncationRow,
     run_indices_suite,
     run_korn_suite,
     run_manufactured,
@@ -69,9 +72,24 @@ def test_regularity_sweep_schedule_validation():
 
 def test_truncation_suite_structure():
     result = run_truncation_suite({"truncation": {"lattice_n": 48}}, seed=1, jobs=1)
-    kinds = {row[0] for row in result.rows}
+    kinds = {row.experiment for row in result.rows}
     assert kinds == {"dual_gap", "lipschitz", "kdelta"}
+    assert result.header == list(TruncationRow._fields)
+    assert all(isinstance(row, TruncationRow) for row in result.rows)
     assert result.passed
+
+
+@pytest.mark.parametrize("kind", ["manufactured", "regularity_sweep"])
+def test_unknown_solver_key_rejected(kind):
+    # a typo under [solver] must not silently run with the default setting
+    options = {"solver": {"newton_tol": 1e-9, "max_iter": 5}}
+    with pytest.raises(DomainError, match="'max_iter'"):
+        run_suite(kind, options, seed=1)
+
+
+def test_cli_and_suites_share_one_solver_schema():
+    for kind in ("manufactured", "regularity_sweep"):
+        assert _SCHEMAS[kind]["solver"] is SOLVER_KEYS
 
 
 def test_run_suite_unknown_kind():

@@ -2,12 +2,17 @@
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
+from orliczfem import truncation
 from orliczfem.fem import FemField
 from orliczfem.meshing import build_mesh
 from orliczfem.nfunctions import DomainError, PowerLaw
 from orliczfem.truncation import (
     GridFunction,
+    _bad_from_maximal,
+    _mcshane_midpoint,
+    _truncate_outside,
     bad_set,
     discrete_lipschitz,
     f_truncation_for_solver,
@@ -59,6 +64,109 @@ def test_maximal_function_dominates_pointwise_and_constants():
     M1 = maximal_function(single, 1.0 / 32)
     assert M1[16, 16] == pytest.approx(1.0)
     assert np.all(M1 >= 0.0)
+
+
+def test_bad_set_from_reused_maximal_function():
+    for func in (_spike, _smooth):
+        v = GridFunction.sample(func, BBOX, 40)
+        maximal = maximal_function(gradient_magnitude(v), v.spacing)
+        for lam in (0.5, 2.0, 8.0, 64.0):
+            assert np.array_equal(_bad_from_maximal(v, maximal, lam), bad_set(v, lam))
+    with pytest.raises(DomainError):
+        _bad_from_maximal(v, maximal, -1.0)
+
+
+# ---------------------------------------------------------------------------
+# McShane envelopes: the pruned search against all pairs
+# ---------------------------------------------------------------------------
+
+
+def _all_pairs_midpoint(gf, good, lam):
+    """Oracle: both envelopes from every (lattice point, good point) distance."""
+    X, Y = gf.coords()
+    d = cdist(np.column_stack([X.ravel(), Y.ravel()]), np.column_stack([X[good], Y[good]]))
+    vals = gf.values[good][None, :]
+    upper = np.min(vals + lam * d, axis=1)
+    lower = np.max(vals - lam * d, axis=1)
+    mid = np.clip(0.5 * (upper + lower), gf.values.min(), gf.values.max())
+    return mid.reshape(gf.values.shape)
+
+
+def _good_set(kind, n, rng):
+    good = np.ones((n, n), dtype=bool)
+    if kind == "rim":
+        good[1:-1, 1:-1] = False
+    elif kind == "one_bad":
+        good[n // 3, n // 2] = False
+    elif kind == "random":
+        good = rng.uniform(size=(n, n)) < 0.3
+        good[0, :] = good[-1, :] = good[:, 0] = good[:, -1] = True
+    return good
+
+
+@pytest.mark.parametrize("n", [37, 16, 9])
+@pytest.mark.parametrize("kind", ["rim", "one_bad", "random"])
+@pytest.mark.parametrize("lam", [1e-3, 1e-1, 1.0, 10.0, 1e3])
+def test_pruned_envelope_equals_all_pairs(n, kind, lam):
+    rng = np.random.default_rng([n, len(kind), int(np.log10(lam)) + 3])
+    values = rng.normal(size=(n, n))  # far from lam-Lipschitz for the small levels
+    gf = GridFunction(values, (-0.3, 0.2), 1.0 / (n - 1))
+    good = _good_set(kind, n, rng)
+    assert np.array_equal(_mcshane_midpoint(gf, good, lam), _all_pairs_midpoint(gf, good, lam))
+
+
+@pytest.mark.parametrize("lam", [1.0, 2.0, 4.0])
+def test_pruned_envelope_reaches_a_distant_optimum(lam):
+    # a plateau at max v and one good point at min v: inside the plateau the
+    # upper envelope is the far point's cone up to |x - y| = s / lam, so the
+    # search radius must reach the full d0 + s / lam
+    n = 37
+    values = np.ones((n, n))
+    values[-1, -1] = -1.0
+    gf = GridFunction(values, (0.0, 0.0), 1.0 / (n - 1))
+    good = np.zeros((n, n), dtype=bool)
+    good[: n // 2] = True
+    good[-1, -1] = True
+    assert np.array_equal(_mcshane_midpoint(gf, good, lam), _all_pairs_midpoint(gf, good, lam))
+
+
+def test_pruned_envelope_equals_all_pairs_on_smooth_truncations():
+    for func in (_spike, _smooth):
+        v = GridFunction.sample(func, BBOX, 45)
+        for lam in (0.5, 2.0, 8.0, 64.0):
+            good = ~bad_set(v, lam)
+            assert np.array_equal(_mcshane_midpoint(v, good, lam), _all_pairs_midpoint(v, good, lam))
+
+
+def test_envelope_search_is_pruned(monkeypatch):
+    distances = []
+
+    def counting_cdist(a, b):
+        distances.append(len(a) * len(b))
+        return cdist(a, b)
+
+    monkeypatch.setattr(truncation, "cdist", counting_cdist)
+    v = GridFunction.sample(_spike, BBOX, 64)
+    good = ~bad_set(v, 8.0)
+    lipschitz_truncate(v, 8.0)
+    assert 0 < sum(distances) < 0.1 * v.values.size * np.count_nonzero(good)
+
+
+def test_envelope_differs_from_non_lipschitz_v_on_good_set():
+    # v jumps by 1 between neighbouring good points, far steeper than lam:
+    # the envelope must not copy v there, and the containment check sees it
+    n = 24
+    values = np.zeros((n, n))
+    values[1:-1, 1:-1] = np.indices((n - 2, n - 2)).sum(axis=0) % 2
+    gf = GridFunction(values, (0.0, 0.0), 1.0 / (n - 1))
+    bad = np.zeros((n, n), dtype=bool)
+    bad[n // 2, n // 2] = True
+    lam = 1.0
+    trunc = _truncate_outside(gf, bad, lam)
+    assert discrete_lipschitz(trunc) <= lam * (1.0 + 1e-12)
+    disagree = np.abs(gf.values - trunc.values) > 1e-12
+    assert np.any(disagree & ~bad)  # lipschitz_bad_set_containment would fail
+    assert np.array_equal(trunc.values, _all_pairs_midpoint(gf, ~bad, lam))
 
 
 # ---------------------------------------------------------------------------
