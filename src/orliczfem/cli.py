@@ -19,8 +19,8 @@ import configparser
 import os
 import sys
 
-from .nfunctions import SPEC_KEYS, DomainError
-from .solver import SOLVER_KEYS, ContinuationError, NonConvergenceError
+from .nfunctions import DomainError
+from .solver import ContinuationError, NonConvergenceError
 from .suites import SUITES, run_suite
 from .tableio import write_csv, write_json
 
@@ -31,37 +31,11 @@ class ConfigError(ValueError):
     """Malformed configuration; message carries location when known."""
 
 
-_FLOAT_LIST = "float_list"
-
-_SCHEMAS = {
-    "indices_suite": {"spec": SPEC_KEYS},
-    "hammer_suite": {"hammer": {"pairs": int, "fd_samples": int}, "spec": SPEC_KEYS},
-    "korn_suite": {
-        "korn": {"ensemble": int},
-        "mesh": {"domain": str, "h": _FLOAT_LIST},
-        "sweep": {"p_values": _FLOAT_LIST},
-    },
-    "manufactured": {"manufactured": {"h": _FLOAT_LIST}, "solver": SOLVER_KEYS},
-    "regularity_sweep": {
-        "sweep": {"p_values": _FLOAT_LIST},
-        "mesh": {"domain": str, "h": _FLOAT_LIST, "lattice_n": int},
-        "solver": SOLVER_KEYS,
-        "schedule": {"delta_lo": _FLOAT_LIST, "delta_hi": _FLOAT_LIST},
-        "forcing": {"amplitude": float},
-    },
-    "truncation_suite": {"truncation": {"lattice_n": int}},
-}
-
 _EXPERIMENT_KEYS = {"kind": str, "seed": int, "jobs": int, "out": str}
 
 
 def _convert(section: str, key: str, raw: str, kind):
     try:
-        if kind is _FLOAT_LIST:
-            values = [float(tok) for tok in raw.replace(",", " ").split()]
-            if not values:
-                raise ValueError("empty list")
-            return values
         return kind(raw)
     except ValueError:
         raise ConfigError(
@@ -70,7 +44,13 @@ def _convert(section: str, key: str, raw: str, kind):
 
 
 def parse_config(path: str):
-    """Parse and validate a config file; returns (kind, seed, jobs, out, options)."""
+    """Parse a config file; returns (kind, seed, jobs, out, options).
+
+    Each key the suite takes is typed by the suite's config table
+    (``SUITES[kind].config``); any other section or key is passed on as text
+    for :func:`run_suite` to reject, so the CLI and the library accept the
+    same options.
+    """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         with open(path) as fh:
@@ -91,32 +71,32 @@ def parse_config(path: str):
     kind = exp.get("kind")
     if kind is None:
         raise ConfigError("[experiment] must set 'kind'")
-    if kind not in _SCHEMAS:
-        raise ConfigError(f"unknown suite kind {kind!r}; valid: {', '.join(sorted(_SCHEMAS))}")
+    if kind not in SUITES:
+        raise ConfigError(f"unknown suite kind {kind!r}; valid: {', '.join(sorted(SUITES))}")
     if "seed" not in exp:
         raise ConfigError("[experiment] must set 'seed' (runs are seeded, deterministic)")
     seed = _convert("experiment", "seed", exp["seed"], int)
     jobs = _convert("experiment", "jobs", exp["jobs"], int) if "jobs" in exp else 1
     out = exp.get("out")
 
-    schema = _SCHEMAS[kind]
+    config = SUITES[kind].config
     options: dict = {}
     for section in parser.sections():
         if section == "experiment":
             continue
-        if section not in schema:
-            raise ConfigError(f"section [{section}] does not apply to suite '{kind}'")
-        options[section] = {}
-        for key, raw in parser[section].items():
-            if key not in schema[section]:
-                raise ConfigError(f"key '{key}' in section [{section}] is not recognised")
-            options[section][key] = _convert(section, key, raw, schema[section][key])
+        keys = config.get(section, {})
+        options[section] = {
+            key: _convert(section, key, raw, keys[key].type) if key in keys else raw
+            for key, raw in parser[section].items()
+        }
     return kind, seed, jobs, out, options
 
 
 def write_outputs(result, seed: int, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    write_csv(os.path.join(out_dir, f"{result.suite}.csv"), result.header, result.rows)
+    write_csv(
+        os.path.join(out_dir, f"{result.suite}.csv"), SUITES[result.suite].row._fields, result.rows
+    )
     write_json(
         os.path.join(out_dir, "summary.json"),
         {

@@ -489,12 +489,12 @@ def w12_norm_v(spec: NFunction, field: FemField):
     passed in truncated form (the solver's stage spec).
     """
     cache = quad_cache(field.mesh)
-    V = v_strain_mandel(spec, field)
-    l2_part = float(np.sum(cache.weights * np.sum(V * V, axis=-1)))
-
     E = strain_mandel(field)
     t = np.sqrt(np.sum(E * E, axis=-1))
     b1, b2 = radial.transform_coefficients(spec, t)
+    V = b1[..., None] * E  # b1 = sqrt(phi'(t)/t), as in v_strain_mandel
+    l2_part = float(np.sum(cache.weights * np.sum(V * V, axis=-1)))
+
     unit = radial.unit(E, t)[:, :, None, :]  # (nc, q, 1, 3)
     dE = strain_grad_mandel(field)[:, None]  # (nc, 1, 2, 3), cellwise constant
     dV = radial.derivative(b1[..., None], b2[..., None], unit, dE)

@@ -14,7 +14,6 @@
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -59,7 +58,6 @@ class RegularityReport:
     rhs: float
     ratio: float
     stats: dict = dataclass_field(default_factory=dict)
-    runtime: float = 0.0  # informational; excluded from deterministic outputs
 
     def __post_init__(self):
         for value in (self.lhs, self.rhs, self.ratio):
@@ -120,7 +118,6 @@ def regularity_ratio(
     if not f.zero_boundary:
         raise DomainError("regularity experiments need a zero-trace forcing")
     cfg = cfg or SolveConfig()
-    start = time.perf_counter()
     stages = delta_continuation(
         mesh,
         spec,
@@ -147,7 +144,6 @@ def regularity_ratio(
             "forcing_modular": m_f,
             "forcing_grad_modular": m_g,
         },
-        runtime=time.perf_counter() - start,
     )
     return report, stages
 

@@ -53,22 +53,23 @@ DEFAULT_SCHEDULE = tuple((10.0 ** (-k), 10.0**k) for k in range(1, 7))
 #: The ``SolveConfig`` fields a config's ``[solver]`` section may set, with their types.
 SOLVER_KEYS = {"newton_tol": float, "max_iters": int, "armijo_c": float}
 
+#: The Armijo line search halves a rejected step, and gives up below MIN_STEP.
+BACKTRACK = 0.5
+MIN_STEP = 1e-12
+
 
 @dataclass(frozen=True)
 class SolveConfig:
     newton_tol: float = 1e-9
     max_iters: int = 60
-    line_search: str = "armijo"
     armijo_c: float = 1e-4
-    backtrack: float = 0.5
-    min_step: float = 1e-12
     delta_schedule: tuple = DEFAULT_SCHEDULE
 
     def __post_init__(self):
         if not (self.newton_tol > 0.0):
             raise DomainError("newton_tol must be positive")
-        if self.line_search != "armijo":
-            raise DomainError(f"unsupported line search {self.line_search!r}")
+        if self.max_iters < 0:
+            raise DomainError("max_iters must be non-negative")
         if not (0.0 < self.armijo_c < 1.0):
             raise DomainError("armijo_c must lie in (0, 1)")
         los = [lo for lo, _ in self.delta_schedule]
@@ -191,8 +192,8 @@ def solve(
             candidate = FemField(mesh, u.coeffs + step * increment, zero_boundary=True)
             if energy(spec, candidate, f) <= current + cfg.armijo_c * step * slope:
                 break
-            step *= cfg.backtrack
-            if step < cfg.min_step:
+            step *= BACKTRACK
+            if step < MIN_STEP:
                 raise NonConvergenceError(
                     f"line search stalled at iteration {it} (residual {res_norm:.3e})",
                     trace,

@@ -50,11 +50,12 @@ from .meshing import build_mesh
 from .nfunctions import (
     DeltaPower,
     DomainError,
-    NFunction,
     PowerLaw,
+    SPEC_KEYS,
     SumPower,
     Truncated,
     from_mapping,
+    to_text,
     truncation_dual_gap,
 )
 from .regularity import (
@@ -63,7 +64,7 @@ from .regularity import (
     interpolation_step_check,
     regularity_ratio,
 )
-from .solver import SOLVER_KEYS, SolveConfig
+from .solver import DEFAULT_SCHEDULE, SOLVER_KEYS, SolveConfig
 from .tensors import a_map, da_map, dv_map, frobenius, hammer_triple, random_sym, v_map
 from .truncation import (
     GridFunction,
@@ -129,8 +130,7 @@ class ContractCheck:
 @dataclass
 class SuiteResult:
     suite: str
-    header: list
-    rows: list
+    rows: list  # of the suite's row type, whose fields are the CSV columns
     contracts: list
     summary: dict = dataclass_field(default_factory=dict)
     traces: dict = dataclass_field(default_factory=dict)
@@ -153,27 +153,18 @@ def _rel_step(previous: float, current: float) -> float:
     return abs(current - previous) / previous
 
 
-def _spec_from_options(options: dict) -> NFunction | None:
-    block = options.get("spec")
-    if not block:
-        return None
-    return from_mapping(block)
+def _specs(options: dict) -> list:
+    """The one spec of the ``[spec]`` section, or the default roster without it."""
+    if "spec" in options:
+        return [from_mapping(options["spec"])]
+    return list(DEFAULT_SPEC_ROSTER)
 
 
 def _solve_config(options: dict) -> SolveConfig:
-    solver = options.get("solver", {})
-    schedule = options.get("schedule", {})
-    unknown = sorted(solver.keys() - SOLVER_KEYS.keys())
-    if unknown:
-        raise DomainError(
-            f"unknown solver key(s) {', '.join(map(repr, unknown))}; "
-            f"valid: {', '.join(SOLVER_KEYS)}"
-        )
-    kwargs = dict(solver)
-    if schedule:
-        los = schedule.get("delta_lo")
-        his = schedule.get("delta_hi")
-        if los is None or his is None or len(los) != len(his):
+    kwargs = dict(options["solver"])
+    if "schedule" in options:
+        los, his = options["schedule"]["delta_lo"], options["schedule"]["delta_hi"]
+        if len(los) != len(his):
             raise DomainError("schedule needs matching delta_lo and delta_hi lists")
         kwargs["delta_schedule"] = tuple(zip(los, his))
     return SolveConfig(**kwargs)
@@ -183,41 +174,42 @@ def _solve_config(options: dict) -> SolveConfig:
 # indices suite
 # ---------------------------------------------------------------------------
 
-_MARGIN_COLUMNS = [
-    "simonenko_lo",
-    "simonenko_hi",
-    "scaling_lo",
-    "scaling_hi",
-    "delta2_phi",
-    "delta2_conj",
-    "sandwich_lo",
-    "sandwich_hi",
-    "young",
-    "trunc_identity",
-    "trunc_approx",
-    "quad_growth_lo",
-    "quad_growth_hi",
-]
+class IndexRow(NamedTuple):
+    """Indices of one spec, then its :func:`inequality_margins` (None where not defined)."""
+
+    spec: str
+    p_minus: float
+    p_plus: float
+    grid_p_minus: float
+    grid_p_plus: float
+    simonenko_lo: float | None = None
+    simonenko_hi: float | None = None
+    scaling_lo: float | None = None
+    scaling_hi: float | None = None
+    delta2_phi: float | None = None
+    delta2_conj: float | None = None
+    sandwich_lo: float | None = None
+    sandwich_hi: float | None = None
+    young: float | None = None
+    trunc_identity: float | None = None
+    trunc_approx: float | None = None
+    quad_growth_lo: float | None = None
+    quad_growth_hi: float | None = None
 
 
 def run_indices_suite(options: dict, seed: int, jobs: int) -> SuiteResult:
-    single = _spec_from_options(options)
-    specs = [single] if single is not None else list(DEFAULT_SPEC_ROSTER)
-
     def work(spec):
         idx = spec.indices()
         grid = spec.indices_grid()
         return spec, idx, grid, inequality_margins(spec)
 
-    results = _parallel(work, specs, jobs)
-    header = ["spec", "p_minus", "p_plus", "grid_p_minus", "grid_p_plus"] + _MARGIN_COLUMNS
+    results = _parallel(work, _specs(options), jobs)
     rows = []
     contracts = []
     worst = {}
     for spec, idx, grid, margins in results:
         rows.append(
-            [spec.describe(), idx.p_minus, idx.p_plus, grid.p_minus, grid.p_plus]
-            + [margins.get(c) for c in _MARGIN_COLUMNS]
+            IndexRow(spec.describe(), idx.p_minus, idx.p_plus, grid.p_minus, grid.p_plus, **margins)
         )
         for name, value in margins.items():
             worst[name] = min(worst.get(name, math.inf), value)
@@ -273,7 +265,7 @@ def run_indices_suite(options: dict, seed: int, jobs: int) -> SuiteResult:
             f"violated: {violations}" if violations else "all inequality margins nonnegative",
         )
     )
-    return SuiteResult("indices_suite", header, rows, contracts, {"worst_margins": worst})
+    return SuiteResult("indices_suite", rows, contracts, {"worst_margins": worst})
 
 
 # ---------------------------------------------------------------------------
@@ -281,14 +273,22 @@ def run_indices_suite(options: dict, seed: int, jobs: int) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-def run_hammer_suite(options: dict, seed: int, jobs: int) -> SuiteResult:
-    block = options.get("hammer", {})
-    n_pairs = int(block.get("pairs", 10_000))
-    n_fd = int(block.get("fd_samples", 1_000))
-    single = _spec_from_options(options)
-    specs = [single] if single is not None else list(DEFAULT_SPEC_ROSTER)
+class HammerRow(NamedTuple):
+    """Monotonicity-ratio envelope and derivative errors of one spec."""
 
-    def work(item):
+    spec: str
+    ratio_min: float
+    ratio_max: float
+    fd_err_stress: float
+    fd_err_transform: float
+
+
+def run_hammer_suite(options: dict, seed: int, jobs: int) -> SuiteResult:
+    n_pairs = options["hammer"]["pairs"]
+    n_fd = options["hammer"]["fd_samples"]
+    specs = _specs(options)
+
+    def work(item) -> HammerRow:
         index, spec = item
         rng = np.random.default_rng([seed, index])
         P = random_sym(rng, n_pairs)
@@ -296,7 +296,6 @@ def run_hammer_suite(options: dict, seed: int, jobs: int) -> SuiteResult:
         trip = hammer_triple(spec, P, Q)
         r1 = trip.lhs / trip.mid
         r2 = trip.mid / trip.rhs
-        ratios = (float(min(r1.min(), r2.min())), float(max(r1.max(), r2.max())))
 
         Pf = random_sym(rng, n_fd, scale=(1e-1, 1e1))
         Hf = random_sym(rng, n_fd, scale=(1.0, 1.0))
@@ -306,36 +305,35 @@ def run_hammer_suite(options: dict, seed: int, jobs: int) -> SuiteResult:
                 if 0.0 < kink < math.inf:
                     Pf[np.abs(t - kink) < 1e-3] *= 1.01
         h = 1e-5
-        fd_a = (np.asarray(a_map(spec, Pf + h * Hf)) - np.asarray(a_map(spec, Pf - h * Hf))) / (
-            2 * h
-        )
-        fd_v = (np.asarray(v_map(spec, Pf + h * Hf)) - np.asarray(v_map(spec, Pf - h * Hf))) / (
-            2 * h
-        )
-        err_a = float(np.max(frobenius(fd_a - np.asarray(da_map(spec, Pf, Hf))) / frobenius(fd_a)))
-        err_v = float(np.max(frobenius(fd_v - np.asarray(dv_map(spec, Pf, Hf))) / frobenius(fd_v)))
-        return spec, ratios, err_a, err_v
 
-    results = _parallel(work, list(enumerate(specs)), jobs)
-    header = ["spec", "ratio_min", "ratio_max", "fd_err_stress", "fd_err_transform"]
-    rows = [
-        [spec.describe(), ratios[0], ratios[1], err_a, err_v]
-        for spec, ratios, err_a, err_v in results
-    ]
+        def fd_error(value_map, derivative_map):
+            fd = (
+                np.asarray(value_map(spec, Pf + h * Hf)) - np.asarray(value_map(spec, Pf - h * Hf))
+            ) / (2 * h)
+            exact = np.asarray(derivative_map(spec, Pf, Hf))
+            return float(np.max(frobenius(fd - exact) / frobenius(fd)))
 
+        return HammerRow(
+            spec.describe(),
+            float(min(r1.min(), r2.min())),
+            float(max(r1.max(), r2.max())),
+            fd_error(a_map, da_map),
+            fd_error(v_map, dv_map),
+        )
+
+    rows = _parallel(work, list(enumerate(specs)), jobs)
     env_ok = all(
-        ratios[0] >= 1.0 / HAMMER_ENVELOPE and ratios[1] <= HAMMER_ENVELOPE
-        for _, ratios, _, _ in results
+        r.ratio_min >= 1.0 / HAMMER_ENVELOPE and r.ratio_max <= HAMMER_ENVELOPE for r in rows
     )
     p2_detail = "no quadratic spec in roster"
     p2_ok = True
-    for spec, ratios, _, _ in results:
+    for spec, r in zip(specs, rows):
         if isinstance(spec, PowerLaw) and spec.p == 2.0:
             p2_ok = (
-                abs(ratios[0] - 1.0) <= HAMMER_P2_TOL and abs(ratios[1] - 1.0) <= HAMMER_P2_TOL
+                abs(r.ratio_min - 1.0) <= HAMMER_P2_TOL and abs(r.ratio_max - 1.0) <= HAMMER_P2_TOL
             )
-            p2_detail = f"envelope [{ratios[0]:.2e}, {ratios[1]:.2e}] at p=2"
-    fd_ok = all(err_a <= FD_TOL and err_v <= FD_TOL for _, _, err_a, err_v in results)
+            p2_detail = f"envelope [{r.ratio_min:.2e}, {r.ratio_max:.2e}] at p=2"
+    fd_ok = all(r.fd_err_stress <= FD_TOL and r.fd_err_transform <= FD_TOL for r in rows)
 
     contracts = [
         ContractCheck(
@@ -344,7 +342,7 @@ def run_hammer_suite(options: dict, seed: int, jobs: int) -> SuiteResult:
         ContractCheck("hammer_p2_exact", p2_ok, p2_detail),
         ContractCheck("derivative_fd_match", fd_ok, f"relative error <= {FD_TOL:g} at h=1e-5"),
     ]
-    return SuiteResult("hammer_suite", header, rows, contracts)
+    return SuiteResult("hammer_suite", rows, contracts)
 
 
 # ---------------------------------------------------------------------------
@@ -363,12 +361,10 @@ class KornRow(NamedTuple):
 
 
 def run_korn_suite(options: dict, seed: int, jobs: int) -> SuiteResult:
-    block = options.get("korn", {})
-    ensemble = int(block.get("ensemble", 100))
-    mesh_block = options.get("mesh", {})
-    domain = mesh_block.get("domain", "unit_square")
-    h_values = mesh_block.get("h", [0.25, 0.125])
-    p_values = options.get("sweep", {}).get("p_values", [1.3, 1.5, 2.0, 3.0])
+    ensemble = options["korn"]["ensemble"]
+    domain = options["mesh"]["domain"]
+    h_values = options["mesh"]["h"]
+    p_values = options["sweep"]["p_values"]
 
     items = [(i, p, h) for i, (p, h) in enumerate((p, h) for p in p_values for h in h_values)]
 
@@ -407,7 +403,7 @@ def run_korn_suite(options: dict, seed: int, jobs: int) -> SuiteResult:
             "; ".join(details) or f"maxima move <= {KORN_STABILITY:.0%} under refinement",
         ),
     ]
-    return SuiteResult("korn_suite", list(KornRow._fields), rows, contracts)
+    return SuiteResult("korn_suite", rows, contracts)
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +418,20 @@ _MANUFACTURED_CASES = (
 )
 
 
+class ManufacturedRow(NamedTuple):
+    """H1 error of one case on one mesh, its rate from the previous mesh, and the LS slope."""
+
+    case: str
+    trunc_lo: float
+    trunc_hi: float
+    h: float
+    h1_error: float
+    pair_rate: float | None
+    ls_rate: float
+
+
 def run_manufactured(options: dict, seed: int, jobs: int) -> SuiteResult:
-    h_values = options.get("manufactured", {}).get("h", [0.25, 0.125, 0.0625])
+    h_values = options["manufactured"]["h"]
     cfg = _solve_config(options)
     case = sine_bubble()
 
@@ -437,13 +445,12 @@ def run_manufactured(options: dict, seed: int, jobs: int) -> SuiteResult:
         return label, base, (lo, hi), min_rate, errors, rates, slope
 
     results = _parallel(work, list(_MANUFACTURED_CASES), jobs)
-    header = ["case", "trunc_lo", "trunc_hi", "h", "h1_error", "pair_rate", "ls_rate"]
     rows = []
     contracts = []
     for label, base, (lo, hi), min_rate, errors, rates, slope in results:
         for i, h in enumerate(h_values):
             rows.append(
-                [label, lo, hi, h, errors[i], rates[i - 1] if i > 0 else None, slope]
+                ManufacturedRow(label, lo, hi, h, errors[i], rates[i - 1] if i > 0 else None, slope)
             )
         contracts.append(
             ContractCheck(
@@ -452,7 +459,7 @@ def run_manufactured(options: dict, seed: int, jobs: int) -> SuiteResult:
                 f"LS slope {slope:.3f} over {len(h_values)} refinements (need >= {min_rate})",
             )
         )
-    return SuiteResult("manufactured", header, rows, contracts)
+    return SuiteResult("manufactured", rows, contracts)
 
 
 # ---------------------------------------------------------------------------
@@ -486,12 +493,11 @@ class SweepRow(NamedTuple):
 
 
 def run_regularity_sweep(options: dict, seed: int, jobs: int) -> SuiteResult:
-    mesh_block = options.get("mesh", {})
-    domain = mesh_block.get("domain", "unit_disk")
-    h_values = mesh_block.get("h", [0.25, 0.125, 0.0625])
-    lattice_n = int(mesh_block.get("lattice_n", 64))
-    p_values = options.get("sweep", {}).get("p_values", [1.3, 1.5, 2.0, 3.0, 4.0])
-    amplitude = options.get("forcing", {}).get("amplitude", 1.0)
+    domain = options["mesh"]["domain"]
+    h_values = options["mesh"]["h"]
+    lattice_n = options["mesh"]["lattice_n"]
+    p_values = options["sweep"]["p_values"]
+    amplitude = options["forcing"]["amplitude"]
     cfg = _solve_config(options)
 
     def work(item):
@@ -628,7 +634,7 @@ def run_regularity_sweep(options: dict, seed: int, jobs: int) -> SuiteResult:
         "p_values": list(p_values),
         "schedule": [list(s) for s in cfg.delta_schedule],
     }
-    return SuiteResult("regularity_sweep", list(SweepRow._fields), rows, contracts, summary, traces)
+    return SuiteResult("regularity_sweep", rows, contracts, summary, traces)
 
 
 # ---------------------------------------------------------------------------
@@ -694,7 +700,7 @@ class TruncationRow(NamedTuple):
 
 
 def run_truncation_suite(options: dict, seed: int, jobs: int) -> SuiteResult:
-    lattice_n = int(options.get("truncation", {}).get("lattice_n", 64))
+    lattice_n = options["truncation"]["lattice_n"]
     rows = []
     contracts = []
 
@@ -820,7 +826,7 @@ def run_truncation_suite(options: dict, seed: int, jobs: int) -> SuiteResult:
         )
     )
 
-    return SuiteResult("truncation_suite", list(TruncationRow._fields), rows, contracts)
+    return SuiteResult("truncation_suite", rows, contracts)
 
 
 # ---------------------------------------------------------------------------
@@ -828,55 +834,142 @@ def run_truncation_suite(options: dict, seed: int, jobs: int) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
+class Key(NamedTuple):
+    """One config key: the type that parses its text, its default and, for a count, its minimum."""
+
+    type: object
+    default: object = None
+    minimum: int | None = None
+
+
+def float_list(text: str) -> list:
+    """Floats separated by blanks or commas; at least one."""
+    values = [float(token) for token in text.replace(",", " ").split()]
+    if not values:
+        raise ValueError("empty list")
+    return values
+
+
+def _text(value) -> str:
+    return " ".join(map(str, value)) if isinstance(value, list) else str(value)
+
+
+#: ``[spec]`` has no defaults: without it a suite runs the default roster.
+_SPEC = {key: Key(kind) for key, kind in SPEC_KEYS.items()}
+_SOLVER = {key: Key(kind, getattr(SolveConfig(), key)) for key, kind in SOLVER_KEYS.items()}
+_SCHEDULE = {
+    "delta_lo": Key(float_list, [lo for lo, _ in DEFAULT_SCHEDULE]),
+    "delta_hi": Key(float_list, [hi for _, hi in DEFAULT_SCHEDULE]),
+}
+
+
 @dataclass(frozen=True)
 class SuiteSpec:
+    """A suite: its runner, its row type (the CSV columns) and its config table.
+
+    The table maps each config section the suite takes to that section's keys.
+    """
+
+    name: str
     runner: object
+    row: type
+    config: dict
     description: str
-    template: str
+
+    def options(self, given: dict) -> dict:
+        """``given`` checked against :attr:`config`, with every default filled in."""
+        for section, block in given.items():
+            keys = self.config.get(section)
+            if keys is None:
+                raise DomainError(f"section [{section}] does not apply to suite '{self.name}'")
+            for key, value in block.items():
+                if key not in keys:
+                    raise DomainError(f"key '{key}' in section [{section}] is not recognised")
+                if keys[key].minimum is not None and value < keys[key].minimum:
+                    raise DomainError(
+                        f"key '{key}' in section [{section}] must be at least {keys[key].minimum}"
+                    )
+        filled = {
+            section: {key: k.default for key, k in keys.items() if k.default is not None}
+            | given.get(section, {})
+            for section, keys in self.config.items()
+        }
+        return {section: block for section, block in filled.items() if block}
+
+    @property
+    def template(self) -> str:
+        """A config that sets every key to its default, with ``[spec]`` commented out."""
+        blocks = [f"[experiment]\nkind = {self.name}\nseed = 1\n"]
+        for section, keys in self.config.items():
+            lines = [f"[{section}]"] + [f"{key} = {_text(k.default)}" for key, k in keys.items()]
+            if keys is _SPEC:
+                example = to_text(DEFAULT_SPEC_ROSTER[0]).splitlines()
+                lines = [f"# optional, in place of the default roster; keys: {', '.join(keys)}"]
+                lines += [f"# {line}" for line in [f"[{section}]", *example]]
+            blocks.append("".join(line + "\n" for line in lines))
+        return "\n".join(blocks)
 
 
 SUITES = {
-    "indices_suite": SuiteSpec(
-        run_indices_suite,
-        "index formulas and scalar inequality sweeps on log grids",
-        "[experiment]\nkind = indices_suite\nseed = 1\n\n"
-        "# optional: restrict to one spec\n[spec]\nvariant = power\np = 2.0\n",
-    ),
-    "hammer_suite": SuiteSpec(
-        run_hammer_suite,
-        "monotonicity equivalence triple and derivative checks on random tensors",
-        "[experiment]\nkind = hammer_suite\nseed = 1\n\n[hammer]\npairs = 10000\nfd_samples = 1000\n",
-    ),
-    "korn_suite": SuiteSpec(
-        run_korn_suite,
-        "Korn/Poincare modular ratios on random zero-boundary ensembles",
-        "[experiment]\nkind = korn_suite\nseed = 1\n\n[korn]\nensemble = 100\n\n"
-        "[mesh]\ndomain = unit_square\nh = 0.25 0.125\n\n[sweep]\np_values = 1.3 1.5 2.0 3.0\n",
-    ),
-    "manufactured": SuiteSpec(
-        run_manufactured,
-        "solver convergence rates against manufactured solutions",
-        "[experiment]\nkind = manufactured\nseed = 1\n\n[manufactured]\nh = 0.25 0.125 0.0625\n",
-    ),
-    "regularity_sweep": SuiteSpec(
-        run_regularity_sweep,
-        "energy, global regularity, Caccioppoli and interpolation ratios over p x h x stages",
-        "[experiment]\nkind = regularity_sweep\nseed = 1\n\n"
-        "[sweep]\np_values = 1.3 1.5 2.0 3.0 4.0\n\n"
-        "[mesh]\ndomain = unit_disk\nh = 0.25 0.125 0.0625\nlattice_n = 64\n\n"
-        "[solver]\nnewton_tol = 1e-9\nmax_iters = 60\narmijo_c = 1e-4\n\n"
-        "[schedule]\ndelta_lo = 1e-1 1e-2 1e-3 1e-4 1e-5 1e-6\n"
-        "delta_hi = 1e1 1e2 1e3 1e4 1e5 1e6\n\n[forcing]\namplitude = 1.0\n",
-    ),
-    "truncation_suite": SuiteSpec(
-        run_truncation_suite,
-        "truncation duality, lattice Lipschitz truncation, truncated-forcing bound",
-        "[experiment]\nkind = truncation_suite\nseed = 1\n\n[truncation]\nlattice_n = 64\n",
-    ),
+    suite.name: suite
+    for suite in (
+        SuiteSpec(
+            "indices_suite", run_indices_suite, IndexRow, {"spec": _SPEC},
+            "index formulas and scalar inequality sweeps on log grids",
+        ),
+        SuiteSpec(
+            "hammer_suite", run_hammer_suite, HammerRow,
+            {
+                "hammer": {"pairs": Key(int, 10_000, 1), "fd_samples": Key(int, 1_000, 1)},
+                "spec": _SPEC,
+            },
+            "monotonicity equivalence triple and derivative checks on random tensors",
+        ),
+        SuiteSpec(
+            "korn_suite", run_korn_suite, KornRow,
+            {
+                "korn": {"ensemble": Key(int, 100, 1)},
+                "mesh": {"domain": Key(str, "unit_square"), "h": Key(float_list, [0.25, 0.125])},
+                "sweep": {"p_values": Key(float_list, [1.3, 1.5, 2.0, 3.0])},
+            },
+            "Korn/Poincare modular ratios on random zero-boundary ensembles",
+        ),
+        SuiteSpec(
+            "manufactured", run_manufactured, ManufacturedRow,
+            {"manufactured": {"h": Key(float_list, [0.25, 0.125, 0.0625])}, "solver": _SOLVER},
+            "solver convergence rates against manufactured solutions",
+        ),
+        SuiteSpec(
+            "regularity_sweep", run_regularity_sweep, SweepRow,
+            {
+                "sweep": {"p_values": Key(float_list, [1.3, 1.5, 2.0, 3.0, 4.0])},
+                "mesh": {
+                    "domain": Key(str, "unit_disk"),
+                    "h": Key(float_list, [0.25, 0.125, 0.0625]),
+                    "lattice_n": Key(int, 64, 2),
+                },
+                "solver": _SOLVER,
+                "schedule": _SCHEDULE,
+                "forcing": {"amplitude": Key(float, 1.0)},
+            },
+            "energy, global regularity, Caccioppoli and interpolation ratios over p x h x stages",
+        ),
+        SuiteSpec(
+            "truncation_suite", run_truncation_suite, TruncationRow,
+            {"truncation": {"lattice_n": Key(int, 64, 2)}},
+            "truncation duality, lattice Lipschitz truncation, truncated-forcing bound",
+        ),
+    )
 }
 
 
 def run_suite(kind: str, options: dict, seed: int, jobs: int = 1) -> SuiteResult:
+    """Run suite ``kind``; ``options`` maps sections to keys, as in a config file.
+
+    An unknown section or key, or a count below its minimum, raises
+    :class:`DomainError`; every key left out takes its default.
+    """
     if kind not in SUITES:
         raise DomainError(f"unknown suite {kind!r}; valid: {', '.join(sorted(SUITES))}")
-    return SUITES[kind].runner(options, seed, jobs)
+    suite = SUITES[kind]
+    return suite.runner(suite.options(options), seed, jobs)

@@ -12,13 +12,7 @@ import pytest
 
 from orliczfem.cli import main as cli_main
 from orliczfem.nfunctions import DeltaPower, PowerLaw, SumPower, truncation_dual_gap
-from orliczfem.suites import (
-    run_hammer_suite,
-    run_indices_suite,
-    run_manufactured,
-    run_regularity_sweep,
-    run_truncation_suite,
-)
+from orliczfem.suites import run_suite
 
 SEED = 20240811
 
@@ -36,27 +30,27 @@ def _report(number, title, checks):
 
 @pytest.fixture(scope="module")
 def indices_result():
-    return run_indices_suite({}, SEED, jobs=1)
+    return run_suite("indices_suite", {}, SEED, jobs=1)
 
 
 @pytest.fixture(scope="module")
 def hammer_result():
-    return run_hammer_suite({}, SEED, jobs=1)
+    return run_suite("hammer_suite", {}, SEED, jobs=1)
 
 
 @pytest.fixture(scope="module")
 def manufactured_result():
-    return run_manufactured({}, SEED, jobs=1)
+    return run_suite("manufactured", {}, SEED, jobs=1)
 
 
 @pytest.fixture(scope="module")
 def sweep_result():
-    return run_regularity_sweep({}, SEED, jobs=1)
+    return run_suite("regularity_sweep", {}, SEED, jobs=1)
 
 
 @pytest.fixture(scope="module")
 def truncation_result():
-    return run_truncation_suite({}, SEED, jobs=1)
+    return run_suite("truncation_suite", {}, SEED, jobs=1)
 
 
 def _contracts(result, *names):

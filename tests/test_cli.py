@@ -3,11 +3,13 @@
 import filecmp
 import json
 import re
+from pathlib import Path
 
 import pytest
 
 from orliczfem.cli import main, parse_config
-from orliczfem.suites import SUITES, ContractCheck, SuiteResult
+from orliczfem.nfunctions import DomainError, from_mapping
+from orliczfem.suites import DEFAULT_SPEC_ROSTER, SUITES, ContractCheck, SuiteResult, run_suite
 
 MINIMAL = "[experiment]\nkind = indices_suite\nseed = 1\n\n[spec]\nvariant = power\np = 2.0\n"
 
@@ -63,8 +65,7 @@ def test_contract_violation_exit_1(tmp_path, capsys, monkeypatch):
 
     failing = SuiteResult(
         "indices_suite",
-        ["col"],
-        [[1.0]],
+        [],
         [ContractCheck("doomed", False, "synthetic failure")],
     )
     monkeypatch.setattr(cli, "run_suite", lambda *a, **k: failing)
@@ -92,6 +93,53 @@ def test_templates_roundtrip_through_parser(tmp_path, name):
     kind, seed, jobs, out, options = parse_config(cfg)
     assert kind == name
     assert seed == 1
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_template_sets_every_default(tmp_path, name):
+    template = SUITES[name].template
+    *_, options = parse_config(_write(tmp_path, template, f"{name}.ini"))
+    assert options == SUITES[name].options({})
+    if "# [spec]" in template:  # the commented-out example is a valid [spec]
+        uncommented = re.sub(r"^# (?=\[spec\]|\w+=)", "", template, flags=re.M)
+        *_, options = parse_config(_write(tmp_path, uncommented, f"{name}_spec.ini"))
+        assert from_mapping(options["spec"]) == DEFAULT_SPEC_ROSTER[0]
+
+
+def test_sweep_template_is_the_acceptance_config(tmp_path, capsys):
+    assert main(["list-suites", "regularity_sweep"]) == 0
+    template = _write(tmp_path, capsys.readouterr().out)
+    acceptance = Path(__file__).parents[1] / "perfbench" / "configs" / "sweep.ini"
+    assert parse_config(template)[4] == parse_config(str(acceptance))[4]
+
+
+@pytest.mark.parametrize(
+    "kind,section,key,value",
+    [
+        ("hammer_suite", "hammer", "pairs", 0),
+        ("hammer_suite", "hammer", "fd_samples", 0),
+        ("korn_suite", "korn", "ensemble", 0),
+        ("truncation_suite", "truncation", "lattice_n", 1),
+        ("regularity_sweep", "mesh", "lattice_n", 1),
+    ],
+)
+def test_count_below_minimum_is_config_error(tmp_path, capsys, kind, section, key, value):
+    with pytest.raises(DomainError, match=rf"'{key}' in section \[{section}\] must be at least"):
+        run_suite(kind, {section: {key: value}}, seed=1)
+    text = f"[experiment]\nkind = {kind}\nseed = 1\n\n[{section}]\n{key} = {value}\n"
+    cfg = _write(tmp_path, text)
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_negative_max_iters_exit_2(tmp_path, capsys):
+    cfg = _write(
+        tmp_path,
+        "[experiment]\nkind = manufactured\nseed = 1\n\n[manufactured]\nh = 0.5 0.25\n\n"
+        "[solver]\nmax_iters = -1\n",
+    )
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "max_iters" in capsys.readouterr().err
 
 
 def test_seed_override_lands_in_summary(tmp_path):

@@ -67,8 +67,8 @@ def test_config_validation():
         SolveConfig(armijo_c=1.5)
     with pytest.raises(DomainError):
         SolveConfig(delta_schedule=((1e-2, 1e2), (1e-1, 1e1)))
-    with pytest.raises(DomainError):
-        SolveConfig(line_search="exact")
+    with pytest.raises(DomainError, match="max_iters"):
+        SolveConfig(max_iters=-1)
 
 
 def test_energy_monotone_along_trace(disk, swirl):

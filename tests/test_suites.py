@@ -2,30 +2,28 @@
 
 import pytest
 
-from orliczfem.cli import _SCHEMAS
 from orliczfem.nfunctions import DomainError
-from orliczfem.solver import SOLVER_KEYS
+from orliczfem.solver import SOLVER_KEYS, SolveConfig
 from orliczfem.suites import (
     DEFAULT_SPEC_ROSTER,
+    SUITES,
+    HammerRow,
+    IndexRow,
+    ManufacturedRow,
     TruncationRow,
-    run_indices_suite,
-    run_korn_suite,
-    run_manufactured,
-    run_regularity_sweep,
     run_suite,
-    run_truncation_suite,
 )
 
 
 def test_indices_suite_default_roster_rows():
-    result = run_indices_suite({}, seed=1, jobs=1)
+    result = run_suite("indices_suite", {}, seed=1, jobs=1)
     assert len(result.rows) == len(DEFAULT_SPEC_ROSTER)
     assert result.passed
-    assert len(result.rows[0]) == len(result.header)
+    assert all(isinstance(row, IndexRow) for row in result.rows)
 
 
 def test_indices_suite_single_spec():
-    result = run_indices_suite({"spec": {"variant": "power", "p": "3.0"}}, seed=1, jobs=1)
+    result = run_suite("indices_suite", {"spec": {"variant": "power", "p": "3.0"}}, seed=1, jobs=1)
     assert len(result.rows) == 1
     assert "p=3" in result.rows[0][0]
 
@@ -36,14 +34,14 @@ def test_korn_suite_small_run_parallel_matches_serial():
         "mesh": {"domain": "unit_square", "h": [0.5, 0.25]},
         "sweep": {"p_values": [1.5, 2.0]},
     }
-    serial = run_korn_suite(opts, seed=2, jobs=1)
-    parallel = run_korn_suite(opts, seed=2, jobs=4)
+    serial = run_suite("korn_suite", opts, seed=2, jobs=1)
+    parallel = run_suite("korn_suite", opts, seed=2, jobs=4)
     assert serial.rows == parallel.rows
     assert serial.passed
 
 
 def test_manufactured_rows_per_case():
-    result = run_manufactured({"manufactured": {"h": [0.25, 0.125]}}, seed=1, jobs=2)
+    result = run_suite("manufactured", {"manufactured": {"h": [0.25, 0.125]}}, seed=1, jobs=2)
     cases = {row[0] for row in result.rows}
     assert cases == {"power2", "power3", "power1.5", "delta_power3"}
     assert result.passed
@@ -55,26 +53,26 @@ def test_regularity_sweep_reduced_schema():
         "mesh": {"h": [1.0 / 3.0, 1.0 / 6.0]},
         "schedule": {"delta_lo": [1e-1, 1e-2], "delta_hi": [1e1, 1e2]},
     }
-    result = run_regularity_sweep(opts, seed=1, jobs=1)
+    result = run_suite("regularity_sweep", opts, seed=1, jobs=1)
     assert result.passed
     kinds = {row[0] for row in result.rows}
     assert {"energy", "regularity", "caccioppoli"} <= kinds
     assert result.traces  # per-solve traces recorded
     # required table columns are present
     for col in ("h", "p", "delta_lo", "delta_hi", "ratio"):
-        assert col in result.header
+        assert col in SUITES["regularity_sweep"].row._fields
 
 
 def test_regularity_sweep_schedule_validation():
     with pytest.raises(DomainError):
-        run_regularity_sweep({"schedule": {"delta_lo": [0.1]}}, seed=1, jobs=1)
+        run_suite("regularity_sweep", {"schedule": {"delta_lo": [0.1]}}, seed=1, jobs=1)
 
 
 def test_truncation_suite_structure():
-    result = run_truncation_suite({"truncation": {"lattice_n": 48}}, seed=1, jobs=1)
+    result = run_suite("truncation_suite", {"truncation": {"lattice_n": 48}}, seed=1, jobs=1)
     kinds = {row.experiment for row in result.rows}
     assert kinds == {"dual_gap", "lipschitz", "kdelta"}
-    assert result.header == list(TruncationRow._fields)
+    assert SUITES["truncation_suite"].row is TruncationRow
     assert all(isinstance(row, TruncationRow) for row in result.rows)
     assert result.passed
 
@@ -88,8 +86,32 @@ def test_unknown_solver_key_rejected(kind):
 
 
 def test_cli_and_suites_share_one_solver_schema():
-    for kind in ("manufactured", "regularity_sweep"):
-        assert _SCHEMAS[kind]["solver"] is SOLVER_KEYS
+    # the CLI types [solver] by the suite table, which is SOLVER_KEYS with
+    # SolveConfig's defaults, the same for every solver suite
+    solver = SUITES["manufactured"].config["solver"]
+    assert SUITES["regularity_sweep"].config["solver"] is solver
+    assert {key: k.type for key, k in solver.items()} == SOLVER_KEYS
+    defaults = SolveConfig()
+    assert {key: k.default for key, k in solver.items()} == {
+        key: getattr(defaults, key) for key in SOLVER_KEYS
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(SUITES))
+def test_unknown_section_or_key_rejected(kind):
+    # a typo must not silently run with the default setting, in any section
+    with pytest.raises(DomainError, match=r"section \[hamer\]"):
+        run_suite(kind, {"hamer": {"pairs": 10}}, seed=1)
+    for section in SUITES[kind].config:
+        with pytest.raises(DomainError, match=rf"'ensembel' in section \[{section}\]"):
+            run_suite(kind, {section: {"ensembel": 1}}, seed=1)
+
+
+def test_rows_are_named_records():
+    assert SUITES["hammer_suite"].row is HammerRow
+    assert SUITES["manufactured"].row is ManufacturedRow
+    result = run_suite("hammer_suite", {"hammer": {"pairs": 20, "fd_samples": 20}}, seed=1)
+    assert all(isinstance(row, HammerRow) for row in result.rows)
 
 
 def test_run_suite_unknown_kind():
