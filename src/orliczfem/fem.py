@@ -128,7 +128,7 @@ class QuadCache:
     weights: np.ndarray = dataclass_field(init=False)  # (nc, 6)
     qpoints: np.ndarray = dataclass_field(init=False)  # (nc, 6, 2)
     shape_values: np.ndarray = dataclass_field(init=False)  # (6, 6)
-    grads: np.ndarray = dataclass_field(init=False)  # (nc, 6, 6, 2)
+    grads: np.ndarray = dataclass_field(init=False)  # (nc, 6q, 2d, 6b) d_d of shape b
     strain_B: np.ndarray = dataclass_field(init=False)  # (nc, 6, 3, 12)
     strain_D: np.ndarray = dataclass_field(init=False)  # (nc, 2, 3, 12)
     cell_origin: np.ndarray = dataclass_field(init=False)  # (nc, 2) first vertex
@@ -164,18 +164,18 @@ class QuadCache:
         self.shape_values = _p2_values(_QP_BARY)
         ref_grads = _p2_ref_grads(_QP_BARY)  # (6q, 6b, 2)
         # physical gradient: J^{-T} grad_ref  ->  g_d = inv[e, d] * ref_e
-        self.grads = np.einsum("ced,qbe->cqbd", inv, ref_grads)
+        self.grads = np.einsum("ced,qbe->cqdb", inv, ref_grads)
 
         nc = mesh.n_cells
         B = np.zeros((nc, 6, 3, 12))
         g = self.grads
         for b in range(6):
             # component 0: eps = sym(e_0 grad^T)
-            B[:, :, 0, 2 * b] = g[:, :, b, 0]
-            B[:, :, 2, 2 * b] = g[:, :, b, 1] / _SQRT2
+            B[:, :, 0, 2 * b] = g[:, :, 0, b]
+            B[:, :, 2, 2 * b] = g[:, :, 1, b] / _SQRT2
             # component 1
-            B[:, :, 1, 2 * b + 1] = g[:, :, b, 1]
-            B[:, :, 2, 2 * b + 1] = g[:, :, b, 0] / _SQRT2
+            B[:, :, 1, 2 * b + 1] = g[:, :, 1, b]
+            B[:, :, 2, 2 * b + 1] = g[:, :, 0, b] / _SQRT2
         self.strain_B = B
 
         ref_hess = _p2_ref_hessians()  # (6b, 2, 2)
@@ -253,20 +253,32 @@ def quad_cache(mesh: Mesh) -> QuadCache:
 
 
 class FemField:
-    """Vector-valued P2 field: one (x, y) coefficient per node and edge midpoint."""
+    """Vector-valued P2 field: one (x, y) coefficient per node and edge midpoint.
+
+    Coefficients of shape (F, n_scalar, 2) hold a stack of F fields on one
+    mesh, all with the same ``zero_boundary`` flag.  The kernels,
+    :func:`modular` and the three ratios evaluate a stack in one call and
+    return a leading F axis; assembly, the transform norm, point evaluation
+    and the text format take single fields only.
+    """
 
     def __init__(self, mesh: Mesh, coeffs: np.ndarray, zero_boundary: bool = False):
         cache = quad_cache(mesh)
         coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (cache.n_scalar, 2):
+        if coeffs.ndim not in (2, 3) or coeffs.shape[-2:] != (cache.n_scalar, 2):
             raise DomainError(
-                f"field needs coefficient shape ({cache.n_scalar}, 2), got {coeffs.shape}"
+                f"field needs coefficient shape ([F,] {cache.n_scalar}, 2), got {coeffs.shape}"
             )
-        if zero_boundary and np.any(coeffs[cache.boundary_scalar] != 0.0):
+        if zero_boundary and np.any(coeffs[..., cache.boundary_scalar, :] != 0.0):
             raise DomainError("zero_boundary field has nonzero boundary coefficients")
         self.mesh = mesh
         self.coeffs = coeffs
         self.zero_boundary = zero_boundary
+
+    @property
+    def count(self) -> int | None:
+        """The number F of stacked fields, or None for a single field."""
+        return len(self.coeffs) if self.coeffs.ndim == 3 else None
 
     @classmethod
     def zeros(cls, mesh: Mesh, zero_boundary: bool = True) -> "FemField":
@@ -287,59 +299,93 @@ class FemField:
     def with_zero_boundary(self) -> "FemField":
         cache = quad_cache(self.mesh)
         coeffs = self.coeffs.copy()
-        coeffs[cache.boundary_scalar] = 0.0
+        coeffs[..., cache.boundary_scalar, :] = 0.0
         return FemField(self.mesh, coeffs, zero_boundary=True)
 
     def copy(self) -> "FemField":
         return FemField(self.mesh, self.coeffs.copy(), self.zero_boundary)
 
 
-def random_zero_boundary_field(mesh: Mesh, rng: np.random.Generator) -> FemField:
-    """Coefficients i.i.d. uniform on [-1, 1], then boundary-zeroed."""
+def random_zero_boundary_field(
+    mesh: Mesh, rng: np.random.Generator, count: int | None = None
+) -> FemField:
+    """Coefficients i.i.d. uniform on [-1, 1], then boundary-zeroed.
+
+    ``count`` draws a stack of that many fields from the same stream as
+    ``count`` successive single draws.
+    """
     cache = quad_cache(mesh)
-    coeffs = rng.uniform(-1.0, 1.0, size=(cache.n_scalar, 2))
-    coeffs[cache.boundary_scalar] = 0.0
+    size = (cache.n_scalar, 2) if count is None else (count, cache.n_scalar, 2)
+    coeffs = rng.uniform(-1.0, 1.0, size=size)
+    coeffs[..., cache.boundary_scalar, :] = 0.0
     return FemField(mesh, coeffs, zero_boundary=True)
 
 
-def _local_vector(cache: QuadCache, field: FemField) -> np.ndarray:
-    """(nc, 12) interleaved local coefficients."""
-    loc = field.coeffs[cache.cell_dofs]  # (nc, 6, 2)
-    return loc.reshape(loc.shape[0], 12)
+def _single(field: FemField, name: str) -> None:
+    if field.count is not None:
+        raise DomainError(f"{name} takes a single field, got a stack of {field.count}")
+
+
+def _local_block(field: FemField) -> np.ndarray:
+    """(nc, 6b, 2e, F) local coefficients of the F fields (F = 1 for a single field).
+
+    Reshaped to (nc, 12, F), a column interleaves the components as the strain
+    tables do: row 2 b + e.
+    """
+    cache = quad_cache(field.mesh)
+    stack = field.coeffs.reshape(-1, cache.n_scalar, 2)
+    return np.ascontiguousarray(np.moveaxis(stack, 0, -1)).take(cache.cell_dofs, axis=0)
+
+
+def _fields_first(field: FemField, values: np.ndarray) -> np.ndarray:
+    """A kernel's (nc, ..., F) values as (F, nc, ...), or (nc, ...) for a single field."""
+    values = np.moveaxis(values, -1, 0)
+    return values[0] if field.count is None else values
 
 
 def strain_mandel(field: FemField) -> np.ndarray:
-    """(nc, 6q, 3) Mandel strains at the quadrature points."""
+    """([F,] nc, 6q, 3) Mandel strains at the quadrature points."""
     cache = quad_cache(field.mesh)
-    return np.einsum("cqik,ck->cqi", cache.strain_B, _local_vector(cache, field))
+    block = _local_block(field)
+    nc = block.shape[0]
+    E = cache.strain_B.reshape(nc, 18, 12) @ block.reshape(nc, 12, -1)
+    return _fields_first(field, E.reshape(nc, 6, 3, -1))
 
 
 def strain_grad_mandel(field: FemField) -> np.ndarray:
-    """(nc, 2, 3) cellwise-constant Mandel form of (d_1 eps u, d_2 eps u)."""
+    """([F,] nc, 2, 3) cellwise-constant Mandel form of (d_1 eps u, d_2 eps u)."""
     cache = quad_cache(field.mesh)
-    return np.einsum("cdik,ck->cdi", cache.strain_D, _local_vector(cache, field))
+    block = _local_block(field)
+    nc = block.shape[0]
+    dE = cache.strain_D.reshape(nc, 6, 12) @ block.reshape(nc, 12, -1)
+    return _fields_first(field, dE.reshape(nc, 2, 3, -1))
 
 
 def values_at_qp(field: FemField) -> np.ndarray:
-    """(nc, 6q, 2) field values at the quadrature points."""
+    """([F,] nc, 6q, 2) field values at the quadrature points."""
     cache = quad_cache(field.mesh)
-    loc = field.coeffs[cache.cell_dofs]
-    return np.einsum("qb,cbe->cqe", cache.shape_values, loc)
+    block = _local_block(field)
+    nc = block.shape[0]
+    U = cache.shape_values @ block.reshape(nc, 6, -1)
+    return _fields_first(field, U.reshape(nc, 6, 2, -1))
 
 
 def gradient_at_qp(field: FemField) -> np.ndarray:
-    """(nc, 6q, 2, 2) Jacobians du_e/dx_d at the quadrature points."""
+    """([F,] nc, 6q, 2, 2) Jacobians du_e/dx_d at the quadrature points."""
     cache = quad_cache(field.mesh)
-    loc = field.coeffs[cache.cell_dofs]  # (nc, 6b, 2e)
-    return loc.transpose(0, 2, 1)[:, None] @ cache.grads
+    block = _local_block(field)
+    nc = block.shape[0]
+    G = cache.grads.reshape(nc, 12, 6) @ block.reshape(nc, 6, -1)  # rows (q, d), columns (e, F)
+    return _fields_first(field, G.reshape(nc, 6, 2, 2, -1).swapaxes(2, 3))
 
 
 def sym_grad(field: FemField, cell: int, quad_pt: int) -> SymTensor:
     """Symmetric gradient at one quadrature point of one cell."""
+    _single(field, "sym_grad")
     cache = quad_cache(field.mesh)
     if not (0 <= cell < field.mesh.n_cells and 0 <= quad_pt < 6):
         raise DomainError(f"invalid cell/quadrature indices ({cell}, {quad_pt})")
-    m = np.einsum("ik,k->i", cache.strain_B[cell, quad_pt], _local_vector(cache, field)[cell])
+    m = cache.strain_B[cell, quad_pt] @ _local_block(field)[cell].reshape(12)
     return SymTensor.from_matrix(mandel_to_sym(m))
 
 
@@ -350,16 +396,21 @@ def sym_grad(field: FemField, cell: int, quad_pt: int) -> SymTensor:
 _MODULAR_KINDS = ("sym_grad", "grad", "value")
 
 
+def _vector_norm(X: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("...i,...i->...", X, X))
+
+
+def _matrix_norm(X: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("...ed,...ed->...", X, X))
+
+
 def _magnitudes(field: FemField, kind: str) -> np.ndarray:
     if kind == "sym_grad":
-        E = strain_mandel(field)
-        return np.sqrt(np.sum(E * E, axis=-1))
+        return _vector_norm(strain_mandel(field))
     if kind == "grad":
-        G = gradient_at_qp(field)
-        return np.sqrt(np.sum(G * G, axis=(-2, -1)))
+        return _matrix_norm(gradient_at_qp(field))
     if kind == "value":
-        U = values_at_qp(field)
-        return np.sqrt(np.sum(U * U, axis=-1))
+        return _vector_norm(values_at_qp(field))
     raise DomainError(f"modular kind must be one of {_MODULAR_KINDS}, got {kind!r}")
 
 
@@ -369,16 +420,31 @@ def _region_mask(cache: QuadCache, region) -> np.ndarray:
     return np.asarray(region(cache.qpoints[..., 0], cache.qpoints[..., 1]), dtype=bool)
 
 
+def _integral(w: np.ndarray, values: np.ndarray):
+    """Quadrature sum over the mesh: a float for one field, an (F,) array for a stack."""
+    total = np.sum(w * values, axis=(-2, -1))
+    return float(total) if total.ndim == 0 else total
+
+
+def _check_nonzero(field: FemField, den, message: str) -> None:
+    """Raise ``message``, naming the first stack entry, if a denominator is zero."""
+    zero = np.flatnonzero(np.atleast_1d(den) == 0.0)
+    if zero.size:
+        where = "" if field.count is None else f" (stack entry {zero[0]})"
+        raise DomainError(message + where)
+
+
 def modular(spec: NFunction, field: FemField, kind: str, scale: float = 1.0, region=None):
     """Quadrature of phi(scale * |X|) with X in {eps u, grad u, u} over the mesh.
 
     ``region(x, y) -> bool`` restricts the integral to the quadrature points it
-    selects (used for ball-restricted means).
+    selects (used for ball-restricted means).  A stack of F fields gives an
+    (F,) array.
     """
     cache = quad_cache(field.mesh)
     mags = _magnitudes(field, kind)
     w = cache.weights * _region_mask(cache, region)
-    return float(np.sum(w * spec.phi(scale * mags)))
+    return _integral(w, spec.phi(scale * mags))
 
 
 def region_measure(mesh: Mesh, region=None) -> float:
@@ -388,7 +454,7 @@ def region_measure(mesh: Mesh, region=None) -> float:
 
 
 def korn_ratio(spec: NFunction, field: FemField, require_zero_boundary: bool = True):
-    """modular(grad) / modular(sym_grad) for a zero-boundary field.
+    """modular(grad) / modular(sym_grad) for a zero-boundary field, (F,) for a stack.
 
     ``require_zero_boundary=False`` skips the flag check for diagnostics on
     fields with symmetric Jacobians that are not zero on the boundary.
@@ -396,8 +462,7 @@ def korn_ratio(spec: NFunction, field: FemField, require_zero_boundary: bool = T
     if require_zero_boundary and not field.zero_boundary:
         raise DomainError("korn_ratio requires a zero-boundary field")
     den = modular(spec, field, "sym_grad")
-    if den == 0.0:
-        raise DomainError("korn_ratio undefined: the field is (numerically) rigid")
+    _check_nonzero(field, den, "korn_ratio undefined: the field is (numerically) rigid")
     return modular(spec, field, "grad") / den
 
 
@@ -407,15 +472,14 @@ def korn_ratio_meanfree(spec: NFunction, field: FemField):
     w = cache.weights
     vol = float(w.sum())
     G = gradient_at_qp(field)
-    mean_g = np.einsum("cq,cqed->ed", w, G) / vol
+    mean_g = np.einsum("cq,...cqed->...ed", w, G) / vol
     E = strain_mandel(field)
-    mean_e = np.einsum("cq,cqi->i", w, E) / vol
-    num_mag = np.sqrt(np.sum((G - mean_g) ** 2, axis=(-2, -1)))
-    den_mag = np.sqrt(np.sum((E - mean_e) ** 2, axis=-1))
-    den = float(np.sum(w * spec.phi(den_mag)))
-    if den == 0.0:
-        raise DomainError("mean-free korn ratio undefined for rigid fields")
-    return float(np.sum(w * spec.phi(num_mag))) / den
+    mean_e = np.einsum("cq,...cqi->...i", w, E) / vol
+    num_mag = _matrix_norm(G - mean_g[..., None, None, :, :])
+    den_mag = _vector_norm(E - mean_e[..., None, None, :])
+    den = _integral(w, spec.phi(den_mag))
+    _check_nonzero(field, den, "mean-free korn ratio undefined for rigid fields")
+    return _integral(w, spec.phi(num_mag)) / den
 
 
 def poincare_ratio(spec: NFunction, field: FemField, r: float = 1.0):
@@ -423,8 +487,7 @@ def poincare_ratio(spec: NFunction, field: FemField, r: float = 1.0):
     if not field.zero_boundary:
         raise DomainError("poincare_ratio requires a zero-boundary field")
     den = modular(spec, field, "grad", scale=r)
-    if den == 0.0:
-        raise DomainError("poincare_ratio undefined for the zero field")
+    _check_nonzero(field, den, "poincare_ratio undefined for the zero field")
     return modular(spec, field, "value") / den
 
 
@@ -435,6 +498,8 @@ def poincare_ratio(spec: NFunction, field: FemField, r: float = 1.0):
 
 def assemble_residual(spec: NFunction, field: FemField, f: FemField) -> np.ndarray:
     """R_i = int a_map(eps u) : eps psi_i - int f . psi_i, over all vector dofs."""
+    _single(field, "assemble_residual")
+    _single(f, "assemble_residual")
     cache = quad_cache(field.mesh)
     if f.mesh is not field.mesh:
         raise DomainError("field and forcing live on different meshes")
@@ -454,6 +519,7 @@ def assemble_residual(spec: NFunction, field: FemField, f: FemField) -> np.ndarr
 
 def assemble_jacobian(spec: NFunction, field: FemField) -> sparse.csr_matrix:
     """J_ij = int da_map(eps u)[eps psi_j] : eps psi_i, sparse symmetric."""
+    _single(field, "assemble_jacobian")
     cache = quad_cache(field.mesh)
     E = strain_mandel(field)
     t = np.sqrt(np.sum(E * E, axis=-1))
@@ -488,6 +554,7 @@ def w12_norm_v(spec: NFunction, field: FemField):
     strain this needs the quadratic-branch limit, so degenerate specs must be
     passed in truncated form (the solver's stage spec).
     """
+    _single(field, "w12_norm_v")
     cache = quad_cache(field.mesh)
     E = strain_mandel(field)
     t = np.sqrt(np.sum(E * E, axis=-1))
@@ -554,6 +621,7 @@ def evaluate_field(field: FemField, points: np.ndarray) -> np.ndarray:
 
 def evaluate_located(field: FemField, cells: np.ndarray, bary: np.ndarray) -> np.ndarray:
     """Field values at located points (see :func:`locate_points`); zero at cell -1."""
+    _single(field, "evaluate_located")
     cache = quad_cache(field.mesh)
     out = np.zeros((len(bary), 2))
     inside = cells >= 0
@@ -566,6 +634,7 @@ def evaluate_located(field: FemField, cells: np.ndarray, bary: np.ndarray) -> np
 
 def evaluate_field_gradient(field: FemField, points: np.ndarray) -> np.ndarray:
     """Field Jacobians du_e/dx_d at arbitrary points; zero outside the mesh."""
+    _single(field, "evaluate_field_gradient")
     cells, bary = locate_points(field.mesh, points)
     cache = quad_cache(field.mesh)
     out = np.zeros((len(bary), 2, 2))
@@ -585,6 +654,7 @@ def evaluate_field_gradient(field: FemField, points: np.ndarray) -> np.ndarray:
 
 def write_field_text(field: FemField, path) -> None:
     """Header "n_coeffs 2 zero_boundary", then one "cx cy" line per scalar dof."""
+    _single(field, "write_field_text")
     with open(path, "w") as fh:
         fh.write(f"{len(field.coeffs)} 2 {int(field.zero_boundary)}\n")
         for cx, cy in field.coeffs:

@@ -132,6 +132,27 @@ def test_count_below_minimum_is_config_error(tmp_path, capsys, kind, section, ke
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "kind,section,values",
+    [
+        ("korn_suite", "mesh", {"h": [0.25]}),
+        ("manufactured", "manufactured", {"h": [0.5]}),
+        ("regularity_sweep", "mesh", {"h": [0.25]}),
+        ("regularity_sweep", "schedule", {"delta_lo": [0.1], "delta_hi": [10.0]}),
+    ],
+)
+def test_single_valued_list_is_config_error(tmp_path, capsys, kind, section, values):
+    # one h fits no rate and one stage or mesh has no step to be stable over
+    key = next(iter(values))
+    message = rf"'{key}' in section \[{section}\] must list at least 2 values"
+    with pytest.raises(DomainError, match=message):
+        run_suite(kind, {section: values}, seed=1)
+    lines = "".join(f"{k} = {v[0]}\n" for k, v in values.items())
+    cfg = _write(tmp_path, f"[experiment]\nkind = {kind}\nseed = 1\n\n[{section}]\n{lines}")
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "must list at least 2 values" in capsys.readouterr().err
+
+
 def test_negative_max_iters_exit_2(tmp_path, capsys):
     cfg = _write(
         tmp_path,

@@ -1,8 +1,8 @@
 """The fast demos run to completion.
 
-Demo 01 exercises the bisection-based conjugates, 02 the tensor maps, 04 the
-manufactured forcing and 06 the lattice Lipschitz truncation; the slow 03
-(Korn ensembles) and 05 (regularity sweep) are left out.
+Demo 01 exercises the bisection-based conjugates, 02 the tensor maps, 03 the
+stacked Korn ensembles, 04 the manufactured forcing and 06 the lattice
+Lipschitz truncation; the slow 05 (regularity sweep) is left out.
 """
 
 import pathlib
@@ -18,6 +18,7 @@ DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
     [
         "01_nfunction_calculus",
         "02_stress_transform_maps",
+        "03_korn_poincare_ensemble",
         "04_manufactured_convergence",
         "06_lipschitz_truncation",
     ],

@@ -1,6 +1,7 @@
 """P2 elements: quadrature, strains, modulars, assembly, and the transform norm."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from orliczfem.fem import (
     assemble_residual,
     evaluate_field,
     evaluate_field_gradient,
+    gradient_at_qp,
     korn_ratio,
     korn_ratio_meanfree,
     locate_points,
@@ -20,8 +22,10 @@ from orliczfem.fem import (
     random_zero_boundary_field,
     read_field_text,
     region_measure,
+    strain_grad_mandel,
     strain_mandel,
     sym_grad,
+    values_at_qp,
     w12_norm_v,
     write_field_text,
 )
@@ -186,6 +190,81 @@ def test_korn_meanfree_and_poincare(square):
 
 
 # ---------------------------------------------------------------------------
+# field stacks
+# ---------------------------------------------------------------------------
+
+
+def _entries(stack):
+    return [FemField(stack.mesh, coeffs, stack.zero_boundary) for coeffs in stack.coeffs]
+
+
+@pytest.mark.parametrize("count", [1, 3, 16])
+def test_stack_equals_per_entry_calls(disk, count):
+    stack = random_zero_boundary_field(disk, np.random.default_rng(count), count=count)
+    entries = _entries(stack)
+    assert stack.count == count and all(u.count is None for u in entries)
+
+    for kernel in (strain_mandel, strain_grad_mandel, values_at_qp, gradient_at_qp):
+        got = kernel(stack)
+        want = np.stack([kernel(u) for u in entries])
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), kernel.__name__
+
+    spec = PowerLaw(1.5)
+    upper = lambda x, y: y > 0.1
+    for kind in ("sym_grad", "grad", "value"):
+        for region in (None, upper):
+            got = modular(spec, stack, kind, scale=0.7, region=region)
+            want = [modular(spec, u, kind, scale=0.7, region=region) for u in entries]
+            assert got.shape == (count,)
+            assert got == pytest.approx(want, rel=1e-13)
+
+    for ratio in (korn_ratio, korn_ratio_meanfree, lambda s, u: poincare_ratio(s, u, r=0.5)):
+        got = ratio(spec, stack)
+        assert got.shape == (count,)
+        assert got == pytest.approx([ratio(spec, u) for u in entries], rel=1e-13)
+
+
+def test_stacked_draw_is_successive_single_draws(square):
+    stack = random_zero_boundary_field(square, np.random.default_rng(11), count=5)
+    rng = np.random.default_rng(11)
+    singles = [random_zero_boundary_field(square, rng).coeffs for _ in range(5)]
+    assert stack.zero_boundary
+    assert np.array_equal(stack.coeffs, np.stack(singles))
+
+
+@pytest.mark.parametrize("ratio", [korn_ratio, korn_ratio_meanfree, poincare_ratio])
+def test_rigid_stack_entry_is_named(square, ratio):
+    stack = random_zero_boundary_field(square, np.random.default_rng(12), count=4)
+    stack.coeffs[2] = 0.0
+    with pytest.raises(DomainError, match=r"stack entry 2\b"):
+        ratio(PowerLaw(2), stack)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda u, one: assemble_residual(PowerLaw(2), u, one),
+        lambda u, one: assemble_residual(PowerLaw(2), one, u),
+        lambda u, one: assemble_jacobian(PowerLaw(2), u),
+        lambda u, one: w12_norm_v(PowerLaw(2), u),
+        lambda u, one: sym_grad(u, 0, 0),
+        lambda u, one: evaluate_field(u, np.zeros((1, 2))),
+        lambda u, one: evaluate_field_gradient(u, np.zeros((1, 2))),
+        lambda u, one: write_field_text(u, os.devnull),
+    ],
+    ids=[
+        "residual", "residual_forcing", "jacobian", "w12", "sym_grad", "evaluate", "gradient",
+        "write",
+    ],
+)
+def test_single_field_functions_reject_stacks(square, call):
+    stack = random_zero_boundary_field(square, np.random.default_rng(13), count=3)
+    with pytest.raises(DomainError, match="takes a single field, got a stack of 3"):
+        call(stack, FemField.zeros(square))
+
+
+# ---------------------------------------------------------------------------
 # assembly
 # ---------------------------------------------------------------------------
 
@@ -346,9 +425,10 @@ def test_field_text_roundtrip(square, tmp_path):
 
 
 def test_field_shape_validation(square):
-    with pytest.raises(DomainError):
-        FemField(square, np.zeros((3, 2)))
     cache = quad_cache(square)
-    bad = np.ones((cache.n_scalar, 2))
-    with pytest.raises(DomainError):
-        FemField(square, bad, zero_boundary=True)
+    for shape in ((3, 2), (cache.n_scalar, 3), (2, 2, cache.n_scalar, 2)):
+        with pytest.raises(DomainError):
+            FemField(square, np.zeros(shape))
+    for bad in (np.ones((cache.n_scalar, 2)), np.ones((4, cache.n_scalar, 2))):
+        with pytest.raises(DomainError):
+            FemField(square, bad, zero_boundary=True)

@@ -1,11 +1,20 @@
 """Suite runners: row schemas, contract structure, option handling."""
 
+import numpy as np
 import pytest
 
-from orliczfem.nfunctions import DomainError
+from orliczfem.fem import (
+    korn_ratio,
+    korn_ratio_meanfree,
+    poincare_ratio,
+    random_zero_boundary_field,
+)
+from orliczfem.meshing import build_mesh
+from orliczfem.nfunctions import DomainError, PowerLaw
 from orliczfem.solver import SOLVER_KEYS, SolveConfig
 from orliczfem.suites import (
     DEFAULT_SPEC_ROSTER,
+    KORN_BLOCK,
     SUITES,
     HammerRow,
     IndexRow,
@@ -38,6 +47,30 @@ def test_korn_suite_small_run_parallel_matches_serial():
     parallel = run_suite("korn_suite", opts, seed=2, jobs=4)
     assert serial.rows == parallel.rows
     assert serial.passed
+
+
+def test_korn_suite_blocks_match_per_field_ratios():
+    ensemble = 21
+    assert ensemble % KORN_BLOCK  # the last block is partial
+    opts = {
+        "korn": {"ensemble": ensemble},
+        "mesh": {"domain": "unit_square", "h": [0.5, 0.25]},
+        "sweep": {"p_values": [1.5, 3.0]},
+    }
+    rows = run_suite("korn_suite", opts, seed=3).rows
+    cases = [(p, h) for p in (1.5, 3.0) for h in (0.5, 0.25)]
+    assert [(row.p, row.h) for row in rows] == cases
+    for index, ((p, h), row) in enumerate(zip(cases, rows)):
+        rng = np.random.default_rng([3, index])
+        mesh = build_mesh("unit_square", h)
+        fields = [random_zero_boundary_field(mesh, rng) for _ in range(ensemble)]
+        spec = PowerLaw(p)
+        want = [
+            max(korn_ratio(spec, u) for u in fields),
+            max(korn_ratio_meanfree(spec, u) for u in fields),
+            max(poincare_ratio(spec, u, r=1.0) for u in fields),
+        ]
+        assert row[2:] == pytest.approx(want, rel=1e-12)
 
 
 def test_manufactured_rows_per_case():
