@@ -1,6 +1,7 @@
 """Manufactured solutions: pick u*, derive f = -div(a_map(eps u*)) symbolically.
 
-The strain entries of u* and their partial derivatives come from sympy; the
+The strain entries of u* and their partial derivatives come from sympy, which
+is imported on first use, so that runs of other suites do not load it; the
 divergence of the stress sigma = a_map(eps) is then assembled by the exact
 chain rule d_j sigma = DA(eps)[d_j eps] (see :mod:`orliczfem.radial`),
 
@@ -16,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import sympy
 
 from . import radial
 from .fem import FemField, gradient_at_qp, quad_cache, values_at_qp
@@ -33,8 +33,15 @@ __all__ = [
     "convergence_study",
 ]
 
-_X, _Y = sympy.symbols("x y", real=True)
 _SQRT2 = math.sqrt(2.0)
+
+
+def _sympy_xy():
+    """The sympy module and the real symbols x, y of every manufactured case."""
+    import sympy
+
+    x, y = sympy.symbols("x y", real=True)
+    return sympy, x, y
 
 
 def _mandel(e11, e22, e12):
@@ -44,20 +51,21 @@ def _mandel(e11, e22, e12):
 
 @dataclass
 class ManufacturedCase:
-    """Symbolic reference solution with lambdified strain data."""
+    """Symbolic reference solution (sympy expressions in x, y) with lambdified strain data."""
 
     name: str
     u_sym: tuple
 
     def __post_init__(self):
+        sympy, x, y = _sympy_xy()
         u1, u2 = self.u_sym
-        e11 = sympy.diff(u1, _X)
-        e22 = sympy.diff(u2, _Y)
-        e12 = (sympy.diff(u1, _Y) + sympy.diff(u2, _X)) / 2
-        grads = [sympy.diff(u1, _X), sympy.diff(u1, _Y), sympy.diff(u2, _X), sympy.diff(u2, _Y)]
+        e11 = sympy.diff(u1, x)
+        e22 = sympy.diff(u2, y)
+        e12 = (sympy.diff(u1, y) + sympy.diff(u2, x)) / 2
+        grads = [sympy.diff(u1, x), sympy.diff(u1, y), sympy.diff(u2, x), sympy.diff(u2, y)]
         strains = [e11, e22, e12]
-        d_strains = [sympy.diff(e, v) for e in strains for v in (_X, _Y)]
-        lamb = lambda expr: sympy.lambdify((_X, _Y), expr, modules="numpy")
+        d_strains = [sympy.diff(e, v) for e in strains for v in (x, y)]
+        lamb = lambda expr: sympy.lambdify((x, y), expr, modules="numpy")
         self._u = [lamb(u1), lamb(u2)]
         self._grad = [lamb(g) for g in grads]
         self._eps = [lamb(e) for e in strains]
@@ -105,7 +113,8 @@ class ManufacturedCase:
 
 def sine_bubble(amplitude: float = 1.0) -> ManufacturedCase:
     """u* = (a sin(pi x) sin(pi y), 0): zero on the unit-square boundary."""
-    expr = amplitude * sympy.sin(sympy.pi * _X) * sympy.sin(sympy.pi * _Y)
+    sympy, x, y = _sympy_xy()
+    expr = amplitude * sympy.sin(sympy.pi * x) * sympy.sin(sympy.pi * y)
     return ManufacturedCase("sine_bubble", (expr, sympy.Integer(0)))
 
 

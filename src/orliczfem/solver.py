@@ -129,12 +129,14 @@ def factorized(matrix):
     return splu(matrix, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True}).solve
 
 
-def energy(spec: NFunction, field: FemField, f: FemField) -> float:
-    """J(u) = int phi(|eps u|) - int f . u with the assembly quadrature."""
-    cache = quad_cache(field.mesh)
-    load = float(
-        np.sum(cache.weights[..., None] * values_at_qp(f) * values_at_qp(field))
-    )
+def energy(spec: NFunction, field: FemField, wf: np.ndarray) -> float:
+    """J(u) = int phi(|eps u|) - int f . u with the assembly quadrature.
+
+    ``wf`` is the forcing at the quadrature points times their weights,
+    ``quad_cache(mesh).weights[..., None] * values_at_qp(f)``, which does not
+    change within a solve.
+    """
+    load = float(np.sum(wf * values_at_qp(field)))
     return modular(spec, field, "sym_grad") - load
 
 
@@ -159,6 +161,7 @@ def solve(
         )
     cache = quad_cache(mesh)
     free = ~cache.boundary_vector()
+    wf = cache.weights[..., None] * values_at_qp(f)
 
     u = FemField.zeros(mesh) if initial is None else initial.with_zero_boundary()
     trace = SolveTrace()
@@ -166,7 +169,7 @@ def solve(
     for it in range(cfg.max_iters + 1):
         residual = assemble_residual(spec, u, f)
         res_norm = float(np.linalg.norm(residual[free]))
-        current = energy(spec, u, f)
+        current = energy(spec, u, wf)
         trace.append(it, current, res_norm, step)
         if res_norm <= cfg.newton_tol:
             return u, trace
@@ -190,7 +193,7 @@ def solve(
         step = 1.0
         while True:
             candidate = FemField(mesh, u.coeffs + step * increment, zero_boundary=True)
-            if energy(spec, candidate, f) <= current + cfg.armijo_c * step * slope:
+            if energy(spec, candidate, wf) <= current + cfg.armijo_c * step * slope:
                 break
             step *= BACKTRACK
             if step < MIN_STEP:

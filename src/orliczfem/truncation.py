@@ -32,8 +32,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft
 from scipy.ndimage import distance_transform_edt
-from scipy.signal import fftconvolve
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
@@ -136,10 +136,32 @@ def maximal_function(mag: np.ndarray, spacing: float) -> np.ndarray:
         ticks = np.arange(-radius, radius + 1)
         ox, oy = np.meshgrid(ticks, ticks, indexing="ij")
         kernel = (ox * ox + oy * oy <= radius * radius).astype(float)
-        avg = fftconvolve(mag, kernel, mode="same") / kernel.sum()
+        avg = _convolve_same(mag, kernel) / kernel.sum()
         np.maximum(out, np.maximum(avg, 0.0), out=out)
         radius *= 2
     return out
+
+
+def _convolve_same(mag: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """SciPy's ``fftconvolve(mag, kernel, mode="same")``, step for step and so bit for bit.
+
+    The same real transforms at the same padded sizes keep every bad set in
+    place.  As there, an axis along which ``mag`` has one point is not
+    transformed: the kernel broadcasts along it and the window keeps its
+    central line.
+    """
+    axes = [a for a in range(mag.ndim) if mag.shape[a] != 1]
+    full = [
+        s + k - 1 if a in axes else max(s, k)
+        for a, (s, k) in enumerate(zip(mag.shape, kernel.shape))
+    ]
+    if axes:
+        fshape = [fft.next_fast_len(full[a], True) for a in axes]
+        spectrum = fft.rfftn(mag, fshape, axes=axes) * fft.rfftn(kernel, fshape, axes=axes)
+        sums = fft.irfftn(spectrum, fshape, axes=axes)
+    else:
+        sums = mag * kernel
+    return sums[tuple(slice((f - s) // 2, (f - s) // 2 + s) for f, s in zip(full, mag.shape))]
 
 
 def bad_set(gf: GridFunction, lam: float, joint_magnitude: np.ndarray | None = None):

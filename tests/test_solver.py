@@ -164,9 +164,9 @@ def test_residual_is_energy_gradient(disk, swirl, p, kind):
     spec, u, v = _gate_case(disk, p, kind)
     residual = assemble_residual(spec, u, swirl)
     exact = float(residual @ v.coeffs.ravel())
+    wf = quad_cache(disk).weights[..., None] * values_at_qp(swirl)
     fd = (
-        energy(spec, _shifted(u, v, FD_STEP), swirl)
-        - energy(spec, _shifted(u, v, -FD_STEP), swirl)
+        energy(spec, _shifted(u, v, FD_STEP), wf) - energy(spec, _shifted(u, v, -FD_STEP), wf)
     ) / (2.0 * FD_STEP)
     assert fd == pytest.approx(exact, rel=1e-6)
 

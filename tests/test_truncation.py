@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 from scipy.spatial.distance import cdist
 
 from orliczfem import truncation
@@ -11,6 +12,7 @@ from orliczfem.nfunctions import DomainError, PowerLaw
 from orliczfem.truncation import (
     GridFunction,
     _bad_from_maximal,
+    _convolve_same,
     _mcshane_midpoint,
     _truncate_outside,
     bad_set,
@@ -64,6 +66,74 @@ def test_maximal_function_dominates_pointwise_and_constants():
     M1 = maximal_function(single, 1.0 / 32)
     assert M1[16, 16] == pytest.approx(1.0)
     assert np.all(M1 >= 0.0)
+
+
+def _disc(radius):
+    ticks = np.arange(-radius, radius + 1)
+    ox, oy = np.meshgrid(ticks, ticks, indexing="ij")
+    return (ox * ox + oy * oy <= radius * radius).astype(float)
+
+
+def _lattice(kind, shape, rng):
+    if kind == "random":
+        return rng.uniform(0.0, 3.0, shape)
+    if kind == "zero":
+        return np.zeros(shape)
+    if kind == "spike":
+        mag = np.zeros(shape)
+        mag[shape[0] // 3, shape[1] // 2] = 1.0
+        return mag
+    return gradient_magnitude(GridFunction.sample(_spike, BBOX, shape[0]))  # "cone"
+
+
+MAXIMAL_CASES = [
+    ("random", (64, 64)),
+    ("random", (50, 70)),
+    ("random", (7, 9)),
+    ("random", (1, 9)),
+    ("random", (9, 1)),
+    ("random", (1, 40)),
+    ("random", (1, 1)),
+    ("zero", (16, 16)),
+    ("zero", (1, 5)),
+    ("spike", (33, 20)),
+    ("cone", (96, 96)),
+]
+
+
+@pytest.mark.parametrize("kind,shape", MAXIMAL_CASES)
+def test_maximal_function_is_the_fftconvolve_maximal_function(monkeypatch, kind, shape):
+    mag = _lattice(kind, shape, np.random.default_rng(3))
+    for radius in (1, 2, 3, 4, 8, 16, 32, 64, 128):  # past the lattice side too
+        if radius < 2 * max(shape):
+            kernel = _disc(radius)
+            expected = fftconvolve(mag, kernel, mode="same")
+            assert np.array_equal(_convolve_same(mag, kernel), expected)
+    M = maximal_function(mag, 1.0)
+    monkeypatch.setattr(truncation, "_convolve_same", lambda m, k: fftconvolve(m, k, mode="same"))
+    assert np.array_equal(M, maximal_function(mag, 1.0))
+
+
+def _brute_force_maximal(mag):
+    """max over the point value and the zero-extended disc averages of radius 1, 2, 4, ... < 2n."""
+    I, J = np.meshgrid(*(np.arange(s) for s in mag.shape), indexing="ij")
+    pts = np.column_stack([I.ravel(), J.ravel()])
+    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+    out = mag.ravel().copy()
+    radius = 1
+    while radius < 2 * max(mag.shape):
+        inside = d2 <= radius * radius
+        out = np.maximum(out, inside @ mag.ravel() / _disc(radius).sum())
+        radius *= 2
+    return out.reshape(mag.shape)
+
+
+@pytest.mark.parametrize("shape", [(12, 12), (5, 12), (12, 3), (1, 7), (6, 1), (2, 2), (1, 1)])
+@pytest.mark.parametrize("kind", ["random", "zero", "spike"])
+def test_maximal_function_matches_brute_force_disc_averages(shape, kind):
+    mag = _lattice(kind, shape, np.random.default_rng(5))
+    brute = _brute_force_maximal(mag)
+    np.testing.assert_allclose(maximal_function(mag, 1.0), brute, rtol=1e-12, atol=0.0)
 
 
 def test_bad_set_from_reused_maximal_function():
