@@ -214,6 +214,8 @@ class QuadCache:
 
         The box is the nodes' bounding box padded by 1e-9 of its extent.
         """
+        if n < 2:
+            raise DomainError(f"a lattice needs at least 2 points a side, got {n}")
         located = self._lattices.get(n)
         if located is None:
             nodes = self.mesh.nodes

@@ -27,6 +27,7 @@ Suite -> estimate map:
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 from typing import NamedTuple
@@ -39,10 +40,7 @@ from .fem import (
     korn_ratio_meanfree,
     modular,
     poincare_ratio,
-    quad_cache,
     random_zero_boundary_field,
-    values_at_qp,
-    gradient_at_qp,
 )
 from .inequalities import inequality_margins
 from .manufactured import convergence_study, sine_bubble
@@ -68,12 +66,12 @@ from .solver import DEFAULT_SCHEDULE, SOLVER_KEYS, SolveConfig
 from .tensors import a_map, da_map, dv_map, frobenius, hammer_triple, random_sym, v_map
 from .truncation import (
     GridFunction,
-    _bad_from_maximal,
-    _truncate_outside,
+    bad_set,
     discrete_lipschitz,
     f_truncation_for_solver,
     gradient_magnitude,
     grid_modular,
+    lipschitz_truncate,
     maximal_function,
 )
 
@@ -511,15 +509,12 @@ def run_regularity_sweep(options: dict, seed: int, jobs: int) -> SuiteResult:
         mesh = build_mesh(domain, h)
         f = default_disk_forcing(mesh, amplitude)
         report, stages = regularity_ratio(spec, mesh, f, cfg, lattice_n)
-        weights = quad_cache(mesh).weights
-        fv = values_at_qp(f)
-        f_mag = np.sqrt(np.sum(fv * fv, axis=-1))
         rows = []
         traces = {}
         for k, stage in enumerate(stages):
             stage_spec = spec.truncate(stage.trunc_lo, stage.trunc_hi)
             lhs_energy = modular(stage_spec, stage.field, "sym_grad")
-            rhs_energy = float(np.sum(weights * stage_spec.conjugate_spec().phi(f_mag)))
+            rhs_energy = modular(stage_spec.conjugate_spec(), f, "value")
             rows.append(
                 SweepRow(
                     "energy", p, h, stage.trunc_lo, stage.trunc_hi, lhs=lhs_energy,
@@ -742,8 +737,8 @@ def run_truncation_suite(options: dict, seed: int, jobs: int) -> SuiteResult:
         grad_den = grid_modular(spec_mod, gf, "grad")
         diff_mods = []
         for lam in _LAMBDA_SWEEP:
-            bad = _bad_from_maximal(gf, maximal, lam)
-            trunc = _truncate_outside(gf, bad, lam)
+            bad = bad_set(maximal, lam)
+            trunc = lipschitz_truncate(gf, bad, lam)
             lip = discrete_lipschitz(trunc)
             disagree = np.abs(gf.values - trunc.values) > 1e-12 * scale
             contained = not np.any(disagree & ~bad)
@@ -798,26 +793,19 @@ def run_truncation_suite(options: dict, seed: int, jobs: int) -> SuiteResult:
 
     # truncated-forcing modular bound
     mesh = build_mesh("unit_disk", 1.0 / 8.0)
-    cache = quad_cache(mesh)
 
     def rough(x, y):
         b = (1.0 - x * x - y * y) ** 2
         return np.stack([b * np.sin(4 * np.pi * x), b * np.cos(3 * np.pi * y)])
 
     f_rough = FemField.from_callable(mesh, rough, zero_boundary=True)
-    fg = gradient_at_qp(f_rough)
-    grad_mag = np.sqrt(np.sum(fg * fg, axis=(-2, -1)))
     kdelta_worst = 0.0
     for p in (1.3, 1.5, 3.0):
         spec = PowerLaw(p)
-        conj = spec.conjugate_spec()
-        base_mod = float(np.sum(cache.weights * conj.phi(grad_mag)))
+        base_mod = modular(spec.conjugate_spec(), f_rough, "grad")
         for lo, hi in ((0.5, 2.0), (0.1, 10.0)):
             fd = f_truncation_for_solver(f_rough, hi, spec, lattice_n)
-            fdg = gradient_at_qp(fd)
-            fd_mag = np.sqrt(np.sum(fdg * fdg, axis=(-2, -1)))
-            conj_d = spec.truncate(lo, hi).conjugate_spec()
-            lhs = float(np.sum(cache.weights * conj_d.phi(fd_mag)))
+            lhs = modular(spec.truncate(lo, hi).conjugate_spec(), fd, "grad")
             rhs = float(spec.phi(np.asarray(lo))) + base_mod
             ratio = lhs / rhs
             kdelta_worst = max(kdelta_worst, ratio)
@@ -858,6 +846,15 @@ def float_list(text: str) -> list:
     return values
 
 
+def _is_of(kind, value) -> bool:
+    """Whether ``value`` is of a key's type: what ``kind`` makes of config text."""
+    if isinstance(value, bool):
+        return False
+    if kind is float_list:
+        return isinstance(value, list) and all(_is_of(float, v) for v in value)
+    return isinstance(value, {int: numbers.Integral, float: numbers.Real}.get(kind, kind))
+
+
 def _text(value) -> str:
     return " ".join(map(str, value)) if isinstance(value, list) else str(value)
 
@@ -893,6 +890,12 @@ class SuiteSpec:
             for key, value in block.items():
                 if key not in keys:
                     raise DomainError(f"key '{key}' in section [{section}] is not recognised")
+                kind = keys[key].type
+                # [spec] goes to from_mapping, which also parses its values from text
+                if not (_is_of(kind, value) or keys is _SPEC and isinstance(value, str)):
+                    raise DomainError(
+                        f"key '{key}' in section [{section}] must be {kind.__name__}, got {value!r}"
+                    )
                 minimum, is_list = keys[key].minimum, isinstance(value, list)
                 if minimum is not None and (len(value) if is_list else value) < minimum:
                     bound = (

@@ -14,6 +14,15 @@ The agreement property holds whenever v restricted to the good set is itself
 pairwise lam-Lipschitz, which the maximal-function level is chosen to ensure;
 the Lipschitz bound holds unconditionally.
 
+A truncation takes three calls, and a level sweep makes the first once:
+
+    maximal = maximal_function(gradient_magnitude(gf), gf.spacing)
+    bad = bad_set(maximal, lam)
+    trunc = lipschitz_truncate(gf, bad, lam)
+
+A vector field truncates its components against one bad set, thresholded
+from the maximal function of their joint gradient magnitude.
+
 The envelopes are exact but search only the good points that can attain
 them.  Let d0(x) be the distance from x to the nearest good point and
 s = max_G v - min_G v.  Then upper(x) <= max_G v + lam d0(x), while any y in
@@ -83,6 +92,8 @@ class GridFunction:
     @classmethod
     def sample(cls, func, bbox, n: int) -> "GridFunction":
         """Sample ``func(x, y)`` on an n x n lattice over bbox = (x0, x1, y0, y1)."""
+        if n < 2:
+            raise DomainError(f"a lattice needs at least 2 points a side, got {n}")
         x0, x1, y0, y1 = bbox
         xs = np.linspace(x0, x1, n)
         ys = np.linspace(y0, y1, n)
@@ -164,22 +175,21 @@ def _convolve_same(mag: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return sums[tuple(slice((f - s) // 2, (f - s) // 2 + s) for f, s in zip(full, mag.shape))]
 
 
-def bad_set(gf: GridFunction, lam: float, joint_magnitude: np.ndarray | None = None):
-    """{M(grad v) > BAD_SET_LEVEL * lam}, with the lattice boundary kept good."""
-    mag = gradient_magnitude(gf) if joint_magnitude is None else joint_magnitude
-    return _bad_from_maximal(gf, maximal_function(mag, gf.spacing), lam)
+def _check_level(lam: float) -> None:
+    if not (lam > 0.0):
+        raise DomainError(f"truncation level must be positive, got {lam}")
 
 
-def _bad_from_maximal(gf: GridFunction, maximal: np.ndarray, lam: float) -> np.ndarray:
-    """The bad set of ``bad_set`` from an already computed maximal function.
+def bad_set(maximal: np.ndarray, lam: float) -> np.ndarray:
+    """{M(grad v) > BAD_SET_LEVEL * lam} from ``maximal`` = M(grad v), with the rim kept good.
 
     M(grad v) does not depend on the level, so a level sweep computes it once
     and thresholds it here per level.
     """
-    if not (lam > 0.0):
-        raise DomainError(f"truncation level must be positive, got {lam}")
+    _check_level(lam)
     bad = maximal > BAD_SET_LEVEL * lam
-    bad &= ~gf.boundary_mask()  # the zero extension keeps the rim exact
+    # the zero extension keeps the rim exact
+    bad[0, :] = bad[-1, :] = bad[:, 0] = bad[:, -1] = False
     return bad
 
 
@@ -212,19 +222,14 @@ def _mcshane_midpoint(gf: GridFunction, good: np.ndarray, lam: float) -> np.ndar
     return mid
 
 
-def lipschitz_truncate(
-    gf: GridFunction, lam: float, joint_magnitude: np.ndarray | None = None
-) -> GridFunction:
-    """The lam-Lipschitz truncation of ``gf`` (see module docstring).
+def lipschitz_truncate(gf: GridFunction, bad: np.ndarray, lam: float) -> GridFunction:
+    """The lam-Lipschitz truncation of ``gf`` off its bad set (see module docstring).
 
-    ``joint_magnitude`` optionally replaces |grad v| in the bad set, so the
-    components of a vector field can share one bad set.
+    ``bad`` is a :func:`bad_set`; when it is empty the result is a copy of ``gf``.
     """
-    return _truncate_outside(gf, bad_set(gf, lam, joint_magnitude), lam)
-
-
-def _truncate_outside(gf: GridFunction, bad: np.ndarray, lam: float) -> GridFunction:
-    """``lipschitz_truncate`` given its bad set (a copy of ``gf`` when it is empty)."""
+    _check_level(lam)
+    if bad.shape != gf.values.shape:
+        raise DomainError(f"bad set of shape {bad.shape} on a {gf.values.shape} lattice")
     rim = np.abs(gf.values[gf.boundary_mask()])
     if rim.size and rim.max() > 1e-12 * max(1.0, float(np.abs(gf.values).max())):
         raise DomainError("lipschitz_truncate expects zero values on the lattice boundary")
@@ -263,8 +268,8 @@ def truncation_modular_bounds(spec: NFunction, gf: GridFunction, lam: float):
       grad v (0 when the bad set is empty),
     * lattice fraction of the bad set.
     """
-    bad = bad_set(gf, lam)
-    trunc = _truncate_outside(gf, bad, lam)
+    bad = bad_set(maximal_function(gradient_magnitude(gf), gf.spacing), lam)
+    trunc = lipschitz_truncate(gf, bad, lam)
     diff = GridFunction(gf.values - trunc.values, gf.origin, gf.spacing)
 
     num_v = grid_modular(spec, trunc, "value")
@@ -295,8 +300,8 @@ def f_truncation_for_solver(
     if not f.zero_boundary:
         raise DomainError("f_truncation_for_solver expects a zero-trace forcing")
     lam = float(spec.d_phi(np.asarray(trunc_hi)))
-    mesh = f.mesh
-    lattice = quad_cache(mesh).lattice(lattice_n)
+    cache = quad_cache(f.mesh)
+    lattice = cache.lattice(lattice_n)
     vals = evaluate_located(f, lattice.cells, lattice.bary)
     comps = [
         GridFunction(vals[:, c].reshape(lattice_n, lattice_n), lattice.origin, lattice.spacing)
@@ -308,13 +313,11 @@ def f_truncation_for_solver(
     # {M(grad f) > lam} is empty, so the truncated field equals f
     if float(joint.max()) <= lam:
         return f
-    bad = bad_set(comps[0], lam, joint_magnitude=joint)
+    bad = bad_set(maximal_function(joint, lattice.spacing), lam)
     if not bad.any():
         return f
 
-    truncated = [_mcshane_midpoint(g, ~bad, lam) for g in comps]
-    grids = [GridFunction(t, comps[0].origin, comps[0].spacing) for t in truncated]
-    cache = quad_cache(mesh)
+    grids = [lipschitz_truncate(g, bad, lam) for g in comps]
     coeffs = np.column_stack([g.interp(cache.dof_coords) for g in grids])
     coeffs[cache.boundary_scalar] = 0.0
-    return FemField(mesh, coeffs, zero_boundary=True)
+    return FemField(f.mesh, coeffs, zero_boundary=True)

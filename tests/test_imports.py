@@ -1,5 +1,11 @@
-"""Import cost: the CLI loads neither scipy.signal nor sympy until a run needs them."""
+"""Imports: what loading the CLI costs and which names cross module boundaries.
 
+The CLI loads neither scipy.signal nor sympy until a run needs them; no
+library module takes a private name from another; and the benchmark tracer,
+which rebinds library functions by module and name, still finds them all.
+"""
+
+import ast
 import json
 import math
 import os
@@ -45,3 +51,44 @@ def test_cli_import_leaves_heavy_modules_unloaded_until_a_manufactured_case():
     assert e11 == pytest.approx([0.0, 0.5 * math.pi * r], abs=1e-15)
     assert e22 == [0.0, 0.0]
     assert e12 == pytest.approx([0.0, 0.0], abs=1e-15)
+
+
+ROOT = SRC.parent
+
+TRACER_PROBE = f"""
+import sys
+sys.path.insert(0, {str(ROOT / "perfbench")!r})
+import tracer
+tracer.install(tracer.Tracer())
+print("installed")
+"""
+
+
+def test_benchmark_tracer_installs_on_the_library():
+    # the tracer rebinds functions by module and name: a rename must fail here
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", TRACER_PROBE], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "installed"
+
+
+def _library_imports(path):
+    """(module imported from, name) of each ``from ... import`` of an orliczfem module."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level > 0 or (node.module or "").split(".")[0] == "orliczfem"
+        ):
+            for alias in node.names:
+                yield node.module, alias.name
+
+
+def test_no_module_imports_another_modules_private_names():
+    private = [
+        f"{path.name}: {module}.{name}"
+        for path in sorted((SRC / "orliczfem").glob("*.py"))
+        for module, name in _library_imports(path)
+        if name.startswith("_")
+    ]
+    assert private == []

@@ -140,6 +140,33 @@ def test_unknown_section_or_key_rejected(kind):
             run_suite(kind, {section: {"ensembel": 1}}, seed=1)
 
 
+@pytest.mark.parametrize(
+    "kind,section,key,value",
+    [
+        ("korn_suite", "korn", "ensemble", "5"),
+        ("korn_suite", "korn", "ensemble", 2.5),
+        ("korn_suite", "korn", "ensemble", True),
+        ("regularity_sweep", "forcing", "amplitude", "1.0"),
+        ("regularity_sweep", "mesh", "h", [0.25, "0.125"]),
+        ("regularity_sweep", "mesh", "h", 0.25),
+        ("korn_suite", "mesh", "domain", 1),
+    ],
+)
+def test_value_of_the_wrong_type_rejected(kind, section, key, value):
+    # the library takes the values the CLI parses from text, and no others
+    with pytest.raises(DomainError, match=rf"'{key}' in section \[{section}\] must be"):
+        run_suite(kind, {section: {key: value}}, seed=1)
+
+
+def test_values_of_the_key_types_accepted():
+    given = {"korn": {"ensemble": np.int64(3)}, "mesh": {"h": [1, 0.5]}}
+    options = SUITES["korn_suite"].options(given)
+    assert options["korn"] == {"ensemble": 3}
+    assert options["mesh"]["h"] == [1, 0.5]
+    forcing = SUITES["regularity_sweep"].options({"forcing": {"amplitude": 2}})["forcing"]
+    assert forcing == {"amplitude": 2}
+
+
 def test_rows_are_named_records():
     assert SUITES["hammer_suite"].row is HammerRow
     assert SUITES["manufactured"].row is ManufacturedRow

@@ -6,15 +6,14 @@ from scipy.signal import fftconvolve
 from scipy.spatial.distance import cdist
 
 from orliczfem import truncation
-from orliczfem.fem import FemField
+from orliczfem.fem import FemField, quad_cache
 from orliczfem.meshing import build_mesh
 from orliczfem.nfunctions import DomainError, PowerLaw
 from orliczfem.truncation import (
+    BAD_SET_LEVEL,
     GridFunction,
-    _bad_from_maximal,
     _convolve_same,
     _mcshane_midpoint,
-    _truncate_outside,
     bad_set,
     discrete_lipschitz,
     f_truncation_for_solver,
@@ -34,6 +33,14 @@ def _spike(X, Y):
 
 def _smooth(X, Y):
     return np.sin(np.pi * X) * np.sin(np.pi * Y)
+
+
+def _bad(gf, lam):
+    return bad_set(maximal_function(gradient_magnitude(gf), gf.spacing), lam)
+
+
+def _truncate(gf, lam):
+    return lipschitz_truncate(gf, _bad(gf, lam), lam)
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +148,12 @@ def test_bad_set_from_reused_maximal_function():
         v = GridFunction.sample(func, BBOX, 40)
         maximal = maximal_function(gradient_magnitude(v), v.spacing)
         for lam in (0.5, 2.0, 8.0, 64.0):
-            assert np.array_equal(_bad_from_maximal(v, maximal, lam), bad_set(v, lam))
+            bad = bad_set(maximal, lam)
+            assert not np.any(bad & v.boundary_mask())  # the rim stays good
+            interior = ~v.boundary_mask()
+            assert np.array_equal(bad[interior], maximal[interior] > BAD_SET_LEVEL * lam)
     with pytest.raises(DomainError):
-        _bad_from_maximal(v, maximal, -1.0)
+        bad_set(maximal, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +214,7 @@ def test_pruned_envelope_equals_all_pairs_on_smooth_truncations():
     for func in (_spike, _smooth):
         v = GridFunction.sample(func, BBOX, 45)
         for lam in (0.5, 2.0, 8.0, 64.0):
-            good = ~bad_set(v, lam)
+            good = ~_bad(v, lam)
             assert np.array_equal(_mcshane_midpoint(v, good, lam), _all_pairs_midpoint(v, good, lam))
 
 
@@ -217,8 +227,9 @@ def test_envelope_search_is_pruned(monkeypatch):
 
     monkeypatch.setattr(truncation, "cdist", counting_cdist)
     v = GridFunction.sample(_spike, BBOX, 64)
-    good = ~bad_set(v, 8.0)
-    lipschitz_truncate(v, 8.0)
+    bad = _bad(v, 8.0)
+    lipschitz_truncate(v, bad, 8.0)
+    good = ~bad
     assert 0 < sum(distances) < 0.1 * v.values.size * np.count_nonzero(good)
 
 
@@ -232,7 +243,7 @@ def test_envelope_differs_from_non_lipschitz_v_on_good_set():
     bad = np.zeros((n, n), dtype=bool)
     bad[n // 2, n // 2] = True
     lam = 1.0
-    trunc = _truncate_outside(gf, bad, lam)
+    trunc = lipschitz_truncate(gf, bad, lam)
     assert discrete_lipschitz(trunc) <= lam * (1.0 + 1e-12)
     disagree = np.abs(gf.values - trunc.values) > 1e-12
     assert np.any(disagree & ~bad)  # lipschitz_bad_set_containment would fail
@@ -247,13 +258,13 @@ def test_envelope_differs_from_non_lipschitz_v_on_good_set():
 def test_spike_truncated_to_level():
     v = GridFunction.sample(_spike, BBOX, 64)
     assert discrete_lipschitz(v) > 9.0
-    T = lipschitz_truncate(v, 1.0)
+    T = _truncate(v, 1.0)
     assert discrete_lipschitz(T) <= 1.0 + 1e-12
 
 
 def test_smooth_function_with_generous_level_unchanged():
     v = GridFunction.sample(_smooth, BBOX, 64)
-    T = lipschitz_truncate(v, 1000.0)
+    T = _truncate(v, 1000.0)
     assert np.array_equal(T.values, v.values)
     ratios = truncation_modular_bounds(PowerLaw(2), v, 1000.0)
     assert ratios[0] == 1.0 and ratios[1] == 1.0
@@ -264,8 +275,8 @@ def test_disagreement_confined_to_bad_set():
     for func in (_spike, _smooth):
         v = GridFunction.sample(func, BBOX, 48)
         for lam in (0.5, 2.0, 8.0):
-            T = lipschitz_truncate(v, lam)
-            bad = bad_set(v, lam)
+            bad = _bad(v, lam)
+            T = lipschitz_truncate(v, bad, lam)
             scale = max(1.0, float(np.abs(v.values).max()))
             disagree = np.abs(v.values - T.values) > 1e-12 * scale
             assert not np.any(disagree & ~bad)
@@ -274,17 +285,38 @@ def test_disagreement_confined_to_bad_set():
 def test_recovery_in_the_limit():
     v = GridFunction.sample(_spike, BBOX, 48)
     spec = PowerLaw(1.5)
-    T = lipschitz_truncate(v, 1e4)
+    T = _truncate(v, 1e4)
     diff = GridFunction(v.values - T.values, v.origin, v.spacing)
     assert grid_modular(spec, diff, "grad") == 0.0
 
 
 def test_truncate_requires_zero_rim():
     gf = GridFunction(np.ones((8, 8)), (0.0, 0.0), 0.1)
+    maximal = maximal_function(gradient_magnitude(gf), gf.spacing)
     with pytest.raises(DomainError):
-        lipschitz_truncate(gf, 1.0)
+        lipschitz_truncate(gf, bad_set(maximal, 1.0), 1.0)
     with pytest.raises(DomainError):
-        bad_set(gf, 0.0)
+        bad_set(maximal, 0.0)
+
+
+def test_truncate_rejects_a_bad_level_or_bad_set():
+    v = GridFunction.sample(_spike, BBOX, 16)
+    bad = _bad(v, 1.0)
+    assert bad.any()
+    with pytest.raises(DomainError, match="level"):
+        lipschitz_truncate(v, bad, 0.0)
+    with pytest.raises(DomainError, match="shape"):
+        lipschitz_truncate(v, bad[1:], 1.0)
+
+
+def test_lattice_needs_two_points_a_side(disk):
+    with pytest.raises(DomainError, match="at least 2 points"):
+        GridFunction.sample(_spike, BBOX, 1)
+    with pytest.raises(DomainError, match="at least 2 points"):
+        quad_cache(disk).lattice(1)
+    f = FemField.from_callable(disk, lambda x, y: np.stack([1 - x * x - y * y] * 2), True)
+    with pytest.raises(DomainError, match="at least 2 points"):
+        f_truncation_for_solver(f, 2.0, PowerLaw(3), lattice_n=1)
 
 
 def test_modular_bounds_oscillatory():
