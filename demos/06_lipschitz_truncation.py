@@ -18,7 +18,7 @@ def spike(X, Y):
 v = GridFunction.sample(spike, (0.0, 1.0, 0.0, 1.0), 64)
 print("spike: lattice Lipschitz constant =", f"{discrete_lipschitz(v):.2f}")
 # the maximal function M(|grad v|) does not depend on the level: compute it once
-maximal = maximal_function(gradient_magnitude(v), v.spacing)
+maximal = maximal_function(gradient_magnitude(v))
 
 spec = PowerLaw(1.5)
 print(f"\n{'level':>7s} {'Lip(T)':>7s} {'bad %':>6s} {'value ratio':>11s} {'grad ratio':>10s}")

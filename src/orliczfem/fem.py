@@ -21,6 +21,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.linalg import splu
 from scipy.spatial import cKDTree
 
 from . import radial
@@ -30,6 +31,7 @@ from .tensors import SymTensor, mandel_to_sym
 
 __all__ = [
     "QuadCache",
+    "FreePattern",
     "LocatedLattice",
     "FemField",
     "quad_cache",
@@ -133,13 +135,19 @@ class QuadCache:
     strain_D: np.ndarray = dataclass_field(init=False)  # (nc, 2, 3, 12)
     cell_origin: np.ndarray = dataclass_field(init=False)  # (nc, 2) first vertex
     cell_inv: np.ndarray = dataclass_field(init=False)  # (nc, 2, 2) inverse affine Jacobian
+    vector_dofs: np.ndarray = dataclass_field(init=False)  # (nc, 12) interleaved vector dof ids
     _lattices: dict = dataclass_field(init=False, default_factory=dict, repr=False)
+    _free_pattern: "FreePattern | None" = dataclass_field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         mesh = self.mesh
         nv = mesh.n_nodes
         self.n_scalar = nv + mesh.n_edges
         self.cell_dofs = np.hstack([mesh.cells, nv + mesh.cell_edges])
+        # vector dof 2 s + e is component e at scalar dof s, in the strain tables' column order
+        self.vector_dofs = np.empty((mesh.n_cells, 12), dtype=np.int64)
+        self.vector_dofs[:, 0::2] = 2 * self.cell_dofs
+        self.vector_dofs[:, 1::2] = 2 * self.cell_dofs + 1
         midpoints = 0.5 * (mesh.nodes[mesh.edges[:, 0]] + mesh.nodes[mesh.edges[:, 1]])
         self.dof_coords = np.vstack([mesh.nodes, midpoints])
         self.boundary_scalar = np.concatenate(
@@ -195,14 +203,6 @@ class QuadCache:
     def n_vector(self) -> int:
         return 2 * self.n_scalar
 
-    def vector_dofs(self) -> np.ndarray:
-        """(nc, 12) interleaved vector dof ids matching the strain tables."""
-        scalar = self.cell_dofs
-        out = np.empty((scalar.shape[0], 12), dtype=np.int64)
-        out[:, 0::2] = 2 * scalar
-        out[:, 1::2] = 2 * scalar + 1
-        return out
-
     def boundary_vector(self) -> np.ndarray:
         out = np.zeros(self.n_vector, dtype=bool)
         out[0::2] = self.boundary_scalar
@@ -229,6 +229,16 @@ class QuadCache:
             self._lattices[n] = located
         return located
 
+    def free_pattern(self) -> "FreePattern":
+        """The free-dof Jacobian's structure and ordering, built once per mesh.
+
+        Like :meth:`lattice`, the memo is built on first use; concurrent first
+        uses build the same deterministic pattern, and either copy serves.
+        """
+        if self._free_pattern is None:
+            self._free_pattern = _free_pattern(self)
+        return self._free_pattern
+
 
 @dataclass(frozen=True)
 class LocatedLattice:
@@ -238,6 +248,71 @@ class LocatedLattice:
     spacing: float
     cells: np.ndarray  # (n*n,) cell ids, -1 outside the mesh
     bary: np.ndarray  # (n*n, 3) barycentric coordinates in those cells
+
+
+@dataclass(frozen=True)
+class FreePattern:
+    """CSC structure of the free-dof Jacobian in a fill-reducing order fixed per mesh.
+
+    Row and column k belong to vector dof ``free_dofs[k]``: the free
+    (non-boundary) vector dofs in the minimum-degree order of A^T + A, which
+    depends on the structure alone.  ``slots`` sends each entry of the
+    flattened (nc, 12, 12) local matrices to its position in the CSC data;
+    couplings to boundary dofs go to the spare position ``nnz``, which
+    assembly drops.
+    """
+
+    free_dofs: np.ndarray  # (n_free,) vector dof ids
+    indices: np.ndarray  # (nnz,) row indices, ascending within each column
+    indptr: np.ndarray  # (n_free + 1,)
+    slots: np.ndarray  # (nc * 144,) positions in data, nnz for a dropped entry
+
+    @property
+    def nnz(self) -> int:
+        return len(self.indices)
+
+
+def _free_csc(cache: QuadCache, free_dofs: np.ndarray):
+    """CSC (indices, indptr) of the couplings among ``free_dofs``, row and column k
+    belonging to ``free_dofs[k]``, and the slots of the local entries (see FreePattern)."""
+    n = len(free_dofs)
+    position = np.full(cache.n_vector, -1)
+    position[free_dofs] = np.arange(n)
+    local = position[cache.vector_dofs]
+    rows, cols = np.broadcast_arrays(local[:, :, None], local[:, None, :])
+    keep = ((rows >= 0) & (cols >= 0)).ravel()
+    keys, kept_slots = np.unique(cols.ravel()[keep] * n + rows.ravel()[keep], return_inverse=True)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    slots = np.full(keep.size, len(keys))
+    slots[keep] = kept_slots
+    return (keys % n).astype(np.int32), indptr, slots
+
+
+def _minimum_degree_order(indices: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """SuperLU's minimum-degree column order of A^T + A for a symmetric structure.
+
+    The ordering reads the structure only, so SuperLU computes it here on a
+    strictly diagonally dominant matrix of that structure: -1 off the
+    diagonal and the column count on it, which keeps every pivot diagonal.
+    """
+    n = len(indptr) - 1
+    counts = np.diff(indptr)
+    cols = np.repeat(np.arange(n), counts)
+    data = np.where(indices == cols, counts[cols].astype(float), -1.0)
+    lu = splu(
+        sparse.csc_matrix((data, indices, indptr), shape=(n, n)),
+        permc_spec="MMD_AT_PLUS_A",
+        options={"SymmetricMode": True},
+    )
+    return np.argsort(lu.perm_c)  # SuperLU moves column j to position perm_c[j]
+
+
+def _free_pattern(cache: QuadCache) -> FreePattern:
+    natural = np.flatnonzero(~cache.boundary_vector())
+    indices, indptr, _ = _free_csc(cache, natural)
+    free_dofs = natural[_minimum_degree_order(indices, indptr)]
+    return FreePattern(free_dofs, *_free_csc(cache, free_dofs))
 
 
 def quad_cache(mesh: Mesh) -> QuadCache:
@@ -514,13 +589,16 @@ def assemble_residual(spec: NFunction, field: FemField, f: FemField) -> np.ndarr
     load = np.einsum("cq,cqe,qb->cbe", cache.weights, F, cache.shape_values)
     r_loc -= load.reshape(load.shape[0], 12)
 
-    out = np.zeros(cache.n_vector)
-    np.add.at(out, cache.vector_dofs(), r_loc)
-    return out
+    return np.bincount(cache.vector_dofs.ravel(), weights=r_loc.ravel(), minlength=cache.n_vector)
 
 
-def assemble_jacobian(spec: NFunction, field: FemField) -> sparse.csr_matrix:
-    """J_ij = int da_map(eps u)[eps psi_j] : eps psi_i, sparse symmetric."""
+def assemble_jacobian(spec: NFunction, field: FemField) -> sparse.csc_matrix:
+    """J_ij = int da_map(eps u)[eps psi_j] : eps psi_i over the free dofs, sparse symmetric.
+
+    Row and column k belong to vector dof ``free_dofs[k]`` of the mesh's
+    :meth:`QuadCache.free_pattern`, so the matrix comes in its fill-reducing
+    order; rows and columns of boundary dofs are not assembled.
+    """
     _single(field, "assemble_jacobian")
     cache = quad_cache(field.mesh)
     E = strain_mandel(field)
@@ -531,14 +609,11 @@ def assemble_jacobian(spec: NFunction, field: FemField) -> sparse.csr_matrix:
     nc = E.shape[0]
     B = cache.strain_B.reshape(nc, 18, 12)  # quadrature points stacked over strain rows
     wMB = ((cache.weights[..., None, None] * M) @ cache.strain_B).reshape(nc, 18, 12)
-    j_loc = B.transpose(0, 2, 1) @ wMB
-    dofs = cache.vector_dofs()
-    rows = np.repeat(dofs, 12, axis=1).ravel()
-    cols = np.tile(dofs, (1, 12)).ravel()
-    mat = sparse.coo_matrix(
-        (j_loc.ravel(), (rows, cols)), shape=(cache.n_vector, cache.n_vector)
-    )
-    return mat.tocsr()
+    j_loc = B.transpose(0, 2, 1) @ wMB  # (nc, 12 rows, 12 columns)
+    pattern = cache.free_pattern()
+    data = np.bincount(pattern.slots, weights=j_loc.ravel(), minlength=pattern.nnz + 1)
+    n = len(pattern.free_dofs)
+    return sparse.csc_matrix((data[: pattern.nnz], pattern.indices, pattern.indptr), shape=(n, n))
 
 
 def v_strain_mandel(spec: NFunction, field: FemField) -> np.ndarray:

@@ -120,13 +120,15 @@ class ContinuationError(RuntimeError):
 
 
 def factorized(matrix):
-    """Solve callable of the sparse LU factorisation of an SPD matrix (CSC).
+    """Solve callable of the sparse LU factorisation of an SPD matrix (CSC), in its given order.
 
-    The minimum-degree ordering of A^T + A with diagonal pivots keeps the
-    factor symmetric in structure, which is valid, and pivots stably, because
-    every matrix factored here is symmetric positive definite.
+    The matrix comes already in a fill-reducing order (the free-dof Jacobian
+    of :func:`~orliczfem.fem.assemble_jacobian` is in the minimum-degree order
+    its mesh fixes once), so the columns are factored as given.  Diagonal
+    pivots keep the factor symmetric in structure, which is valid, and pivots
+    stably, because every matrix factored here is symmetric positive definite.
     """
-    return splu(matrix, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True}).solve
+    return splu(matrix, permc_spec="NATURAL", options={"SymmetricMode": True}).solve
 
 
 def energy(spec: NFunction, field: FemField, wf: np.ndarray) -> float:
@@ -150,8 +152,9 @@ def solve(
     """Newton-solve the zero-boundary problem; returns (field, trace).
 
     The spec must have quadratic growth (truncate degenerate specs first).
-    The free-dof Jacobian is then SPD, so its factorisation uses a symmetric
-    fill ordering (see :func:`factorized`).
+    The free-dof Jacobian is then SPD.  Newton works on the free dofs in the
+    order of the mesh's :meth:`~orliczfem.fem.QuadCache.free_pattern`, the
+    order the Jacobian is assembled and factored in (see :func:`factorized`).
     """
     cfg = cfg or SolveConfig()
     if not spec.has_quadratic_growth():
@@ -160,26 +163,24 @@ def solve(
             "truncate it (trunc_lo > 0, trunc_hi < oo) before solving"
         )
     cache = quad_cache(mesh)
-    free = ~cache.boundary_vector()
+    free = cache.free_pattern().free_dofs
     wf = cache.weights[..., None] * values_at_qp(f)
 
     u = FemField.zeros(mesh) if initial is None else initial.with_zero_boundary()
+    current = energy(spec, u, wf)
     trace = SolveTrace()
     step = 0.0
     for it in range(cfg.max_iters + 1):
-        residual = assemble_residual(spec, u, f)
-        res_norm = float(np.linalg.norm(residual[free]))
-        current = energy(spec, u, wf)
+        residual = assemble_residual(spec, u, f)[free]
+        res_norm = float(np.linalg.norm(residual))
         trace.append(it, current, res_norm, step)
         if res_norm <= cfg.newton_tol:
             return u, trace
         if it == cfg.max_iters:
             break
 
-        jac = assemble_jacobian(spec, u)
-        jac_ff = jac[free][:, free].tocsc()
-        direction = factorized(jac_ff)(-residual[free])
-        slope = float(residual[free] @ direction)
+        direction = factorized(assemble_jacobian(spec, u))(-residual)
+        slope = float(residual @ direction)
         if not (slope < 0.0) or not np.isfinite(slope):
             raise RuntimeError(
                 "internal error: Newton direction is not a descent direction "
@@ -193,7 +194,8 @@ def solve(
         step = 1.0
         while True:
             candidate = FemField(mesh, u.coeffs + step * increment, zero_boundary=True)
-            if energy(spec, candidate, wf) <= current + cfg.armijo_c * step * slope:
+            trial = energy(spec, candidate, wf)
+            if trial <= current + cfg.armijo_c * step * slope:
                 break
             step *= BACKTRACK
             if step < MIN_STEP:
@@ -201,7 +203,7 @@ def solve(
                     f"line search stalled at iteration {it} (residual {res_norm:.3e})",
                     trace,
                 )
-        u = candidate
+        u, current = candidate, trial
 
     raise NonConvergenceError(
         f"no convergence within {cfg.max_iters} Newton iterations "

@@ -502,12 +502,16 @@ def run_regularity_sweep(options: dict, seed: int, jobs: int) -> SuiteResult:
     p_values = options["sweep"]["p_values"]
     amplitude = options["forcing"]["amplitude"]
     cfg = _solve_config(options)
+    # one mesh and forcing per h, shared by every p and thread: their per-mesh
+    # memos (quadrature cache, located lattice, Jacobian pattern, forcing
+    # sample) are structural and deterministic, so a race only duplicates work
+    forcings = {h: default_disk_forcing(build_mesh(domain, h), amplitude) for h in h_values}
 
     def work(item):
         p, h = item
         spec = PowerLaw(p)
-        mesh = build_mesh(domain, h)
-        f = default_disk_forcing(mesh, amplitude)
+        f = forcings[h]
+        mesh = f.mesh
         report, stages = regularity_ratio(spec, mesh, f, cfg, lattice_n)
         rows = []
         traces = {}
@@ -732,7 +736,7 @@ def run_truncation_suite(options: dict, seed: int, jobs: int) -> SuiteResult:
         # M(grad v) and the modulars of v do not depend on the level: one
         # maximal function per test function, one bad set per level for both
         # the truncation and the containment check
-        maximal = maximal_function(gradient_magnitude(gf), gf.spacing)
+        maximal = maximal_function(gradient_magnitude(gf))
         val_den = grid_modular(spec_mod, gf, "value")
         grad_den = grid_modular(spec_mod, gf, "grad")
         diff_mods = []

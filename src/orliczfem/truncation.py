@@ -16,7 +16,7 @@ the Lipschitz bound holds unconditionally.
 
 A truncation takes three calls, and a level sweep makes the first once:
 
-    maximal = maximal_function(gradient_magnitude(gf), gf.spacing)
+    maximal = maximal_function(gradient_magnitude(gf))
     bad = bad_set(maximal, lam)
     trunc = lipschitz_truncate(gf, bad, lam)
 
@@ -134,8 +134,10 @@ def gradient_magnitude(gf: GridFunction) -> np.ndarray:
     return np.sqrt(gx * gx + gy * gy)
 
 
-def maximal_function(mag: np.ndarray, spacing: float) -> np.ndarray:
+def maximal_function(mag: np.ndarray) -> np.ndarray:
     """Discrete maximal operator: max of lattice-ball averages over dyadic radii.
+
+    The radii are in lattice points, so the lattice spacing does not enter.
 
     Balls are clipped against the lattice with the function extended by zero,
     matching the zero-trace setting; radius 0 (the point value) is included.
@@ -268,7 +270,7 @@ def truncation_modular_bounds(spec: NFunction, gf: GridFunction, lam: float):
       grad v (0 when the bad set is empty),
     * lattice fraction of the bad set.
     """
-    bad = bad_set(maximal_function(gradient_magnitude(gf), gf.spacing), lam)
+    bad = bad_set(maximal_function(gradient_magnitude(gf)), lam)
     trunc = lipschitz_truncate(gf, bad, lam)
     diff = GridFunction(gf.values - trunc.values, gf.origin, gf.spacing)
 
@@ -285,6 +287,39 @@ def truncation_modular_bounds(spec: NFunction, gf: GridFunction, lam: float):
     return ratio_v, ratio_g, ratio_d, float(bad.mean())
 
 
+@dataclass
+class _ForcingSample:
+    """A forcing sampled on a located lattice: the part of its truncation that no level changes."""
+
+    coeffs: np.ndarray  # copy of the forcing's coefficients when it was sampled
+    comps: list  # the two components as lattice functions
+    joint: np.ndarray  # their joint gradient magnitude
+    maximal: np.ndarray | None = None  # M(joint), computed at the first level that needs it
+
+
+def _forcing_sample(f: FemField, lattice_n: int) -> _ForcingSample:
+    """The sample of ``f`` on its mesh's n x n lattice, memoised on ``f`` and redone if
+    ``f.coeffs`` changed.
+
+    Concurrent first uses compute the same deterministic sample, and either copy serves.
+    """
+    samples = getattr(f, "_lattice_samples", None)
+    if samples is None:
+        samples = f._lattice_samples = {}
+    sample = samples.get(lattice_n)
+    if sample is None or not np.array_equal(sample.coeffs, f.coeffs):
+        lattice = quad_cache(f.mesh).lattice(lattice_n)
+        vals = evaluate_located(f, lattice.cells, lattice.bary)
+        comps = [
+            GridFunction(vals[:, c].reshape(lattice_n, lattice_n), lattice.origin, lattice.spacing)
+            for c in (0, 1)
+        ]
+        joint = np.sqrt(sum(gradient_magnitude(g) ** 2 for g in comps))
+        sample = _ForcingSample(f.coeffs.copy(), comps, joint)
+        samples[lattice_n] = sample
+    return sample
+
+
 def f_truncation_for_solver(
     f: FemField, trunc_hi: float, spec: NFunction, lattice_n: int = 64
 ) -> FemField:
@@ -295,29 +330,25 @@ def f_truncation_for_solver(
     from the joint gradient magnitude, and the result is interpolated back to
     the P2 dofs with the boundary re-zeroed.  When the bad set is empty the
     original field is returned unchanged.  The lattice is located in the mesh
-    once and reused by every later call on the same mesh and lattice size.
+    once, and the forcing sampled on it once, for every later level: only
+    lam changes between the stages of a continuation.
     """
     if not f.zero_boundary:
         raise DomainError("f_truncation_for_solver expects a zero-trace forcing")
     lam = float(spec.d_phi(np.asarray(trunc_hi)))
-    cache = quad_cache(f.mesh)
-    lattice = cache.lattice(lattice_n)
-    vals = evaluate_located(f, lattice.cells, lattice.bary)
-    comps = [
-        GridFunction(vals[:, c].reshape(lattice_n, lattice_n), lattice.origin, lattice.spacing)
-        for c in (0, 1)
-    ]
-
-    joint = np.sqrt(sum(gradient_magnitude(g) ** 2 for g in comps))
+    sample = _forcing_sample(f, lattice_n)
     # inert truncation: with max |grad f| <= lam the nominal-level bad set
     # {M(grad f) > lam} is empty, so the truncated field equals f
-    if float(joint.max()) <= lam:
+    if float(sample.joint.max()) <= lam:
         return f
-    bad = bad_set(maximal_function(joint, lattice.spacing), lam)
+    if sample.maximal is None:
+        sample.maximal = maximal_function(sample.joint)
+    bad = bad_set(sample.maximal, lam)
     if not bad.any():
         return f
 
-    grids = [lipschitz_truncate(g, bad, lam) for g in comps]
+    cache = quad_cache(f.mesh)
+    grids = [lipschitz_truncate(g, bad, lam) for g in sample.comps]
     coeffs = np.column_stack([g.interp(cache.dof_coords) for g in grids])
     coeffs[cache.boundary_scalar] = 0.0
     return FemField(f.mesh, coeffs, zero_boundary=True)

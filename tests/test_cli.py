@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from orliczfem import suites
 from orliczfem.cli import main, parse_config
 from orliczfem.nfunctions import DomainError, from_mapping
 from orliczfem.suites import DEFAULT_SPEC_ROSTER, SUITES, ContractCheck, SuiteResult, run_suite
@@ -211,6 +212,20 @@ def test_jobs_do_not_change_output(tmp_path):
             assert mismatch == [] and errors == []
         assert filecmp.cmp(a / "summary.json", b / "summary.json", shallow=False)
     assert len(list((tmp_path / "sweep_a" / "trace").glob("*.csv"))) == 24
+
+
+def test_sweep_builds_one_mesh_per_h(tmp_path, monkeypatch):
+    built = []
+    build_mesh = suites.build_mesh
+
+    def counted(domain, h):
+        built.append(h)
+        return build_mesh(domain, h)
+
+    monkeypatch.setattr(suites, "build_mesh", counted)
+    cfg = _write(tmp_path, REDUCED_SWEEP)
+    assert main(["run", cfg, "--out", str(tmp_path / "o"), "--jobs", "2"]) == 1
+    assert sorted(built) == [0.25, 0.5]  # shared by both p values
 
 
 @pytest.mark.parametrize(

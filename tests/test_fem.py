@@ -288,14 +288,36 @@ def test_jacobian_power2_independent_of_state(disk):
 
 def test_jacobian_coercive_on_free_dofs():
     mesh = build_mesh("unit_square", 0.5)
-    cache = quad_cache(mesh)
     rng = np.random.default_rng(21)
     u = random_zero_boundary_field(mesh, rng)
     J = assemble_jacobian(Truncated(PowerLaw(3), 0.1, 10.0), u)
-    free = ~cache.boundary_vector()
-    dense = J.toarray()[np.ix_(free, free)]
+    dense = J.toarray()
     eigs = np.linalg.eigvalsh(0.5 * (dense + dense.T))
     assert eigs.min() > 0.0
+
+
+def test_free_dofs_are_each_interior_vector_dof_once(disk):
+    cache = quad_cache(disk)
+    free_dofs = cache.free_pattern().free_dofs
+    assert np.array_equal(np.sort(free_dofs), np.flatnonzero(~cache.boundary_vector()))
+
+
+def test_jacobian_columns_are_residual_differences():
+    # PowerLaw(2) makes the residual linear, so column k is R(e_k) - R(0) on the free dofs
+    mesh = build_mesh("unit_square", 0.5)
+    spec = PowerLaw(2)
+    zero = FemField.zeros(mesh)
+    cache = quad_cache(mesh)
+    free_dofs = cache.free_pattern().free_dofs
+    J = assemble_jacobian(spec, zero).toarray()
+    base = assemble_residual(spec, zero, zero)
+    for k, dof in enumerate(free_dofs):
+        unit = np.zeros(cache.n_vector)
+        unit[dof] = 1.0
+        e_k = FemField(mesh, unit.reshape(-1, 2), zero_boundary=True)
+        diff = (assemble_residual(spec, e_k, zero) - base)[free_dofs]
+        # entries that cancel to rounding compare against the column's scale
+        np.testing.assert_allclose(J[:, k], diff, rtol=1e-12, atol=1e-12 * np.abs(diff).max())
 
 
 def test_rigid_motion_zero_residual(disk):

@@ -1,6 +1,8 @@
 """Regularity-lab experiments on solved fields."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from orliczfem.regularity import (
     regularity_ratio,
     rigid_projection,
 )
-from orliczfem.solver import delta_continuation
+from orliczfem.solver import SolveConfig, delta_continuation
 
 
 @pytest.fixture(scope="module")
@@ -145,3 +147,30 @@ def test_interpolation_step_spec_validation(disk, solved):
         interpolation_step_check(PowerLaw(3), field, stage_spec)
     with pytest.raises(DomainError):
         interpolation_step_check(PowerLaw(1.5), field, PowerLaw(1.5))
+
+
+def test_threads_sharing_a_mesh_and_forcing_match_serial_runs():
+    # regularity_sweep shares one mesh and forcing per h between threads, whose
+    # first uses build the lazy memos (Jacobian pattern, located lattice,
+    # forcing sample) concurrently; no interleaving may change a result
+    cfg = SolveConfig(delta_schedule=((0.1, 10.0), (0.01, 100.0)))
+    exponents = (1.5, 3.0) * 4
+
+    def run(f, p):
+        _, stages = regularity_ratio(PowerLaw(p), f.mesh, f, cfg, lattice_n=16)
+        return [s.trace.rows for s in stages], stages[-1].field.coeffs
+
+    serial = default_disk_forcing(build_mesh("unit_disk", 0.25))
+    want = [run(serial, p) for p in exponents]
+    shared = default_disk_forcing(build_mesh("unit_disk", 0.25))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(run, shared, p) for p in exponents]
+            got = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for (want_rows, want_coeffs), (got_rows, got_coeffs) in zip(want, got):
+        assert got_rows == want_rows
+        assert np.array_equal(got_coeffs, want_coeffs)

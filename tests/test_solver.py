@@ -175,16 +175,16 @@ def test_residual_is_energy_gradient(disk, swirl, p, kind):
 @pytest.mark.parametrize("p", [1.5, 3.0])
 def test_jacobian_is_residual_derivative_and_spd(disk, swirl, p, kind):
     spec, u, v = _gate_case(disk, p, kind)
+    free_dofs = quad_cache(disk).free_pattern().free_dofs
     jac = assemble_jacobian(spec, u)
-    exact = jac @ v.coeffs.ravel()
+    exact = jac @ v.coeffs.ravel()[free_dofs]
     fd = (
         assemble_residual(spec, _shifted(u, v, FD_STEP), swirl)
         - assemble_residual(spec, _shifted(u, v, -FD_STEP), swirl)
-    ) / (2.0 * FD_STEP)
+    )[free_dofs] / (2.0 * FD_STEP)
     assert np.linalg.norm(fd - exact) <= 1e-6 * np.linalg.norm(exact)
 
-    free = ~quad_cache(disk).boundary_vector()
-    jac_ff = jac[free][:, free].toarray()
+    jac_ff = jac.toarray()
     assert np.abs(jac_ff - jac_ff.T).max() <= 1e-13 * np.abs(jac_ff).max()
     assert np.linalg.eigvalsh(jac_ff).min() > 0.0
 

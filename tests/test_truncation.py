@@ -36,7 +36,7 @@ def _smooth(X, Y):
 
 
 def _bad(gf, lam):
-    return bad_set(maximal_function(gradient_magnitude(gf), gf.spacing), lam)
+    return bad_set(maximal_function(gradient_magnitude(gf)), lam)
 
 
 def _truncate(gf, lam):
@@ -65,12 +65,12 @@ def test_grid_interp_bilinear():
 
 def test_maximal_function_dominates_pointwise_and_constants():
     mag = np.full((32, 32), 3.0)
-    M = maximal_function(mag, 1.0 / 31)
+    M = maximal_function(mag)
     assert np.all(M >= 3.0 - 1e-12)  # point radius included
     assert M[16, 16] == pytest.approx(3.0, rel=1e-12)  # averages cannot exceed the max
     single = np.zeros((33, 33))
     single[16, 16] = 1.0
-    M1 = maximal_function(single, 1.0 / 32)
+    M1 = maximal_function(single)
     assert M1[16, 16] == pytest.approx(1.0)
     assert np.all(M1 >= 0.0)
 
@@ -116,9 +116,9 @@ def test_maximal_function_is_the_fftconvolve_maximal_function(monkeypatch, kind,
             kernel = _disc(radius)
             expected = fftconvolve(mag, kernel, mode="same")
             assert np.array_equal(_convolve_same(mag, kernel), expected)
-    M = maximal_function(mag, 1.0)
+    M = maximal_function(mag)
     monkeypatch.setattr(truncation, "_convolve_same", lambda m, k: fftconvolve(m, k, mode="same"))
-    assert np.array_equal(M, maximal_function(mag, 1.0))
+    assert np.array_equal(M, maximal_function(mag))
 
 
 def _brute_force_maximal(mag):
@@ -140,13 +140,13 @@ def _brute_force_maximal(mag):
 def test_maximal_function_matches_brute_force_disc_averages(shape, kind):
     mag = _lattice(kind, shape, np.random.default_rng(5))
     brute = _brute_force_maximal(mag)
-    np.testing.assert_allclose(maximal_function(mag, 1.0), brute, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(maximal_function(mag), brute, rtol=1e-12, atol=0.0)
 
 
 def test_bad_set_from_reused_maximal_function():
     for func in (_spike, _smooth):
         v = GridFunction.sample(func, BBOX, 40)
-        maximal = maximal_function(gradient_magnitude(v), v.spacing)
+        maximal = maximal_function(gradient_magnitude(v))
         for lam in (0.5, 2.0, 8.0, 64.0):
             bad = bad_set(maximal, lam)
             assert not np.any(bad & v.boundary_mask())  # the rim stays good
@@ -292,7 +292,7 @@ def test_recovery_in_the_limit():
 
 def test_truncate_requires_zero_rim():
     gf = GridFunction(np.ones((8, 8)), (0.0, 0.0), 0.1)
-    maximal = maximal_function(gradient_magnitude(gf), gf.spacing)
+    maximal = maximal_function(gradient_magnitude(gf))
     with pytest.raises(DomainError):
         lipschitz_truncate(gf, bad_set(maximal, 1.0), 1.0)
     with pytest.raises(DomainError):
@@ -401,3 +401,29 @@ def test_forcing_requires_zero_trace(disk):
     f = FemField.from_callable(disk, lambda x, y: np.stack([x, y]))
     with pytest.raises(DomainError):
         f_truncation_for_solver(f, 1.0, PowerLaw(2))
+
+
+def test_forcing_sampled_once_and_resampled_after_a_change(disk, monkeypatch):
+    def rough(x, y):
+        b = (1.0 - x * x - y * y) ** 2
+        return np.stack([b * np.sin(6 * np.pi * x), b * np.cos(5 * np.pi * y)])
+
+    sampled = []
+    evaluate_located = truncation.evaluate_located
+
+    def counted(field, cells, bary):
+        sampled.append(field)
+        return evaluate_located(field, cells, bary)
+
+    monkeypatch.setattr(truncation, "evaluate_located", counted)
+    spec = PowerLaw(1.3)
+    f = FemField.from_callable(disk, rough, zero_boundary=True)
+    levels = [f_truncation_for_solver(f, hi, spec, lattice_n=32) for hi in (2.0, 10.0, 2.0)]
+    assert len(sampled) == 1
+    assert np.array_equal(levels[0].coeffs, levels[2].coeffs)
+
+    f.coeffs *= 0.5  # in place: the sample of the old coefficients must not serve
+    halved = f_truncation_for_solver(f, 2.0, spec, lattice_n=32)
+    assert len(sampled) == 2
+    fresh = FemField(disk, f.coeffs.copy(), zero_boundary=True)
+    assert np.array_equal(halved.coeffs, f_truncation_for_solver(fresh, 2.0, spec, 32).coeffs)
