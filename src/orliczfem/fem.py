@@ -31,7 +31,6 @@ from .tensors import SymTensor, mandel_to_sym
 
 __all__ = [
     "QuadCache",
-    "FreePattern",
     "LocatedLattice",
     "FemField",
     "quad_cache",
@@ -266,10 +265,6 @@ class FreePattern:
     indices: np.ndarray  # (nnz,) row indices, ascending within each column
     indptr: np.ndarray  # (n_free + 1,)
     slots: np.ndarray  # (nc * 144,) positions in data, nnz for a dropped entry
-
-    @property
-    def nnz(self) -> int:
-        return len(self.indices)
 
 
 def _free_csc(cache: QuadCache, free_dofs: np.ndarray):
@@ -611,9 +606,9 @@ def assemble_jacobian(spec: NFunction, field: FemField) -> sparse.csc_matrix:
     wMB = ((cache.weights[..., None, None] * M) @ cache.strain_B).reshape(nc, 18, 12)
     j_loc = B.transpose(0, 2, 1) @ wMB  # (nc, 12 rows, 12 columns)
     pattern = cache.free_pattern()
-    data = np.bincount(pattern.slots, weights=j_loc.ravel(), minlength=pattern.nnz + 1)
-    n = len(pattern.free_dofs)
-    return sparse.csc_matrix((data[: pattern.nnz], pattern.indices, pattern.indptr), shape=(n, n))
+    nnz, n = len(pattern.indices), len(pattern.free_dofs)
+    data = np.bincount(pattern.slots, weights=j_loc.ravel(), minlength=nnz + 1)
+    return sparse.csc_matrix((data[:nnz], pattern.indices, pattern.indptr), shape=(n, n))
 
 
 def v_strain_mandel(spec: NFunction, field: FemField) -> np.ndarray:

@@ -287,14 +287,13 @@ def truncation_modular_bounds(spec: NFunction, gf: GridFunction, lam: float):
     return ratio_v, ratio_g, ratio_d, float(bad.mean())
 
 
-@dataclass
+@dataclass(frozen=True)
 class _ForcingSample:
     """A forcing sampled on a located lattice: the part of its truncation that no level changes."""
 
     coeffs: np.ndarray  # copy of the forcing's coefficients when it was sampled
     comps: list  # the two components as lattice functions
     joint: np.ndarray  # their joint gradient magnitude
-    maximal: np.ndarray | None = None  # M(joint), computed at the first level that needs it
 
 
 def _forcing_sample(f: FemField, lattice_n: int) -> _ForcingSample:
@@ -341,9 +340,7 @@ def f_truncation_for_solver(
     # {M(grad f) > lam} is empty, so the truncated field equals f
     if float(sample.joint.max()) <= lam:
         return f
-    if sample.maximal is None:
-        sample.maximal = maximal_function(sample.joint)
-    bad = bad_set(sample.maximal, lam)
+    bad = bad_set(maximal_function(sample.joint), lam)
     if not bad.any():
         return f
 

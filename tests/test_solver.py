@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
+from orliczfem import solver
 from orliczfem.fem import (
     FemField,
     assemble_jacobian,
@@ -187,6 +189,32 @@ def test_jacobian_is_residual_derivative_and_spd(disk, swirl, p, kind):
     jac_ff = jac.toarray()
     assert np.abs(jac_ff - jac_ff.T).max() <= 1e-13 * np.abs(jac_ff).max()
     assert np.linalg.eigvalsh(jac_ff).min() > 0.0
+
+
+@pytest.mark.parametrize("h", [1.0 / 6.0, 1.0 / 16.0], ids=["h1/6", "h1/16"])
+def test_factorized_fill_matches_minimum_degree(monkeypatch, h):
+    # factorized keeps the order it is given, so the mesh's fixed order must
+    # fill the factor as little as SuperLU's own minimum-degree pass on the
+    # same block in natural free-dof order; any permutation solves alike
+    mesh = build_mesh("unit_disk", h)
+    spec = Truncated(PowerLaw(3.0), 1e-3, 1e3)
+    jac = assemble_jacobian(spec, random_zero_boundary_field(mesh, np.random.default_rng(3)))
+    factors = []
+
+    def splu_kept(matrix, **kwargs):
+        factors.append(splu(matrix, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr(solver, "splu", splu_kept)
+    solver.factorized(jac)
+    natural = np.argsort(quad_cache(mesh).free_pattern().free_dofs)
+    reference = splu(
+        jac[natural][:, natural].tocsc(),
+        permc_spec="MMD_AT_PLUS_A",
+        options={"SymmetricMode": True},
+    )
+    (given,) = factors
+    assert given.L.nnz + given.U.nnz == reference.L.nnz + reference.U.nnz
 
 
 # ---------------------------------------------------------------------------
