@@ -25,13 +25,12 @@ from scipy.sparse.linalg import splu
 from scipy.spatial import cKDTree
 
 from . import radial
-from .meshing import Mesh
+from .meshing import LOCAL_EDGES, Mesh, cell_jacobians
 from .nfunctions import DomainError, NFunction
 from .tensors import SymTensor, mandel_to_sym
 
 __all__ = [
     "QuadCache",
-    "LocatedLattice",
     "FemField",
     "quad_cache",
     "sym_grad",
@@ -74,17 +73,10 @@ _GRAD_LAMBDA = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
 
 
 def _p2_values(bary: np.ndarray) -> np.ndarray:
-    """P2 shape values at barycentric points: 3 vertex + 3 edge functions."""
-    l1, l2, l3 = bary[..., 0], bary[..., 1], bary[..., 2]
+    """P2 shape values at barycentric points: 3 vertex + 3 edge functions (LOCAL_EDGES)."""
+    lam = [bary[..., i] for i in range(3)]
     return np.stack(
-        [
-            l1 * (2 * l1 - 1),
-            l2 * (2 * l2 - 1),
-            l3 * (2 * l3 - 1),
-            4 * l1 * l2,
-            4 * l2 * l3,
-            4 * l3 * l1,
-        ],
+        [li * (2 * li - 1) for li in lam] + [4 * lam[a] * lam[b] for a, b in LOCAL_EDGES],
         axis=-1,
     )
 
@@ -95,8 +87,7 @@ def _p2_ref_grads(bary: np.ndarray) -> np.ndarray:
     lam = bary
     for i in range(3):
         g[..., i, :] = (4 * lam[..., i] - 1)[..., None] * _GRAD_LAMBDA[i]
-    pairs = [(0, 1), (1, 2), (2, 0)]
-    for k, (a, b) in enumerate(pairs):
+    for k, (a, b) in enumerate(LOCAL_EDGES):
         g[..., 3 + k, :] = 4 * (
             lam[..., b][..., None] * _GRAD_LAMBDA[a] + lam[..., a][..., None] * _GRAD_LAMBDA[b]
         )
@@ -108,8 +99,7 @@ def _p2_ref_hessians() -> np.ndarray:
     h = np.empty((6, 2, 2))
     for i in range(3):
         h[i] = 4 * np.outer(_GRAD_LAMBDA[i], _GRAD_LAMBDA[i])
-    pairs = [(0, 1), (1, 2), (2, 0)]
-    for k, (a, b) in enumerate(pairs):
+    for k, (a, b) in enumerate(LOCAL_EDGES):
         h[3 + k] = 4 * (
             np.outer(_GRAD_LAMBDA[a], _GRAD_LAMBDA[b])
             + np.outer(_GRAD_LAMBDA[b], _GRAD_LAMBDA[a])
@@ -135,7 +125,6 @@ class QuadCache:
     cell_origin: np.ndarray = dataclass_field(init=False)  # (nc, 2) first vertex
     cell_inv: np.ndarray = dataclass_field(init=False)  # (nc, 2, 2) inverse affine Jacobian
     vector_dofs: np.ndarray = dataclass_field(init=False)  # (nc, 12) interleaved vector dof ids
-    _lattices: dict = dataclass_field(init=False, default_factory=dict, repr=False)
     _free_pattern: "FreePattern | None" = dataclass_field(init=False, default=None, repr=False)
 
     def __post_init__(self):
@@ -153,20 +142,18 @@ class QuadCache:
             [mesh.boundary_nodes, mesh.boundary_edges]
         )
 
-        p = mesh.nodes[mesh.cells]  # (nc, 3, 2)
-        jac = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)  # (nc, 2, 2)
-        det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+        jac, det = cell_jacobians(mesh.nodes, mesh.cells)  # (nc, 2, 2), (nc,)
         inv = np.empty_like(jac)
         inv[:, 0, 0] = jac[:, 1, 1] / det
         inv[:, 0, 1] = -jac[:, 0, 1] / det
         inv[:, 1, 0] = -jac[:, 1, 0] / det
         inv[:, 1, 1] = jac[:, 0, 0] / det
-        self.cell_origin = p[:, 0]
+        self.cell_origin = mesh.nodes[mesh.cells[:, 0]]
         self.cell_inv = inv
 
         self.weights = np.abs(det)[:, None] * (0.5 * _QW)[None, :]
         ref_xy = _QP_BARY[:, 1:]  # (6, 2) reference coordinates (xi, eta)
-        self.qpoints = p[:, None, 0, :] + np.einsum("cde,qe->cqd", jac, ref_xy)
+        self.qpoints = self.cell_origin[:, None, :] + np.einsum("cde,qe->cqd", jac, ref_xy)
 
         self.shape_values = _p2_values(_QP_BARY)
         ref_grads = _p2_ref_grads(_QP_BARY)  # (6q, 6b, 2)
@@ -208,45 +195,15 @@ class QuadCache:
         out[1::2] = self.boundary_scalar
         return out
 
-    def lattice(self, n: int) -> "LocatedLattice":
-        """The n x n lattice over the mesh bounding box, located once per mesh.
-
-        The box is the nodes' bounding box padded by 1e-9 of its extent.
-        """
-        if n < 2:
-            raise DomainError(f"a lattice needs at least 2 points a side, got {n}")
-        located = self._lattices.get(n)
-        if located is None:
-            nodes = self.mesh.nodes
-            lo, hi = nodes.min(axis=0), nodes.max(axis=0)
-            pad = 1e-9 * max(hi - lo)
-            xs = np.linspace(lo[0] - pad, hi[0] + pad, n)
-            ys = np.linspace(lo[1] - pad, hi[1] + pad, n)
-            X, Y = np.meshgrid(xs, ys, indexing="ij")
-            cells, bary = locate_points(self.mesh, np.column_stack([X.ravel(), Y.ravel()]))
-            located = LocatedLattice((xs[0], ys[0]), xs[1] - xs[0], cells, bary)
-            self._lattices[n] = located
-        return located
-
     def free_pattern(self) -> "FreePattern":
         """The free-dof Jacobian's structure and ordering, built once per mesh.
 
-        Like :meth:`lattice`, the memo is built on first use; concurrent first
-        uses build the same deterministic pattern, and either copy serves.
+        The memo is built on first use; concurrent first uses build the same
+        deterministic pattern, and either copy serves.
         """
         if self._free_pattern is None:
             self._free_pattern = _free_pattern(self)
         return self._free_pattern
-
-
-@dataclass(frozen=True)
-class LocatedLattice:
-    """A square lattice (row-major in x) with the mesh cell of each point."""
-
-    origin: tuple  # (x0, y0) of the lower-left lattice point
-    spacing: float
-    cells: np.ndarray  # (n*n,) cell ids, -1 outside the mesh
-    bary: np.ndarray  # (n*n, 3) barycentric coordinates in those cells
 
 
 @dataclass(frozen=True)

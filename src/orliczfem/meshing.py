@@ -24,7 +24,13 @@ import numpy as np
 
 from .nfunctions import DomainError
 
-__all__ = ["Mesh", "build_mesh", "read_mesh_text", "write_mesh_text"]
+__all__ = [
+    "Mesh", "LOCAL_EDGES", "cell_jacobians", "build_mesh", "read_mesh_text", "write_mesh_text"
+]
+
+#: Vertex pairs of a cell's local edges: column k of ``Mesh.cell_edges`` joins
+#: ``LOCAL_EDGES[k]``, and the P2 edge function k lives on it.
+LOCAL_EDGES = ((0, 1), (1, 2), (2, 0))
 
 
 @dataclass
@@ -67,11 +73,7 @@ class Mesh:
         return len(self.edges)
 
     def cell_areas(self) -> np.ndarray:
-        p = self.nodes[self.cells]
-        return 0.5 * np.abs(
-            (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-            - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
-        )
+        return 0.5 * np.abs(cell_jacobians(self.nodes, self.cells)[1])
 
     def boundary_distance(self, points: np.ndarray) -> np.ndarray:
         """Distance from each point to the nearest boundary node (polygonal proxy)."""
@@ -81,11 +83,15 @@ class Mesh:
         return d.min(axis=1)
 
 
-def _orient_positively(nodes, cells):
+def cell_jacobians(nodes, cells):
+    """Each cell's affine Jacobian [p1 - p0, p2 - p0], shape (nc, 2, 2), and its determinant."""
     p = nodes[cells]
-    signed = (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1]) - (
-        p[:, 2, 0] - p[:, 0, 0]
-    ) * (p[:, 1, 1] - p[:, 0, 1])
+    jac = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
+    return jac, jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+
+
+def _orient_positively(nodes, cells):
+    signed = cell_jacobians(nodes, cells)[1]
     if np.any(signed == 0.0):
         raise DomainError("mesh contains degenerate cells")
     flip = signed < 0.0
@@ -93,7 +99,7 @@ def _orient_positively(nodes, cells):
 
 
 def _edge_tables(cells):
-    raw = np.concatenate([cells[:, [0, 1]], cells[:, [1, 2]], cells[:, [2, 0]]])
+    raw = np.concatenate([cells[:, pair] for pair in LOCAL_EDGES])
     raw.sort(axis=1)
     edges, inverse, counts = np.unique(
         raw, axis=0, return_inverse=True, return_counts=True

@@ -31,6 +31,7 @@ from .fem import (
 )
 from .meshing import Mesh
 from .nfunctions import DomainError, NFunction
+from .tableio import write_csv
 
 __all__ = [
     "SolveConfig",
@@ -97,10 +98,7 @@ class SolveTrace:
         return [r[1] for r in self.rows]
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("iter,energy,residual,step\n")
-            for it, en, res, st in self.rows:
-                fh.write(f"{it},{en:.17g},{res:.17g},{st:.17g}\n")
+        write_csv(path, ("iter", "energy", "residual", "step"), self.rows)
 
 
 class NonConvergenceError(RuntimeError):

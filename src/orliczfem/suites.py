@@ -66,13 +66,9 @@ from .solver import DEFAULT_SCHEDULE, SOLVER_KEYS, SolveConfig
 from .tensors import a_map, da_map, dv_map, frobenius, hammer_triple, random_sym, v_map
 from .truncation import (
     GridFunction,
-    bad_set,
     discrete_lipschitz,
     f_truncation_for_solver,
-    gradient_magnitude,
-    grid_modular,
-    lipschitz_truncate,
-    maximal_function,
+    truncation_modular_bounds,
 )
 
 __all__ = ["ContractCheck", "SuiteResult", "SUITES", "run_suite", "DEFAULT_SPEC_ROSTER"]
@@ -733,40 +729,26 @@ def run_truncation_suite(options: dict, seed: int, jobs: int) -> SuiteResult:
     for name, func in _test_functions(seed).items():
         gf = GridFunction.sample(func, bbox, lattice_n)
         scale = max(1.0, float(np.abs(gf.values).max()))
-        # M(grad v) and the modulars of v do not depend on the level: one
-        # maximal function per test function, one bad set per level for both
-        # the truncation and the containment check
-        maximal = maximal_function(gradient_magnitude(gf))
-        val_den = grid_modular(spec_mod, gf, "value")
-        grad_den = grid_modular(spec_mod, gf, "grad")
-        diff_mods = []
-        for lam in _LAMBDA_SWEEP:
-            bad = bad_set(maximal, lam)
-            trunc = lipschitz_truncate(gf, bad, lam)
-            lip = discrete_lipschitz(trunc)
-            disagree = np.abs(gf.values - trunc.values) > 1e-12 * scale
-            contained = not np.any(disagree & ~bad)
-            diff = GridFunction(gf.values - trunc.values, gf.origin, gf.spacing)
-            diff_mod = grid_modular(spec_mod, diff, "grad")
-            val_num = grid_modular(spec_mod, trunc, "value")
-            grad_num = grid_modular(spec_mod, trunc, "grad")
-            ratio_v = val_num / val_den if val_den else 0.0
-            ratio_g = grad_num / grad_den if grad_den else 0.0
-            ratio_worst = max(ratio_worst, ratio_v, ratio_g)
-            lip_ok &= lip <= lam * (1.0 + LIP_SLACK)
+        records = truncation_modular_bounds(spec_mod, gf, _LAMBDA_SWEEP)
+        for rec in records:
+            lip = discrete_lipschitz(rec.trunc)
+            disagree = np.abs(gf.values - rec.trunc.values) > 1e-12 * scale
+            contained = not np.any(disagree & ~rec.bad)
+            ratio_worst = max(ratio_worst, rec.value_ratio, rec.grad_ratio)
+            lip_ok &= lip <= rec.level * (1.0 + LIP_SLACK)
             containment_ok &= contained
-            diff_mods.append(diff_mod)
             rows.append(
                 TruncationRow(
                     "lipschitz",
                     name,
-                    level=lam,
+                    level=rec.level,
                     value=lip,
                     contained=int(contained),
-                    diff_modular=diff_mod,
-                    bad_fraction=bad.mean(),
+                    diff_modular=rec.diff_modular,
+                    bad_fraction=rec.bad.mean(),
                 )
             )
+        diff_mods = [rec.diff_modular for rec in records]
         # recovery: exactly v at the top of the sweep, bounded on the way there
         recovery_ok &= diff_mods[-1] == 0.0
         recovery_ok &= max(diff_mods) <= 2.0 * max(diff_mods[0], 1e-300)

@@ -14,14 +14,16 @@ The agreement property holds whenever v restricted to the good set is itself
 pairwise lam-Lipschitz, which the maximal-function level is chosen to ensure;
 the Lipschitz bound holds unconditionally.
 
-A truncation takes three calls, and a level sweep makes the first once:
+A truncation takes three calls, and a level sweep
+(:func:`truncation_modular_bounds`) makes the first once:
 
     maximal = maximal_function(gradient_magnitude(gf))
     bad = bad_set(maximal, lam)
     trunc = lipschitz_truncate(gf, bad, lam)
 
 A vector field truncates its components against one bad set, thresholded
-from the maximal function of their joint gradient magnitude.
+from the maximal function of their joint gradient magnitude.  Every lattice
+is square, with one spacing, and only this module builds one.
 
 The envelopes are exact but search only the good points that can attain
 them.  Let d0(x) be the distance from x to the nearest good point and
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import fft
@@ -46,7 +49,7 @@ from scipy.ndimage import distance_transform_edt
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from .fem import FemField, evaluate_located, quad_cache
+from .fem import FemField, evaluate_located, locate_points, quad_cache
 from .nfunctions import DomainError, NFunction
 
 __all__ = [
@@ -58,6 +61,7 @@ __all__ = [
     "lipschitz_truncate",
     "discrete_lipschitz",
     "grid_modular",
+    "TruncationLevel",
     "truncation_modular_bounds",
     "f_truncation_for_solver",
 ]
@@ -91,14 +95,12 @@ class GridFunction:
 
     @classmethod
     def sample(cls, func, bbox, n: int) -> "GridFunction":
-        """Sample ``func(x, y)`` on an n x n lattice over bbox = (x0, x1, y0, y1)."""
-        if n < 2:
-            raise DomainError(f"a lattice needs at least 2 points a side, got {n}")
+        """Sample ``func(x, y)`` on an n x n lattice over the square bbox = (x0, x1, y0, y1)."""
         x0, x1, y0, y1 = bbox
-        xs = np.linspace(x0, x1, n)
-        ys = np.linspace(y0, y1, n)
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
-        return cls(np.asarray(func(X, Y), dtype=float), (x0, y0), xs[1] - xs[0])
+        if not math.isclose(x1 - x0, y1 - y0, rel_tol=1e-12):
+            raise DomainError(f"a lattice box must be square, got {x1 - x0} x {y1 - y0}")
+        (X, Y), origin, spacing = _lattice(bbox, n)
+        return cls(np.asarray(func(X, Y), dtype=float), origin, spacing)
 
     def coords(self):
         n0, n1 = self.values.shape
@@ -127,6 +129,16 @@ class GridFunction:
             + v[ix, iy + 1] * (1 - tx) * ty
             + v[ix + 1, iy + 1] * tx * ty
         )
+
+
+def _lattice(bbox, n: int):
+    """The (X, Y) points, origin and spacing of the n x n lattice over a square bbox."""
+    if n < 2:
+        raise DomainError(f"a lattice needs at least 2 points a side, got {n}")
+    x0, x1, y0, y1 = bbox
+    xs = np.linspace(x0, x1, n)
+    ys = np.linspace(y0, y1, n)
+    return np.meshgrid(xs, ys, indexing="ij"), (x0, y0), xs[1] - xs[0]
 
 
 def gradient_magnitude(gf: GridFunction) -> np.ndarray:
@@ -261,35 +273,54 @@ def grid_modular(spec: NFunction, gf: GridFunction, of: str = "value", mask=None
     return float(vals.sum() * gf.spacing**2)
 
 
-def truncation_modular_bounds(spec: NFunction, gf: GridFunction, lam: float):
-    """(value ratio, gradient ratio, difference-vs-bad ratio, bad fraction).
+class TruncationLevel(NamedTuple):
+    """One level of a :func:`truncation_modular_bounds` sweep; a ratio over 0 is 0."""
 
-    * modular of T_lam v over modular of v,
-    * modular of grad T_lam v over modular of grad v,
-    * modular of grad(v - T_lam v) over the bad-set-restricted modular of
-      grad v (0 when the bad set is empty),
-    * lattice fraction of the bad set.
+    level: float
+    bad: np.ndarray  # the bad set at this level
+    trunc: GridFunction  # T_lam v
+    value_ratio: float  # modular of T_lam v over modular of v
+    grad_ratio: float  # modular of grad T_lam v over modular of grad v
+    diff_modular: float  # modular of grad(v - T_lam v)
+    diff_ratio: float  # diff_modular over the modular of grad v restricted to the bad set
+
+
+def _ratio(num: float, den: float) -> float:
+    return num / den if den > 0.0 else 0.0
+
+
+def truncation_modular_bounds(spec: NFunction, gf: GridFunction, levels) -> list:
+    """Truncate ``gf`` at each of ``levels``: one :class:`TruncationLevel` per level.
+
+    M(grad v) and the modulars of v do not depend on the level, so they are
+    computed once for the sweep.
     """
-    bad = bad_set(maximal_function(gradient_magnitude(gf)), lam)
-    trunc = lipschitz_truncate(gf, bad, lam)
-    diff = GridFunction(gf.values - trunc.values, gf.origin, gf.spacing)
-
-    num_v = grid_modular(spec, trunc, "value")
+    maximal = maximal_function(gradient_magnitude(gf))
     den_v = grid_modular(spec, gf, "value")
-    num_g = grid_modular(spec, trunc, "grad")
     den_g = grid_modular(spec, gf, "grad")
-    num_d = grid_modular(spec, diff, "grad")
-    den_d = grid_modular(spec, gf, "grad", mask=bad)
-
-    ratio_v = num_v / den_v if den_v > 0.0 else 0.0
-    ratio_g = num_g / den_g if den_g > 0.0 else 0.0
-    ratio_d = num_d / den_d if den_d > 0.0 else 0.0
-    return ratio_v, ratio_g, ratio_d, float(bad.mean())
+    records = []
+    for lam in levels:
+        bad = bad_set(maximal, lam)
+        trunc = lipschitz_truncate(gf, bad, lam)
+        diff = GridFunction(gf.values - trunc.values, gf.origin, gf.spacing)
+        diff_mod = grid_modular(spec, diff, "grad")
+        records.append(
+            TruncationLevel(
+                lam,
+                bad,
+                trunc,
+                _ratio(grid_modular(spec, trunc, "value"), den_v),
+                _ratio(grid_modular(spec, trunc, "grad"), den_g),
+                diff_mod,
+                _ratio(diff_mod, grid_modular(spec, gf, "grad", mask=bad)),
+            )
+        )
+    return records
 
 
 @dataclass(frozen=True)
 class _ForcingSample:
-    """A forcing sampled on a located lattice: the part of its truncation that no level changes."""
+    """A forcing sampled on a lattice: the part of its truncation that no level changes."""
 
     coeffs: np.ndarray  # copy of the forcing's coefficients when it was sampled
     comps: list  # the two components as lattice functions
@@ -300,17 +331,23 @@ def _forcing_sample(f: FemField, lattice_n: int) -> _ForcingSample:
     """The sample of ``f`` on its mesh's n x n lattice, memoised on ``f`` and redone if
     ``f.coeffs`` changed.
 
-    Concurrent first uses compute the same deterministic sample, and either copy serves.
+    The lattice is the square over the longer side of the nodes' bounding box,
+    padded by 1e-9 of it.  Concurrent first uses compute the same
+    deterministic sample, and either copy serves.
     """
     samples = getattr(f, "_lattice_samples", None)
     if samples is None:
         samples = f._lattice_samples = {}
     sample = samples.get(lattice_n)
     if sample is None or not np.array_equal(sample.coeffs, f.coeffs):
-        lattice = quad_cache(f.mesh).lattice(lattice_n)
-        vals = evaluate_located(f, lattice.cells, lattice.bary)
+        lo = f.mesh.nodes.min(axis=0)
+        side = max(f.mesh.nodes.max(axis=0) - lo)
+        pad = 1e-9 * side
+        bbox = (lo[0] - pad, lo[0] + side + pad, lo[1] - pad, lo[1] + side + pad)
+        (X, Y), origin, spacing = _lattice(bbox, lattice_n)
+        vals = evaluate_located(f, *locate_points(f.mesh, np.column_stack([X.ravel(), Y.ravel()])))
         comps = [
-            GridFunction(vals[:, c].reshape(lattice_n, lattice_n), lattice.origin, lattice.spacing)
+            GridFunction(vals[:, c].reshape(lattice_n, lattice_n), origin, spacing)
             for c in (0, 1)
         ]
         joint = np.sqrt(sum(gradient_magnitude(g) ** 2 for g in comps))
@@ -324,20 +361,22 @@ def f_truncation_for_solver(
 ) -> FemField:
     """Lipschitz-truncate a forcing field at level lam = phi'(trunc_hi).
 
-    The field is sampled on a lattice over the mesh bounding box (zero outside
-    the mesh), both components are truncated against a shared bad set computed
-    from the joint gradient magnitude, and the result is interpolated back to
-    the P2 dofs with the boundary re-zeroed.  When the bad set is empty the
-    original field is returned unchanged.  The lattice is located in the mesh
-    once, and the forcing sampled on it once, for every later level: only
-    lam changes between the stages of a continuation.
+    The field is sampled on a square n x n lattice over the mesh bounding box
+    (zero outside the mesh), both components are truncated against a shared
+    bad set computed from the joint gradient magnitude, and the result is
+    interpolated back to the P2 dofs with the boundary re-zeroed.  The field
+    is sampled once, for every later level: only lam changes between the
+    stages of a continuation.
+
+    ``f`` itself is returned when the bad set {M(grad f) > BAD_SET_LEVEL * lam}
+    is empty, and also when max |grad f| <= lam, where the bad set need not be.
     """
     if not f.zero_boundary:
         raise DomainError("f_truncation_for_solver expects a zero-trace forcing")
     lam = float(spec.d_phi(np.asarray(trunc_hi)))
     sample = _forcing_sample(f, lattice_n)
-    # inert truncation: with max |grad f| <= lam the nominal-level bad set
-    # {M(grad f) > lam} is empty, so the truncated field equals f
+    # inert at the nominal level: M(grad f) <= max |grad f| <= lam, so {M(grad f) > lam}
+    # is empty; the bad set, thresholded at BAD_SET_LEVEL * lam, need not be
     if float(sample.joint.max()) <= lam:
         return f
     bad = bad_set(maximal_function(sample.joint), lam)

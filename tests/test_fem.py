@@ -8,6 +8,7 @@ import pytest
 
 from orliczfem.fem import (
     FemField,
+    _p2_values,
     assemble_jacobian,
     assemble_residual,
     evaluate_field,
@@ -29,7 +30,7 @@ from orliczfem.fem import (
     w12_norm_v,
     write_field_text,
 )
-from orliczfem.meshing import build_mesh
+from orliczfem.meshing import LOCAL_EDGES, build_mesh
 from orliczfem.nfunctions import DomainError, PowerLaw, SingularityError, Truncated
 from orliczfem.solver import v_strain_mandel
 
@@ -54,6 +55,17 @@ def disk():
 def test_quadrature_weights_sum_to_cell_areas(square):
     cache = quad_cache(square)
     assert cache.weights.sum(axis=1) == pytest.approx(square.cell_areas(), rel=1e-13)
+
+
+def test_edge_functions_follow_the_local_edge_order(square, disk):
+    # cell_dofs puts edge cell_edges[:, k] at local dof 3 + k: both must use LOCAL_EDGES
+    for k, (a, b) in enumerate(LOCAL_EDGES):
+        midpoint = np.zeros(3)
+        midpoint[[a, b]] = 0.5
+        assert np.array_equal(_p2_values(midpoint), np.eye(6)[3 + k])
+        for mesh in (square, disk):
+            ends = mesh.edges[mesh.cell_edges[:, k]]
+            assert np.array_equal(ends, np.sort(mesh.cells[:, [a, b]], axis=1))
 
 
 @pytest.mark.parametrize("a,b", [(a, b) for a in range(5) for b in range(5) if a + b <= 4])

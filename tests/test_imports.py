@@ -56,22 +56,33 @@ def test_cli_import_leaves_heavy_modules_unloaded_until_a_manufactured_case():
 ROOT = SRC.parent
 
 TRACER_PROBE = f"""
-import sys
+import json, sys
 sys.path.insert(0, {str(ROOT / "perfbench")!r})
+import numpy as np
 import tracer
-tracer.install(tracer.Tracer())
-print("installed")
+spans = tracer.Tracer()
+tracer.install(spans)
+from orliczfem import fem, meshing, nfunctions, truncation
+mesh = meshing.build_mesh("unit_disk", 0.25)
+rough = lambda x, y: (1 - x * x - y * y) ** 2 * np.stack([np.sin(6 * x), np.cos(5 * y)])
+f = fem.FemField.from_callable(mesh, rough, zero_boundary=True)
+for hi in (1.0, 2.0):
+    truncation.f_truncation_for_solver(f, hi, nfunctions.PowerLaw(1.3), lattice_n=16)
+print(json.dumps(dict(spans.counts)))
 """
 
 
 def test_benchmark_tracer_installs_on_the_library():
-    # the tracer rebinds functions by module and name: a rename must fail here
+    # the tracer rebinds functions by module and name: a rename must fail here,
+    # and the forcing lattice's point location must stay visible to it
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run(
         [sys.executable, "-c", TRACER_PROBE], env=env, capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "installed"
+    counts = json.loads(done.stdout.splitlines()[-1])
+    assert counts["truncation.forcing_calls"] == 2
+    assert counts["fem.locate_calls"] == 1
 
 
 def _library_imports(path):

@@ -57,6 +57,12 @@ def test_grid_function_validation():
         GridFunction(np.full((4, 4), np.nan), (0, 0), 0.1)
 
 
+def test_sample_rejects_a_non_square_box():
+    # one spacing serves both axes, so a lattice box must be square
+    with pytest.raises(DomainError, match="square"):
+        GridFunction.sample(_spike, (0.0, 1.0, 0.0, 2.0), 8)
+
+
 def test_grid_interp_bilinear():
     gf = GridFunction.sample(lambda X, Y: 2 * X + 3 * Y, BBOX, 17)
     pts = np.random.default_rng(0).uniform(0, 1, (50, 2))
@@ -266,9 +272,10 @@ def test_smooth_function_with_generous_level_unchanged():
     v = GridFunction.sample(_smooth, BBOX, 64)
     T = _truncate(v, 1000.0)
     assert np.array_equal(T.values, v.values)
-    ratios = truncation_modular_bounds(PowerLaw(2), v, 1000.0)
-    assert ratios[0] == 1.0 and ratios[1] == 1.0
-    assert ratios[2] == 0.0 and ratios[3] == 0.0
+    (rec,) = truncation_modular_bounds(PowerLaw(2), v, [1000.0])
+    assert (rec.value_ratio, rec.grad_ratio) == (1.0, 1.0)
+    assert (rec.diff_modular, rec.diff_ratio) == (0.0, 0.0)
+    assert not rec.bad.any()
 
 
 def test_disagreement_confined_to_bad_set():
@@ -312,8 +319,6 @@ def test_truncate_rejects_a_bad_level_or_bad_set():
 def test_lattice_needs_two_points_a_side(disk):
     with pytest.raises(DomainError, match="at least 2 points"):
         GridFunction.sample(_spike, BBOX, 1)
-    with pytest.raises(DomainError, match="at least 2 points"):
-        quad_cache(disk).lattice(1)
     f = FemField.from_callable(disk, lambda x, y: np.stack([1 - x * x - y * y] * 2), True)
     with pytest.raises(DomainError, match="at least 2 points"):
         f_truncation_for_solver(f, 2.0, PowerLaw(3), lattice_n=1)
@@ -325,12 +330,28 @@ def test_modular_bounds_oscillatory():
         BBOX,
         64,
     )
-    lam = float(np.median(gradient_magnitude(v)))
-    rv, rg, rd, frac = truncation_modular_bounds(PowerLaw(3), v, lam)
-    assert 0.0 <= rv <= 10.0
-    assert 0.0 <= rg <= 10.0
-    assert 0.0 <= rd <= 10.0
-    assert 0.0 < frac < 1.0
+    spec = PowerLaw(3)
+    median = float(np.median(gradient_magnitude(v)))
+    levels = [0.5 * median, median, 4.0 * median, 1e4]
+    records = truncation_modular_bounds(spec, v, levels)
+    assert [rec.level for rec in records] == levels
+    for rec, lam in zip(records, levels):
+        bad = _bad(v, lam)
+        T = lipschitz_truncate(v, bad, lam)
+        diff = GridFunction(v.values - T.values, v.origin, v.spacing)
+        diff_mod = grid_modular(spec, diff, "grad")
+        masked = grid_modular(spec, v, "grad", mask=bad)
+        assert np.array_equal(rec.bad, bad)
+        assert np.array_equal(rec.trunc.values, T.values)
+        assert rec.value_ratio == grid_modular(spec, T, "value") / grid_modular(spec, v, "value")
+        assert rec.grad_ratio == grid_modular(spec, T, "grad") / grid_modular(spec, v, "grad")
+        assert rec.diff_modular == diff_mod
+        assert rec.diff_ratio == (diff_mod / masked if masked > 0.0 else 0.0)
+    middle = records[1]
+    assert 0.0 < middle.bad.mean() < 1.0
+    assert 0.0 <= middle.value_ratio <= 10.0 and 0.0 <= middle.grad_ratio <= 10.0
+    assert 0.0 < middle.diff_ratio <= 10.0
+    assert records[-1].diff_modular == 0.0 and not records[-1].bad.any()
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +416,23 @@ def test_forcing_levels_recover_original(disk):
         gaps.append(float(np.abs(d).max()))
     assert gaps[-1] == 0.0
     assert gaps[0] >= gaps[-1]
+
+
+@pytest.mark.parametrize("domain", ["half_disk", "unit_disk_polygonal(3)"])
+def test_forcing_lattice_is_square_on_a_non_square_mesh(domain):
+    # the bounding boxes of these meshes are not square; sampling the forcing
+    # on the lattice and interpolating back must still recover it inside
+    mesh = build_mesh(domain, 1.0 / 8.0)
+    f = FemField.from_callable(
+        mesh, lambda x, y: np.stack([np.sin(2 * x + 1) * np.cos(3 * y), x * y + y])
+    )
+    cache = quad_cache(mesh)
+    inner = mesh.boundary_distance(cache.dof_coords) >= 0.15
+    comps = truncation._forcing_sample(f, 64).comps
+    assert comps[0].values.shape == (64, 64)
+    back = np.column_stack([g.interp(cache.dof_coords[inner]) for g in comps])
+    err = np.abs(back - f.coeffs[inner]).max() / np.abs(f.coeffs[inner]).max()
+    assert err <= 5e-2
 
 
 def test_forcing_requires_zero_trace(disk):
