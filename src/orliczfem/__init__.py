@@ -24,7 +24,6 @@ from .nfunctions import (
     SingularityError,
     SumPower,
     Truncated,
-    conjugate_spec,
     from_text,
     simonenko_gap,
     to_text,

@@ -39,6 +39,8 @@ __all__ = [
     "korn_ratio",
     "korn_ratio_meanfree",
     "poincare_ratio",
+    "strain_and_norm",
+    "local_load",
     "assemble_residual",
     "assemble_jacobian",
     "v_strain_mandel",
@@ -525,27 +527,55 @@ def poincare_ratio(spec: NFunction, field: FemField, r: float = 1.0):
 # ---------------------------------------------------------------------------
 
 
-def assemble_residual(spec: NFunction, field: FemField, f: FemField) -> np.ndarray:
-    """R_i = int a_map(eps u) : eps psi_i - int f . psi_i, over all vector dofs."""
-    _single(field, "assemble_residual")
-    _single(f, "assemble_residual")
-    cache = quad_cache(field.mesh)
-    if f.mesh is not field.mesh:
-        raise DomainError("field and forcing live on different meshes")
+def local_load(f: FemField) -> np.ndarray:
+    """(nc, 12) load int f . psi over each cell for its 12 local vector basis functions.
+
+    Columns follow the strain tables' order (2 b + e); a solve builds it once
+    for its fixed forcing and hands it to :func:`assemble_residual`.
+    """
+    _single(f, "local_load")
+    cache = quad_cache(f.mesh)
+    wF = cache.weights[..., None] * values_at_qp(f)  # (nc, 6q, 2e)
+    return (cache.shape_values.T @ wF).reshape(len(wF), 12)
+
+
+def strain_and_norm(field: FemField):
+    """(E, |E|): the (nc, 6q, 3) Mandel strain at the quadrature points and its norm."""
     E = strain_mandel(field)
-    t = np.sqrt(np.sum(E * E, axis=-1))
-    A = radial.ratio(spec, t)[..., None] * E
-    r_loc = np.einsum("cq,cqi,cqik->ck", cache.weights, A, cache.strain_B)
+    return E, _vector_norm(E)
 
-    F = values_at_qp(f)
-    load = np.einsum("cq,cqe,qb->cbe", cache.weights, F, cache.shape_values)
-    r_loc -= load.reshape(load.shape[0], 12)
 
+def assemble_residual(
+    spec: NFunction, field: FemField, f: FemField | np.ndarray, strain=None
+) -> np.ndarray:
+    """R_i = int a_map(eps u) : eps psi_i - int f . psi_i, over all vector dofs.
+
+    ``f`` is the forcing, or its :func:`local_load`.  ``strain`` is the
+    field's (E, |E|) when the caller has already evaluated it (a Newton
+    iterate's energy does).
+    """
+    _single(field, "assemble_residual")
+    cache = quad_cache(field.mesh)
+    if isinstance(f, FemField):
+        if f.mesh is not field.mesh:
+            raise DomainError("field and forcing live on different meshes")
+        f = local_load(f)
+    elif f.shape != cache.vector_dofs.shape:
+        raise DomainError(f"local load needs shape {cache.vector_dofs.shape}, got {f.shape}")
+    E, t = strain_and_norm(field) if strain is None else strain
+    nc = len(E)
+    wA = (cache.weights * radial.ratio(spec, t))[..., None] * E  # weighted stresses
+    r_loc = (wA.reshape(nc, 1, 18) @ cache.strain_B.reshape(nc, 18, 12)).reshape(nc, 12) - f
     return np.bincount(cache.vector_dofs.ravel(), weights=r_loc.ravel(), minlength=cache.n_vector)
 
 
-def assemble_jacobian(spec: NFunction, field: FemField) -> sparse.csc_matrix:
+def assemble_jacobian(spec: NFunction, field: FemField, strain=None) -> sparse.csc_matrix:
     """J_ij = int da_map(eps u)[eps psi_j] : eps psi_i over the free dofs, sparse symmetric.
+
+    At each quadrature point DA = c1 I + (c2 - c1) n n^T (see :mod:`radial`),
+    so with the point's strain table B and b = B^T n the local matrix is
+    sum_q w (c1 B^T B + (c2 - c1) b b^T): two batched matmuls.  ``strain`` is
+    as for :func:`assemble_residual`.
 
     Row and column k belong to vector dof ``free_dofs[k]`` of the mesh's
     :meth:`QuadCache.free_pattern`, so the matrix comes in its fill-reducing
@@ -553,15 +583,15 @@ def assemble_jacobian(spec: NFunction, field: FemField) -> sparse.csc_matrix:
     """
     _single(field, "assemble_jacobian")
     cache = quad_cache(field.mesh)
-    E = strain_mandel(field)
-    t = np.sqrt(np.sum(E * E, axis=-1))
-    a1, a2 = radial.coefficients(spec, t)
-    # M[j] is the derivative of the stress in the direction of Mandel basis vector j
-    M = radial.derivative(a1[..., None], a2[..., None], radial.unit(E, t)[..., None, :], np.eye(3))
-    nc = E.shape[0]
-    B = cache.strain_B.reshape(nc, 18, 12)  # quadrature points stacked over strain rows
-    wMB = ((cache.weights[..., None, None] * M) @ cache.strain_B).reshape(nc, 18, 12)
-    j_loc = B.transpose(0, 2, 1) @ wMB  # (nc, 12 rows, 12 columns)
+    E, t = strain_and_norm(field) if strain is None else strain
+    c1, c2 = radial.coefficients(spec, t)
+    nc = len(E)
+    w = cache.weights
+    B = cache.strain_B  # (nc, 6q, 3, 12)
+    b = (radial.unit(E, t)[..., None, :] @ B).reshape(nc, 6, 12)  # (nc, 6q, 12)
+    wc1B = ((w * c1)[..., None, None] * B).reshape(nc, 18, 12)
+    j_loc = B.reshape(nc, 18, 12).transpose(0, 2, 1) @ wc1B
+    j_loc += b.transpose(0, 2, 1) @ ((w * (c2 - c1))[..., None] * b)
     pattern = cache.free_pattern()
     nnz, n = len(pattern.indices), len(pattern.free_dofs)
     data = np.bincount(pattern.slots, weights=j_loc.ravel(), minlength=nnz + 1)
@@ -578,23 +608,24 @@ def v_strain_mandel(spec: NFunction, field: FemField) -> np.ndarray:
 def w12_norm_v(spec: NFunction, field: FemField):
     """(int |v_map(eps u)|^2, int |grad v_map(eps u)|^2) by cellwise chain rule.
 
-    The gradient part evaluates d_i v_map(eps u) = dv_map(eps u)[d_i eps u]
-    with the cellwise-constant strain derivative of the P2 field.  At zero
-    strain this needs the quadratic-branch limit, so degenerate specs must be
-    passed in truncated form (the solver's stage spec).
+    The gradient part evaluates |d_i v_map(eps u)| = |dv_map(eps u)[d_i eps u]|
+    with the cellwise-constant strain derivative of the P2 field, through
+    :func:`radial.derivative_sq_norm`.  At zero strain this needs the
+    quadratic-branch limit, so degenerate specs must be passed in truncated
+    form (the solver's stage spec).
     """
     _single(field, "w12_norm_v")
     cache = quad_cache(field.mesh)
-    E = strain_mandel(field)
-    t = np.sqrt(np.sum(E * E, axis=-1))
+    E, t = strain_and_norm(field)
     b1, b2 = radial.transform_coefficients(spec, t)
     V = b1[..., None] * E  # b1 = sqrt(phi'(t)/t), as in v_strain_mandel
     l2_part = float(np.sum(cache.weights * np.sum(V * V, axis=-1)))
 
-    unit = radial.unit(E, t)[:, :, None, :]  # (nc, q, 1, 3)
-    dE = strain_grad_mandel(field)[:, None]  # (nc, 1, 2, 3), cellwise constant
-    dV = radial.derivative(b1[..., None], b2[..., None], unit, dE)
-    semi_part = float(np.sum(cache.weights * np.sum(dV * dV, axis=(-2, -1))))
+    dE = strain_grad_mandel(field)  # (nc, 2, 3), cellwise constant
+    inner = radial.unit(E, t) @ dE.transpose(0, 2, 1)  # (nc, q, 2): n : d_i eps u
+    h2 = np.sum(dE * dE, axis=-1)[:, None, :]  # (nc, 1, 2): |d_i eps u|^2
+    sq = radial.derivative_sq_norm(b1[..., None], b2[..., None], inner, h2)
+    semi_part = float(np.sum(cache.weights * np.sum(sq, axis=-1)))
     return l2_part, semi_part
 
 

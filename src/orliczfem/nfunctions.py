@@ -33,7 +33,6 @@ __all__ = [
     "DeltaPower",
     "SumPower",
     "Truncated",
-    "conjugate_spec",
     "young_gap",
     "simonenko_gap",
     "truncation_dual_gap",
@@ -471,6 +470,23 @@ class Truncated(NFunction):
             pairs.append((above, lambda x: np.full_like(x, self._k_hi)))
         return _piecewise(t, pairs)
 
+    def d_phi_inv(self, s):
+        """Inverse of phi' by branch: s / k_lo up to phi'(lo), s / k_hi from phi'(hi) on,
+        and the base's inverse in between."""
+        scalar = np.isscalar(s) or np.ndim(s) == 0
+        arr = _as_float_array(s)
+        none = np.zeros(arr.shape, dtype=bool)
+        below = arr <= self.lo * self._k_lo if self.lo > 0.0 else none
+        above = arr >= self.hi * self._k_hi if math.isfinite(self.hi) else none
+        mid = ~(below | above)
+        pairs = [(mid, self.base.d_phi_inv)]
+        if self.lo > 0.0:
+            pairs.append((below, lambda x: x / self._k_lo))
+        if math.isfinite(self.hi):
+            pairs.append((above, lambda x: x / self._k_hi))
+        out = _piecewise(arr, pairs)
+        return float(out) if scalar else out
+
     def indices(self) -> IndexPair:
         # Frozen branches contribute ratio exactly 2; in between the base ratio
         # applies, so (min(p-, 2), max(p+, 2)) is a valid (possibly conservative)
@@ -547,11 +563,6 @@ class _Conjugate(NFunction):
         return self.base.indices().conjugate()
 
 
-def conjugate_spec(spec: NFunction) -> NFunction:
-    """Conjugate N-function of ``spec`` (module-level convenience)."""
-    return spec.conjugate_spec()
-
-
 # ---------------------------------------------------------------------------
 # Scalar inequality gaps
 # ---------------------------------------------------------------------------
@@ -586,10 +597,10 @@ def simonenko_gap(spec: NFunction, t):
 def truncation_dual_gap(base: NFunction, lo: float, hi: float, s):
     """| (phi_trunc)*(s) - (phi*)_trunc(s) | with both sides computed independently.
 
-    The left side conjugates the truncated spec (bisection on its phi'); the
-    right side truncates the conjugate spec at (phi'(lo), phi'(hi)) and
-    evaluates it (bisection on the base phi').  The two must agree up to
-    numeric tolerance.
+    The left side conjugates the truncated spec (through its branchwise
+    inverse of phi'); the right side truncates the conjugate spec at
+    (phi'(lo), phi'(hi)) and evaluates it (through the base's inverse of
+    phi').  The two must agree up to numeric tolerance.
     """
     if not (0.0 < lo <= hi < math.inf):
         raise DomainError(f"need 0 < lo <= hi < oo, got ({lo}, {hi})")

@@ -20,7 +20,15 @@ import numpy as np
 
 from .nfunctions import NFunction, SingularityError
 
-__all__ = ["at_zero", "ratio", "coefficients", "transform_coefficients", "unit", "derivative"]
+__all__ = [
+    "at_zero",
+    "ratio",
+    "coefficients",
+    "transform_coefficients",
+    "unit",
+    "derivative",
+    "derivative_sq_norm",
+]
 
 
 def at_zero(spec: NFunction) -> float:
@@ -79,3 +87,13 @@ def derivative(c1, c2, n: np.ndarray, H: np.ndarray) -> np.ndarray:
     """c1 H + (c2 - c1) (n : H) n, the radial-map derivative in direction H."""
     inner = np.einsum("...i,...i->...", n, H)
     return c1[..., None] * H + (c2 - c1)[..., None] * (inner[..., None] * n)
+
+
+def derivative_sq_norm(c1, c2, inner, h2):
+    """|c1 H + (c2 - c1) (n : H) n|^2 from inner = n : H and h2 = |H|^2.
+
+    For a unit n it expands to c1^2 |H|^2 + (c2^2 - c1^2) (n : H)^2, and for
+    n = 0 (zero strain, see :func:`unit`) the inner product vanishes and both
+    sides are c1^2 |H|^2.
+    """
+    return c1 * c1 * h2 + (c2 * c2 - c1 * c1) * (inner * inner)

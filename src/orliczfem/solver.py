@@ -23,10 +23,10 @@ from .fem import (
     FemField,
     assemble_jacobian,
     assemble_residual,
-    modular,
+    local_load,
     quad_cache,
+    strain_and_norm,
     v_strain_mandel,
-    values_at_qp,
     w12_norm_v,
 )
 from .meshing import Mesh
@@ -129,15 +129,18 @@ def factorized(matrix):
     return splu(matrix, permc_spec="NATURAL", options={"SymmetricMode": True}).solve
 
 
-def energy(spec: NFunction, field: FemField, wf: np.ndarray) -> float:
-    """J(u) = int phi(|eps u|) - int f . u with the assembly quadrature.
+def energy(spec: NFunction, field: FemField, load: np.ndarray):
+    """J(u) = int phi(|eps u|) - int f . u with the assembly quadrature, and the strain.
 
-    ``wf`` is the forcing at the quadrature points times their weights,
-    ``quad_cache(mesh).weights[..., None] * values_at_qp(f)``, which does not
-    change within a solve.
+    ``load`` is the forcing's :func:`~orliczfem.fem.local_load`, which does
+    not change within a solve.  Returns (J(u), (E, |E|)) with E the Mandel
+    strain at the quadrature points: the residual and the Jacobian of the same
+    field take that pair instead of evaluating the strain again.
     """
-    load = float(np.sum(wf * values_at_qp(field)))
-    return modular(spec, field, "sym_grad") - load
+    cache = quad_cache(field.mesh)
+    strain = strain_and_norm(field)
+    stored = float(np.sum(cache.weights * spec.phi(strain[1])))
+    return stored - float(np.sum(load * field.coeffs.ravel()[cache.vector_dofs])), strain
 
 
 def solve(
@@ -153,6 +156,8 @@ def solve(
     The free-dof Jacobian is then SPD.  Newton works on the free dofs in the
     order of the mesh's :meth:`~orliczfem.fem.QuadCache.free_pattern`, the
     order the Jacobian is assembled and factored in (see :func:`factorized`).
+    Each iterate's strain is evaluated once, by the energy of the accepted
+    line-search trial, and the load once per solve.
     """
     cfg = cfg or SolveConfig()
     if not spec.has_quadratic_growth():
@@ -162,14 +167,14 @@ def solve(
         )
     cache = quad_cache(mesh)
     free = cache.free_pattern().free_dofs
-    wf = cache.weights[..., None] * values_at_qp(f)
+    load = local_load(f)
 
     u = FemField.zeros(mesh) if initial is None else initial.with_zero_boundary()
-    current = energy(spec, u, wf)
+    current, strain = energy(spec, u, load)
     trace = SolveTrace()
     step = 0.0
     for it in range(cfg.max_iters + 1):
-        residual = assemble_residual(spec, u, f)[free]
+        residual = assemble_residual(spec, u, load, strain)[free]
         res_norm = float(np.linalg.norm(residual))
         trace.append(it, current, res_norm, step)
         if res_norm <= cfg.newton_tol:
@@ -177,7 +182,7 @@ def solve(
         if it == cfg.max_iters:
             break
 
-        direction = factorized(assemble_jacobian(spec, u))(-residual)
+        direction = factorized(assemble_jacobian(spec, u, strain))(-residual)
         slope = float(residual @ direction)
         if not (slope < 0.0) or not np.isfinite(slope):
             raise RuntimeError(
@@ -192,7 +197,7 @@ def solve(
         step = 1.0
         while True:
             candidate = FemField(mesh, u.coeffs + step * increment, zero_boundary=True)
-            trial = energy(spec, candidate, wf)
+            trial, trial_strain = energy(spec, candidate, load)
             if trial <= current + cfg.armijo_c * step * slope:
                 break
             step *= BACKTRACK
@@ -201,7 +206,7 @@ def solve(
                     f"line search stalled at iteration {it} (residual {res_norm:.3e})",
                     trace,
                 )
-        u, current = candidate, trial
+        u, current, strain = candidate, trial, trial_strain
 
     raise NonConvergenceError(
         f"no convergence within {cfg.max_iters} Newton iterations "

@@ -5,7 +5,10 @@ import os
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse import linalg as splinalg
 
+from orliczfem import radial
 from orliczfem.fem import (
     FemField,
     _p2_values,
@@ -281,6 +284,44 @@ def test_single_field_functions_reject_stacks(square, call):
 # ---------------------------------------------------------------------------
 
 
+def _jacobian_by_tangent(spec, field):
+    """The Jacobian built through the (nc, 6, 3, 3) tangent: radial.derivative
+    along the Mandel basis, then B^T (w M) B per cell (the reference)."""
+    cache = quad_cache(field.mesh)
+    E = strain_mandel(field)
+    t = np.sqrt(np.sum(E * E, axis=-1))
+    a1, a2 = radial.coefficients(spec, t)
+    M = radial.derivative(a1[..., None], a2[..., None], radial.unit(E, t)[..., None, :], np.eye(3))
+    nc = len(E)
+    wMB = ((cache.weights[..., None, None] * M) @ cache.strain_B).reshape(nc, 18, 12)
+    j_loc = cache.strain_B.reshape(nc, 18, 12).transpose(0, 2, 1) @ wMB
+    pattern = cache.free_pattern()
+    nnz, n = len(pattern.indices), len(pattern.free_dofs)
+    data = np.bincount(pattern.slots, weights=j_loc.ravel(), minlength=nnz + 1)
+    return sparse.csc_matrix((data[:nnz], pattern.indices, pattern.indptr), shape=(n, n))
+
+
+def _straddling_case(mesh, p):
+    """(truncated spec, field): the field is zero on the left half, so the cells
+    there have zero strain (the t = 0 limit), and the levels put strains below
+    lo and above hi."""
+    u = random_zero_boundary_field(mesh, np.random.default_rng(17))
+    u.coeffs[quad_cache(mesh).dof_coords[:, 0] < 0.0] = 0.0
+    E = strain_mandel(u)
+    t = np.sqrt(np.sum(E * E, axis=-1))
+    lo, hi = np.quantile(t[t > 0.0], [0.25, 0.75])
+    assert np.any(t == 0.0) and np.any((t > 0.0) & (t < lo)) and np.any(t > hi)
+    return Truncated(PowerLaw(p), lo, hi), u
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_jacobian_matches_the_tangent_build(disk, p):
+    spec, u = _straddling_case(disk, p)
+    reference = _jacobian_by_tangent(spec, u)
+    J = assemble_jacobian(spec, u)
+    assert splinalg.norm(J - reference) <= 1e-13 * splinalg.norm(reference)
+
+
 def test_jacobian_symmetry(disk):
     rng = np.random.default_rng(7)
     u = random_zero_boundary_field(disk, rng)
@@ -377,6 +418,20 @@ def test_w12_seminorm_vanishes_for_linear_fields(square):
     for spec in (PowerLaw(2), Truncated(PowerLaw(3), 0.1, 10.0)):
         _, semi = w12_norm_v(spec, u)
         assert semi <= 1e-20
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_w12_seminorm_matches_the_derivative_build(disk, p):
+    # reference: build d_i v_map(eps u) with radial.derivative and square it
+    spec, u = _straddling_case(disk, p)
+    E = strain_mandel(u)
+    t = np.sqrt(np.sum(E * E, axis=-1))
+    b1, b2 = radial.transform_coefficients(spec, t)
+    unit = radial.unit(E, t)[:, :, None, :]
+    dV = radial.derivative(b1[..., None], b2[..., None], unit, strain_grad_mandel(u)[:, None])
+    reference = float(np.sum(quad_cache(disk).weights * np.sum(dV * dV, axis=(-2, -1))))
+    _, semi = w12_norm_v(spec, u)
+    assert semi == pytest.approx(reference, rel=1e-13)
 
 
 def test_w12_singular_spec_at_zero_strain_raises(square):

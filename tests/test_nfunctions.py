@@ -19,6 +19,7 @@ from orliczfem.nfunctions import (
     SumPower,
     Truncated,
     from_text,
+    invert_increasing,
     simonenko_gap,
     to_text,
     truncation_dual_gap,
@@ -194,6 +195,36 @@ def test_d_phi_inv_roundtrip(spec):
     t = np.logspace(-4, 3, 40)
     back = spec.d_phi_inv(spec.d_phi(t))
     assert back == pytest.approx(t, rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "base, lo, hi",
+    [
+        (PowerLaw(1.3), 1e-3, 1e3),
+        (PowerLaw(4.0), 1e-3, 1e3),
+        (PowerLaw(1.3), 0.0, 10.0),
+        (PowerLaw(4.0), 0.1, math.inf),
+        (PowerLaw(2.5), 0.5, 0.5),
+        # DeltaPower has no closed-form inverse: only the middle branch bisects.
+        # Its phi (an exp of a log) rounds by ~1e-14 relative on its own beyond
+        # t ~ 1e9; a two-sided truncation keeps the conjugate below that.
+        (DeltaPower(1.5, 0.3), 1e-3, 1e3),
+    ],
+    ids=["p1.3", "p4", "hi_only", "lo_only", "lo_eq_hi", "delta_power"],
+)
+def test_truncated_d_phi_inv_matches_the_bisection_it_replaces(base, lo, hi):
+    spec = Truncated(base, lo, hi)
+    at_levels = [float(spec.d_phi(np.asarray(c))) for c in (lo, hi) if 0.0 < c < math.inf]
+    s = np.concatenate([[0.0], np.logspace(-12.0, 12.0, 481), at_levels])
+    bisected = invert_increasing(spec.d_phi, s)
+    closed = spec.d_phi_inv(s)
+    assert closed[0] == 0.0
+    assert np.max(np.abs(closed - bisected)[1:] / bisected[1:]) <= 1e-12
+    # the conjugate is stationary in the inverse, so it agrees more closely still
+    reference = s * bisected - spec.phi(bisected)
+    assert spec.conjugate(s)[0] == 0.0
+    assert np.max(np.abs(spec.conjugate(s) - reference)[1:] / reference[1:]) <= 1e-14
+    assert spec.d_phi_inv(float(s[100])) == closed[100]
 
 
 # ---------------------------------------------------------------------------

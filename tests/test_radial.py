@@ -32,3 +32,17 @@ def test_psi_second_matches_central_difference(spec):
     fd = (psi_prime(t + h) - psi_prime(t - h)) / (2.0 * h)
     _, b2 = radial.transform_coefficients(spec, t)
     assert b2 == pytest.approx(fd, rel=1e-6)
+
+
+def test_derivative_sq_norm_is_the_squared_derivative():
+    rng = np.random.default_rng(4)
+    E = rng.normal(size=(50, 3))
+    E[:5] = 0.0  # n = 0 at zero strain
+    n = radial.unit(E, np.sqrt(np.sum(E * E, axis=-1)))
+    H = rng.normal(size=(50, 3))
+    c1, c2 = rng.uniform(0.1, 3.0, size=(2, 50))
+    direct = np.sum(radial.derivative(c1, c2, n, H) ** 2, axis=-1)
+    inner = np.sum(n * H, axis=-1)
+    assert radial.derivative_sq_norm(c1, c2, inner, np.sum(H * H, axis=-1)) == pytest.approx(
+        direct, rel=1e-13
+    )

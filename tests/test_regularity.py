@@ -7,9 +7,10 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from orliczfem.fem import FemField
+from orliczfem import nfunctions
+from orliczfem.fem import FemField, modular
 from orliczfem.meshing import build_mesh
-from orliczfem.nfunctions import DomainError, PowerLaw, Truncated
+from orliczfem.nfunctions import DeltaPower, DomainError, PowerLaw, Truncated
 from orliczfem.regularity import (
     RegularityReport,
     caccioppoli_ratio,
@@ -53,6 +54,26 @@ def test_regularity_ratio_finite_and_stable(disk, swirl):
     assert len(stages) == len(report.delta_stages)
     # quadratic law: the truncation is inert, every stage identical
     assert len(set(report.stats["stage_ratios"])) == 1
+
+
+@pytest.mark.parametrize("p", [1.3, 4.0])
+def test_sweep_stage_and_energy_row_never_bisect(disk, swirl, monkeypatch, p):
+    # the sweep's per-stage path: a Lipschitz-truncated stage forcing, the
+    # Newton stage solve, the transform norm, the untruncated conjugate
+    # modulars and the energy row's truncated conjugate; every inverse of
+    # phi' on it is closed-form (PowerLaw and the Truncated branches)
+    def no_bisection(func, s):
+        raise AssertionError("bisection on the regularity sweep's path")
+
+    monkeypatch.setattr(nfunctions, "invert_increasing", no_bisection)
+    spec = PowerLaw(p)
+    cfg = SolveConfig(delta_schedule=((1e-3, 1e3),))
+    report, stages = regularity_ratio(spec, disk, swirl, cfg, lattice_n=16)
+    stage_spec = spec.truncate(stages[0].trunc_lo, stages[0].trunc_hi)
+    rhs_energy = modular(stage_spec.conjugate_spec(), swirl, "value")
+    assert math.isfinite(report.ratio) and rhs_energy > 0.0
+    with pytest.raises(AssertionError, match="bisection"):
+        DeltaPower(1.5, 0.3).d_phi_inv(1.0)  # the patch is live
 
 
 def test_regularity_requires_zero_trace(disk):

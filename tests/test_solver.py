@@ -4,14 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import linalg as splinalg
 from scipy.sparse.linalg import splu
 
-from orliczfem import solver
+from orliczfem import fem, solver
 from orliczfem.fem import (
     FemField,
     assemble_jacobian,
     assemble_residual,
     gradient_at_qp,
+    local_load,
     quad_cache,
     random_zero_boundary_field,
     strain_mandel,
@@ -166,9 +168,10 @@ def test_residual_is_energy_gradient(disk, swirl, p, kind):
     spec, u, v = _gate_case(disk, p, kind)
     residual = assemble_residual(spec, u, swirl)
     exact = float(residual @ v.coeffs.ravel())
-    wf = quad_cache(disk).weights[..., None] * values_at_qp(swirl)
+    load = local_load(swirl)
     fd = (
-        energy(spec, _shifted(u, v, FD_STEP), wf) - energy(spec, _shifted(u, v, -FD_STEP), wf)
+        energy(spec, _shifted(u, v, FD_STEP), load)[0]
+        - energy(spec, _shifted(u, v, -FD_STEP), load)[0]
     ) / (2.0 * FD_STEP)
     assert fd == pytest.approx(exact, rel=1e-6)
 
@@ -189,6 +192,48 @@ def test_jacobian_is_residual_derivative_and_spd(disk, swirl, p, kind):
     jac_ff = jac.toarray()
     assert np.abs(jac_ff - jac_ff.T).max() <= 1e-13 * np.abs(jac_ff).max()
     assert np.linalg.eigvalsh(jac_ff).min() > 0.0
+
+
+def test_newton_iterate_evaluates_its_strain_once(disk, swirl, monkeypatch):
+    # the strain is evaluated by each energy evaluation (the initial one and
+    # each line-search trial) and by nothing else; the residual and Jacobian
+    # built from the accepted trial's strain and the per-solve load are the
+    # from-scratch ones
+    spec = Truncated(PowerLaw(3.0), 1e-2, 1e2)
+    calls = {"strain": 0, "energy": 0}
+    assembled = {"residual": [], "jacobian": []}
+
+    def counted(name, func):
+        def wrapped(*args):
+            calls[name] += 1
+            return func(*args)
+
+        return wrapped
+
+    def recorded(name, func):
+        def wrapped(*args):
+            assembled[name].append((args[1], func(*args)))
+            return assembled[name][-1][1]
+
+        return wrapped
+
+    monkeypatch.setattr(fem, "strain_mandel", counted("strain", fem.strain_mandel))
+    monkeypatch.setattr(solver, "energy", counted("energy", solver.energy))
+    monkeypatch.setattr(solver, "assemble_residual", recorded("residual", assemble_residual))
+    monkeypatch.setattr(solver, "assemble_jacobian", recorded("jacobian", assemble_jacobian))
+    _, trace = solve(disk, spec, swirl)
+
+    trials = sum(round(-math.log2(row[3])) + 1 for row in trace.rows[1:])
+    assert trace.iterations >= 3 and trials > trace.iterations  # some step backtracked
+    assert calls == {"strain": 1 + trials, "energy": 1 + trials}
+    assert len(assembled["residual"]) == len(trace.rows)
+    assert len(assembled["jacobian"]) == trace.iterations
+    for u, residual in assembled["residual"]:
+        fresh = assemble_residual(spec, u, swirl)
+        assert np.linalg.norm(residual - fresh) <= 1e-14 * np.linalg.norm(fresh)
+    for u, jac in assembled["jacobian"]:
+        fresh = assemble_jacobian(spec, u)
+        assert splinalg.norm(jac - fresh) <= 1e-14 * splinalg.norm(fresh)
 
 
 @pytest.mark.parametrize("h", [1.0 / 6.0, 1.0 / 16.0], ids=["h1/6", "h1/16"])
