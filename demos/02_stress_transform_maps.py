@@ -13,7 +13,7 @@ spec = PowerLaw(3.0)
 
 # The stress of a symmetric matrix is radial: phi'(|P|) P / |P|.
 P = np.array([[2.0, 0.0], [0.0, 2.0]])
-print("stress of 2*Id under the cubic law:\n", np.asarray(a_map(spec, P)))
+print("stress of 2*Id under the cubic law:\n", a_map(spec, P))
 
 # v_map is invertible; the round trip is accurate to the bisection tolerance.
 samples = random_sym(rng, 5, scale=(0.1, 10.0))
@@ -39,8 +39,8 @@ print(f"  mid/rhs in [{r2.min():.4f}, {r2.max():.4f}]")
 P = random_sym(rng, 1000, scale=(0.1, 10.0))
 H = random_sym(rng, 1000, scale=(1.0, 1.0))
 h = 1e-5
-fd = (np.asarray(a_map(spec, P + h * H)) - np.asarray(a_map(spec, P - h * H))) / (2 * h)
-exact = np.asarray(da_map(spec, P, H))
+fd = (a_map(spec, P + h * H) - a_map(spec, P - h * H)) / (2 * h)
+exact = da_map(spec, P, H)
 print("\nmax relative FD error of the stress derivative:", float(
     np.max(frobenius(fd - exact) / frobenius(exact))
 ))

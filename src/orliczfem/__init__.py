@@ -11,7 +11,6 @@ from .fem import (
     poincare_ratio,
     quad_cache,
     random_zero_boundary_field,
-    sym_grad,
     w12_norm_v,
 )
 from .meshing import Mesh, build_mesh, read_mesh_text, write_mesh_text
@@ -34,7 +33,6 @@ from .regularity import (
     RegularityReport,
     caccioppoli_ratio,
     default_disk_forcing,
-    energy_ratio,
     interpolation_step_check,
     regularity_ratio,
 )
@@ -49,7 +47,6 @@ from .solver import (
 )
 from .tensors import (
     HammerTriple,
-    SymTensor,
     a_map,
     da_map,
     dv_map,

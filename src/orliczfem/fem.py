@@ -27,13 +27,11 @@ from scipy.spatial import cKDTree
 from . import radial
 from .meshing import LOCAL_EDGES, Mesh, cell_jacobians
 from .nfunctions import DomainError, NFunction
-from .tensors import SymTensor, mandel_to_sym
 
 __all__ = [
     "QuadCache",
     "FemField",
     "quad_cache",
-    "sym_grad",
     "modular",
     "region_measure",
     "korn_ratio",
@@ -408,16 +406,6 @@ def gradient_at_qp(field: FemField) -> np.ndarray:
     nc = block.shape[0]
     G = cache.grads.reshape(nc, 12, 6) @ block.reshape(nc, 6, -1)  # rows (q, d), columns (e, F)
     return _fields_first(field, G.reshape(nc, 6, 2, 2, -1).swapaxes(2, 3))
-
-
-def sym_grad(field: FemField, cell: int, quad_pt: int) -> SymTensor:
-    """Symmetric gradient at one quadrature point of one cell."""
-    _single(field, "sym_grad")
-    cache = quad_cache(field.mesh)
-    if not (0 <= cell < field.mesh.n_cells and 0 <= quad_pt < 6):
-        raise DomainError(f"invalid cell/quadrature indices ({cell}, {quad_pt})")
-    m = cache.strain_B[cell, quad_pt] @ _local_block(field)[cell].reshape(12)
-    return SymTensor.from_matrix(mandel_to_sym(m))
 
 
 # ---------------------------------------------------------------------------

@@ -26,18 +26,16 @@ from .fem import (
     strain_grad_mandel,
     strain_mandel,
     values_at_qp,
-    w12_norm_v,
 )
 from .meshing import Mesh
-from .nfunctions import DomainError, NFunction, PowerLaw, Truncated
-from .solver import SolveConfig, delta_continuation
+from .nfunctions import DomainError, NFunction, PowerLaw
+from .solver import SolveConfig, StageResult, delta_continuation
 from .truncation import f_truncation_for_solver
 
 __all__ = [
     "RegularityReport",
     "default_disk_forcing",
     "conjugate_forcing_modulars",
-    "energy_ratio",
     "regularity_ratio",
     "caccioppoli_ratio",
     "rigid_projection",
@@ -82,17 +80,6 @@ def conjugate_forcing_modulars(spec: NFunction, f: FemField):
     """(int phi*(|f|), int phi*(|grad f|)) with the untruncated conjugate."""
     conj = spec.conjugate_spec()
     return modular(conj, f, "value"), modular(conj, f, "grad")
-
-
-def energy_ratio(spec: NFunction, field: FemField, f: FemField) -> float:
-    """int phi(|eps u|) / int phi*(|f|) (the energy-estimate ratio)."""
-    m_f, _ = conjugate_forcing_modulars(spec, f)
-    lhs = modular(spec, field, "sym_grad")
-    if m_f == 0.0:
-        if lhs == 0.0:
-            return 0.0
-        raise DomainError("energy ratio undefined: zero forcing, nonzero strain")
-    return lhs / m_f
 
 
 def regularity_ratio(
@@ -218,10 +205,12 @@ def caccioppoli_ratio(
 # ---------------------------------------------------------------------------
 
 
-def interpolation_step_check(
-    spec: PowerLaw, field: FemField, stage_spec: Truncated, q: float = 8.0
-) -> float:
+def interpolation_step_check(spec: PowerLaw, stage: StageResult, q: float = 8.0) -> float:
     """Discrete gap ratio of the Hoelder step for power laws with p < 2.
+
+    ``stage`` is a continuation stage of ``spec`` with trunc_lo > 0; its field
+    is the solution u and its ``w12_semi`` the seminorm int |grad v(eps u)|^2
+    of its truncated spec.
 
     With r = 2q / (q + 2 - p) the finite-sum Hoelder inequality together with
     the pointwise bounds
@@ -241,8 +230,9 @@ def interpolation_step_check(
     """
     if not isinstance(spec, PowerLaw) or not (spec.p < 2.0):
         raise DomainError("interpolation step check applies to power laws with p < 2")
-    if not isinstance(stage_spec, Truncated) or stage_spec.lo <= 0.0:
-        raise DomainError("interpolation step check needs the solver's truncated spec")
+    if stage.trunc_lo <= 0.0:
+        raise DomainError("interpolation step check needs a stage with trunc_lo > 0")
+    field = stage.field
     p = spec.p
     r = 2.0 * q / (q + 2.0 - p)
 
@@ -253,11 +243,10 @@ def interpolation_step_check(
         return math.inf
     lhs = float(np.sum(cache.weights * (grad_eps[:, None] ** r)))
 
-    _, seminorm = w12_norm_v(stage_spec, field)
     E = strain_mandel(field)
     t = np.sqrt(np.sum(E * E, axis=-1))
-    clamped = np.maximum(t, stage_spec.lo)
+    clamped = np.maximum(t, stage.trunc_lo)
     power_int = float(np.sum(cache.weights * clamped**q))
 
-    bound = (p - 1.0) ** (-r / 2.0) * seminorm ** (r / 2.0) * power_int ** ((2.0 - r) / 2.0)
+    bound = (p - 1.0) ** (-r / 2.0) * stage.w12_semi ** (r / 2.0) * power_int ** ((2.0 - r) / 2.0)
     return bound / lhs

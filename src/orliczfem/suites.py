@@ -530,7 +530,6 @@ def run_regularity_sweep(options: dict, seed: int, jobs: int) -> SuiteResult:
             traces[f"p{p:g}_h{h:g}_stage{k}"] = stage.trace
 
         final = stages[-1]
-        final_spec = spec.truncate(final.trunc_lo, final.trunc_hi)
         for cx, cy in _CACC_CENTERS:
             for radius in _CACC_RADII:
                 if math.hypot(cx, cy) + 2.0 * radius >= 0.98:
@@ -544,7 +543,7 @@ def run_regularity_sweep(options: dict, seed: int, jobs: int) -> SuiteResult:
                     )
                 )
         if p < 2.0:
-            ratio = interpolation_step_check(spec, final.field, final_spec)
+            ratio = interpolation_step_check(spec, final)
             rows.append(SweepRow("interp_step", p, h, final.trunc_lo, final.trunc_hi, ratio=ratio))
         return rows, traces
 

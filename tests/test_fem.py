@@ -28,7 +28,6 @@ from orliczfem.fem import (
     region_measure,
     strain_grad_mandel,
     strain_mandel,
-    sym_grad,
     values_at_qp,
     w12_norm_v,
     write_field_text,
@@ -89,8 +88,7 @@ def test_quadrature_exact_through_degree_four(a, b):
 
 def test_sym_grad_identity_field(square):
     u = FemField.from_callable(square, lambda x, y: np.stack([x, y]))
-    st = sym_grad(u, 3, 2)
-    assert np.allclose(st.matrix, np.eye(2))
+    assert np.allclose(strain_mandel(u)[3, 2], [1.0, 1.0, 0.0])
 
 
 def test_sym_grad_rigid_motion_vanishes(square):
@@ -104,14 +102,6 @@ def test_sym_grad_quadratic_field(square):
     E = strain_mandel(u)
     assert E[..., 0] == pytest.approx(2.0 * cache.qpoints[..., 0], rel=1e-12)
     assert np.abs(E[..., 1:]).max() <= 1e-12
-
-
-def test_sym_grad_index_validation(square):
-    u = FemField.zeros(square)
-    with pytest.raises(DomainError):
-        sym_grad(u, square.n_cells, 0)
-    with pytest.raises(DomainError):
-        sym_grad(u, 0, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -263,14 +253,12 @@ def test_rigid_stack_entry_is_named(square, ratio):
         lambda u, one: assemble_residual(PowerLaw(2), one, u),
         lambda u, one: assemble_jacobian(PowerLaw(2), u),
         lambda u, one: w12_norm_v(PowerLaw(2), u),
-        lambda u, one: sym_grad(u, 0, 0),
         lambda u, one: evaluate_field(u, np.zeros((1, 2))),
         lambda u, one: evaluate_field_gradient(u, np.zeros((1, 2))),
         lambda u, one: write_field_text(u, os.devnull),
     ],
     ids=[
-        "residual", "residual_forcing", "jacobian", "w12", "sym_grad", "evaluate", "gradient",
-        "write",
+        "residual", "residual_forcing", "jacobian", "w12", "evaluate", "gradient", "write",
     ],
 )
 def test_single_field_functions_reject_stacks(square, call):

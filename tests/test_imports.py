@@ -1,11 +1,13 @@
 """Imports: what loading the CLI costs and which names cross module boundaries.
 
 The CLI loads neither scipy.signal nor sympy until a run needs them; no
-library module takes a private name from another; and the benchmark tracer,
-which rebinds library functions by module and name, still finds them all.
+library module takes a private name from another; every name a module lists
+in ``__all__`` exists; and the benchmark tracer, which rebinds library
+functions by module and name, still finds them all.
 """
 
 import ast
+import importlib
 import json
 import math
 import os
@@ -103,3 +105,14 @@ def test_no_module_imports_another_modules_private_names():
         if name.startswith("_")
     ]
     assert private == []
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted((SRC / "orliczfem").glob("*.py")) if "__all__" in p.read_text()],
+    ids=lambda p: p.stem,
+)
+def test_every_exported_name_is_defined(path):
+    # a stale __all__ entry fails only on a star-import, so look each one up
+    module = importlib.import_module(f"orliczfem.{path.stem}")
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []

@@ -1,5 +1,6 @@
 """Regularity-lab experiments on solved fields."""
 
+import dataclasses
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from orliczfem import nfunctions
-from orliczfem.fem import FemField, modular
+from orliczfem.fem import FemField, modular, w12_norm_v
 from orliczfem.meshing import build_mesh
 from orliczfem.nfunctions import DeltaPower, DomainError, PowerLaw, Truncated
 from orliczfem.regularity import (
@@ -16,12 +17,11 @@ from orliczfem.regularity import (
     caccioppoli_ratio,
     conjugate_forcing_modulars,
     default_disk_forcing,
-    energy_ratio,
     interpolation_step_check,
     regularity_ratio,
     rigid_projection,
 )
-from orliczfem.solver import SolveConfig, delta_continuation
+from orliczfem.solver import SolveConfig, SolveTrace, StageResult, delta_continuation
 
 
 @pytest.fixture(scope="module")
@@ -36,9 +36,7 @@ def swirl(disk):
 
 @pytest.fixture(scope="module")
 def solved(disk, swirl):
-    stages = delta_continuation(disk, PowerLaw(3), swirl)
-    final = stages[-1]
-    return final.field, PowerLaw(3).truncate(final.trunc_lo, final.trunc_hi)
+    return delta_continuation(disk, PowerLaw(3), swirl)[-1]
 
 
 def test_regularity_ratio_zero_forcing(disk):
@@ -87,13 +85,6 @@ def test_report_rejects_non_finite():
         RegularityReport("x", "spec", 0.1, (), math.nan, 1.0, 1.0)
 
 
-def test_energy_ratio_examples(disk, swirl, solved):
-    field, stage_spec = solved
-    ratio = energy_ratio(stage_spec, field, swirl)
-    assert 0.0 < ratio < 10.0
-    assert energy_ratio(PowerLaw(2), FemField.zeros(disk), FemField.zeros(disk)) == 0.0
-
-
 def test_conjugate_forcing_modulars_positive(disk, swirl):
     m_f, m_g = conjugate_forcing_modulars(PowerLaw(3), swirl)
     assert m_f > 0.0 and m_g > 0.0
@@ -117,13 +108,13 @@ def test_caccioppoli_rigid_field_zero(disk):
 
 
 def test_caccioppoli_interior_check(disk, solved, swirl):
-    field, _ = solved
+    field = solved.field
     with pytest.raises(DomainError):
         caccioppoli_ratio(PowerLaw(3), field, swirl, (0.8, 0.0), 0.2)
 
 
 def test_caccioppoli_bounded_over_balls_and_radii(disk, solved, swirl):
-    field, _ = solved
+    field = solved.field
     ratios = []
     for center in ((0.0, 0.0), (0.25, 0.1)):
         for radius in (0.1, 0.2, 0.3):
@@ -134,7 +125,7 @@ def test_caccioppoli_bounded_over_balls_and_radii(disk, solved, swirl):
 
 
 def test_caccioppoli_shrinking_radius_no_blowup(disk, solved, swirl):
-    field, _ = solved
+    field = solved.field
     ratios = [
         caccioppoli_ratio(PowerLaw(3), field, swirl, (0.0, 0.0), r)
         for r in (0.3, 0.25, 0.2, 0.17)
@@ -149,25 +140,25 @@ def test_caccioppoli_shrinking_radius_no_blowup(disk, solved, swirl):
 
 def test_interpolation_step_trivial_for_constant_strain(disk):
     u = FemField.from_callable(disk, lambda x, y: np.stack([x, -y]))
-    ratio = interpolation_step_check(PowerLaw(1.5), u, Truncated(PowerLaw(1.5), 1e-4, 1e4))
+    stage_spec = Truncated(PowerLaw(1.5), 1e-4, 1e4)
+    stage = StageResult(1e-4, 1e4, u, *w12_norm_v(stage_spec, u), math.nan, SolveTrace())
+    ratio = interpolation_step_check(PowerLaw(1.5), stage)
     assert ratio == math.inf
 
 
 def test_interpolation_step_solved_field(disk, swirl):
     spec = PowerLaw(1.5)
     stages = delta_continuation(disk, spec, swirl)
-    final = stages[-1]
-    ratio = interpolation_step_check(spec, final.field, spec.truncate(final.trunc_lo, final.trunc_hi))
+    ratio = interpolation_step_check(spec, stages[-1])
     assert ratio >= 1.0 - 1e-10
     assert ratio <= 50.0
 
 
 def test_interpolation_step_spec_validation(disk, solved):
-    field, stage_spec = solved
     with pytest.raises(DomainError):
-        interpolation_step_check(PowerLaw(3), field, stage_spec)
+        interpolation_step_check(PowerLaw(3), solved)
     with pytest.raises(DomainError):
-        interpolation_step_check(PowerLaw(1.5), field, PowerLaw(1.5))
+        interpolation_step_check(PowerLaw(1.5), dataclasses.replace(solved, trunc_lo=0.0))
 
 
 def test_threads_sharing_a_mesh_and_forcing_match_serial_runs():

@@ -10,15 +10,12 @@ from orliczfem.meshing import build_mesh
 from orliczfem.nfunctions import DomainError, PowerLaw, SingularityError, Truncated
 from orliczfem.tensors import (
     HammerTriple,
-    SymTensor,
     a_map,
     da_map,
     dv_map,
     frobenius,
     hammer_triple,
-    mandel_to_sym,
     random_sym,
-    sym_to_mandel,
     v_inv,
     v_map,
 )
@@ -52,7 +49,20 @@ def test_a_map_power3_scaled_identity():
 def test_a_map_zero_convention(spec):
     out = a_map(spec, np.zeros((2, 2)))
     assert np.all(out == 0.0)
-    assert v_map(spec, SymTensor.zero(2)).norm() == 0.0
+    assert frobenius(v_map(spec, np.zeros((2, 2)))) == 0.0
+
+
+@pytest.mark.parametrize("shape", [(2,), (2, 3), (4, 4)])
+def test_maps_reject_non_matrix_shapes(shape):
+    with pytest.raises(DomainError):
+        a_map(PowerLaw(3), np.ones(shape))
+    with pytest.raises(DomainError):
+        da_map(PowerLaw(3), np.ones(shape), np.ones(shape))
+
+
+def test_derivative_rejects_mixed_dimensions():
+    with pytest.raises(DomainError, match="same tensor dimension"):
+        da_map(PowerLaw(3), np.eye(2), np.eye(3))
 
 
 def test_v_map_power2_identity_and_power4_unit_sphere():
@@ -74,7 +84,7 @@ def test_a_dot_p_equals_v_norm_squared(spec):
     # a_map(P) : P = |v_map(P)|^2, exactly, and both comparable to phi(|P|)
     P = random_sym(RNG, 256)
     t = frobenius(P)
-    lhs = np.sum(np.asarray(a_map(spec, P)) * P, axis=(-2, -1))
+    lhs = np.sum(a_map(spec, P) * P, axis=(-2, -1))
     mid = frobenius(v_map(spec, P)) ** 2
     assert lhs == pytest.approx(mid, rel=1e-12)
     ratio = lhs / spec.phi(t)
@@ -168,8 +178,8 @@ def test_derivatives_match_central_differences(spec, which):
     P, H = _fd_samples(spec, 1000)
     h = 1e-5
     fmap, dmap = (a_map, da_map) if which == "a" else (v_map, dv_map)
-    fd = (np.asarray(fmap(spec, P + h * H)) - np.asarray(fmap(spec, P - h * H))) / (2 * h)
-    exact = np.asarray(dmap(spec, P, H))
+    fd = (fmap(spec, P + h * H) - fmap(spec, P - h * H)) / (2 * h)
+    exact = dmap(spec, P, H)
     rel = frobenius(fd - exact) / frobenius(exact)
     assert np.max(rel) <= 1e-6
 
@@ -212,12 +222,14 @@ def test_da_singular_at_zero_for_singular_spec(at_zero):
 
 
 def test_da_is_spd_with_pinched_eigenvalues(spec):
-    basis = [mandel_to_sym(e) for e in np.eye(3)]
+    # an orthonormal basis of the symmetric 2 x 2 matrices under the Frobenius product
+    off = np.array([[0.0, 1.0], [1.0, 0.0]]) / math.sqrt(2.0)
+    basis = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), off]
     idx = spec.indices()
     for _ in range(20):
         P = random_sym(RNG, 1, scale=(1e-1, 1e1))[0]
         t = frobenius(P)
-        M = np.column_stack([sym_to_mandel(da_map(spec, P, b)) for b in basis])
+        M = np.array([[np.sum(a * da_map(spec, P, b)) for b in basis] for a in basis])
         eig = np.linalg.eigvalsh(0.5 * (M + M.T))
         dd = float(spec.dd_phi(np.asarray(t)))
         lo = dd / max(1.0, idx.p_plus - 1.0)
@@ -231,7 +243,7 @@ def test_dv_self_consistency(spec):
     # |dv(P,H)|^2 is comparable to da(P,H) : H with a spectral-ratio constant
     P, H = _fd_samples(spec, 512)
     lhs = frobenius(dv_map(spec, P, H)) ** 2
-    rhs = np.sum(np.asarray(da_map(spec, P, H)) * H, axis=(-2, -1))
+    rhs = np.sum(da_map(spec, P, H) * H, axis=(-2, -1))
     ratio = lhs / rhs
     assert np.all(ratio >= 0.5)
     assert np.all(ratio <= 2.0)
@@ -242,7 +254,7 @@ def test_derivative_of_one_matrix_matches_batch(spec, deriv):
     P, H = _fd_samples(spec, 4)
     if not spec.singular_at_zero:
         P[0] = 0.0  # the t = 0 limit on a lone matrix
-    batch = np.asarray(deriv(spec, P, H))
+    batch = deriv(spec, P, H)
     for k in range(4):
         assert np.allclose(deriv(spec, P[k], H[k]), batch[k], rtol=1e-14, atol=0.0)
 
@@ -250,56 +262,11 @@ def test_derivative_of_one_matrix_matches_batch(spec, deriv):
 def test_truncated_maps_converge_to_base():
     base = PowerLaw(3)
     P = random_sym(RNG, 32, scale=(1e-2, 1e2))
-    ref = np.asarray(a_map(base, P))
+    ref = a_map(base, P)
     prev = math.inf
     for k in (1, 2, 4, 8):
         spec = Truncated(base, 10.0 ** (-k), 10.0 ** k)
-        err = np.max(frobenius(np.asarray(a_map(spec, P)) - ref))
+        err = np.max(frobenius(a_map(spec, P) - ref))
         assert err <= prev + 1e-30
         prev = err
     assert prev <= 1e-10
-
-
-# ---------------------------------------------------------------------------
-# SymTensor plumbing
-# ---------------------------------------------------------------------------
-
-
-def test_sym_tensor_packing_roundtrip():
-    mat = np.array([[1.0, 2.0], [2.0, 5.0]])
-    st = SymTensor.from_matrix(mat)
-    assert np.allclose(st.matrix, mat)
-    assert st.norm() == pytest.approx(np.linalg.norm(mat))
-    assert st.ddot(st) == pytest.approx(np.sum(mat * mat))
-
-
-def test_sym_tensor_maps_preserve_type():
-    st = SymTensor.from_matrix(np.array([[1.0, 0.5], [0.5, 2.0]]))
-    out = a_map(PowerLaw(3), st)
-    assert isinstance(out, SymTensor)
-    assert out.n == 2
-
-
-def test_sym_tensor_mixed_dimension_rejected():
-    a = SymTensor.zero(2)
-    b = SymTensor.zero(3)
-    with pytest.raises(DomainError):
-        a + b
-    with pytest.raises(DomainError):
-        a.ddot(b)
-
-
-def test_sym_tensor_dimension_validation():
-    with pytest.raises(DomainError):
-        SymTensor(4, np.zeros(10))
-    with pytest.raises(DomainError):
-        SymTensor(2, np.zeros(4))
-
-
-def test_mandel_roundtrip_preserves_inner_products():
-    for n in (2, 3):
-        P = random_sym(RNG, 16, n=n)
-        Q = random_sym(RNG, 16, n=n)
-        mp, mq = sym_to_mandel(P), sym_to_mandel(Q)
-        assert np.allclose(mandel_to_sym(mp), P)
-        assert np.allclose(np.sum(mp * mq, axis=-1), np.sum(P * Q, axis=(-2, -1)))
