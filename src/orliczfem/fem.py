@@ -472,27 +472,37 @@ def region_measure(mesh: Mesh, region=None) -> float:
     return float(np.sum(cache.weights * _region_mask(cache, region)))
 
 
-def korn_ratio(spec: NFunction, field: FemField, require_zero_boundary: bool = True):
+def korn_ratio(
+    spec: NFunction, field: FemField, require_zero_boundary: bool = True, grad=None, strain=None
+):
     """modular(grad) / modular(sym_grad) for a zero-boundary field, (F,) for a stack.
 
     ``require_zero_boundary=False`` skips the flag check for diagnostics on
     fields with symmetric Jacobians that are not zero on the boundary.
+    ``grad`` and ``strain``, the field's :func:`gradient_at_qp` and
+    :func:`strain_mandel`, are evaluated here when not given.
     """
     if require_zero_boundary and not field.zero_boundary:
         raise DomainError("korn_ratio requires a zero-boundary field")
-    den = modular(spec, field, "sym_grad")
+    w = quad_cache(field.mesh).weights
+    E = strain_mandel(field) if strain is None else strain
+    den = _integral(w, spec.phi(_vector_norm(E)))
     _check_nonzero(field, den, "korn_ratio undefined: the field is (numerically) rigid")
-    return modular(spec, field, "grad") / den
+    G = gradient_at_qp(field) if grad is None else grad
+    return _integral(w, spec.phi(_matrix_norm(G))) / den
 
 
-def korn_ratio_meanfree(spec: NFunction, field: FemField):
-    """Mean-free variant: modulars of grad u - <grad u> and eps u - <eps u>."""
+def korn_ratio_meanfree(spec: NFunction, field: FemField, grad=None, strain=None):
+    """Mean-free variant: modulars of grad u - <grad u> and eps u - <eps u>.
+
+    ``grad`` and ``strain`` are as for :func:`korn_ratio`.
+    """
     cache = quad_cache(field.mesh)
     w = cache.weights
     vol = float(w.sum())
-    G = gradient_at_qp(field)
+    G = gradient_at_qp(field) if grad is None else grad
     mean_g = np.einsum("cq,...cqed->...ed", w, G) / vol
-    E = strain_mandel(field)
+    E = strain_mandel(field) if strain is None else strain
     mean_e = np.einsum("cq,...cqi->...i", w, E) / vol
     num_mag = _matrix_norm(G - mean_g[..., None, None, :, :])
     den_mag = _vector_norm(E - mean_e[..., None, None, :])
@@ -501,13 +511,18 @@ def korn_ratio_meanfree(spec: NFunction, field: FemField):
     return _integral(w, spec.phi(num_mag)) / den
 
 
-def poincare_ratio(spec: NFunction, field: FemField, r: float = 1.0):
-    """modular(value) / modular(grad scaled by r) for zero-boundary fields."""
+def poincare_ratio(spec: NFunction, field: FemField, r: float = 1.0, grad=None):
+    """modular(value) / modular(grad scaled by r) for zero-boundary fields.
+
+    ``grad`` is as for :func:`korn_ratio`.
+    """
     if not field.zero_boundary:
         raise DomainError("poincare_ratio requires a zero-boundary field")
-    den = modular(spec, field, "grad", scale=r)
+    w = quad_cache(field.mesh).weights
+    G = gradient_at_qp(field) if grad is None else grad
+    den = _integral(w, spec.phi(r * _matrix_norm(G)))
     _check_nonzero(field, den, "poincare_ratio undefined for the zero field")
-    return modular(spec, field, "value") / den
+    return _integral(w, spec.phi(_vector_norm(values_at_qp(field)))) / den
 
 
 # ---------------------------------------------------------------------------

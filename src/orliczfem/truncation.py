@@ -26,15 +26,19 @@ from the maximal function of their joint gradient magnitude.  Every lattice
 is square, with one spacing, and only this module builds one.
 
 The envelopes are exact but search only the good points that can attain
-them.  Let d0(x) be the distance from x to the nearest good point and
-s = max_G v - min_G v.  Then upper(x) <= max_G v + lam d0(x), while any y in
-G with |x - y| > R(x) = d0(x) + s / lam has
-v(y) + lam |x - y| > min_G v + lam d0(x) + s >= upper(x), so y is never the
-minimiser; the same bound holds for the lower envelope.  This needs nothing
-of v, so there is no fallback.  d0 is the lattice's Euclidean distance
-transform; the lattice is cut into square tiles of ENVELOPE_TILE points a
-side, and each tile takes its candidates from one KD-tree ball about its
-centre of radius max_tile R + half the tile diagonal.
+them.  Let g(x) be the good point nearest to x, at distance d0(x).  Then
+upper(x) <= v(g) + lam d0(x), while any y in G with |x - y| > R(x) =
+d0(x) + (v(g) - min_G v) / lam has
+v(y) + lam |x - y| > min_G v + lam d0(x) + v(g) - min_G v >= upper(x), so y
+is never the minimiser; likewise lower(x) >= v(g) - lam d0(x) leaves only
+|x - y| <= d0(x) + (max_G v - v(g)) / lam, and the search reach is the larger
+of the two radii.  g and d0 come from the lattice's Euclidean distance
+transform; g itself lies within the reach, so it is always a candidate.  The
+lattice is cut into square tiles of ENVELOPE_TILE points a side, and each
+tile takes its candidates from one KD-tree ball about its centre of radius
+max_tile R + half the tile diagonal.  When every good value is 0 the two
+envelopes at x are a and -a for one computed cone value a, so the midpoint
+is exactly 0 and nothing is searched.
 """
 
 from __future__ import annotations
@@ -209,11 +213,18 @@ def bad_set(maximal: np.ndarray, lam: float) -> np.ndarray:
 
 def _mcshane_midpoint(gf: GridFunction, good: np.ndarray, lam: float) -> np.ndarray:
     """Clipped midpoint of the McShane envelopes over ``good`` (pruned, see module docstring)."""
+    if not good.any():
+        raise DomainError("the good set is empty: the bad set covers every lattice point")
+    good_vals = gf.values[good]
+    lo, hi = good_vals.min(), good_vals.max()
+    if lo == hi == 0.0:
+        # both envelopes at x come from one computed cone value a: fl(0 + a) + fl(0 - a) = 0
+        return np.clip(np.zeros(gf.values.shape), gf.values.min(), gf.values.max())
     X, Y = gf.coords()
     good_pts = np.column_stack([X[good], Y[good]])
-    good_vals = gf.values[good]
-    nearest = distance_transform_edt(~good) * gf.spacing
-    reach = nearest + (good_vals.max() - good_vals.min()) / lam
+    nearest, (gi, gj) = distance_transform_edt(~good, return_indices=True)
+    at_nearest = gf.values[gi, gj]  # v(g(x))
+    reach = nearest * gf.spacing + np.maximum(at_nearest - lo, hi - at_nearest) / lam
     tree = cKDTree(good_pts)
 
     upper = np.empty(X.shape)

@@ -194,6 +194,20 @@ def test_korn_meanfree_and_poincare(square):
         assert poincare_ratio(spec, u, r=1.0) <= 1.0
 
 
+@pytest.mark.parametrize("count", [None, 5])
+def test_ratios_given_their_kernels_equal_their_own(square, count):
+    u = random_zero_boundary_field(square, np.random.default_rng(31), count=count)
+    G, E = gradient_at_qp(u), strain_mandel(u)
+    for spec in (PowerLaw(1.3), PowerLaw(3)):
+        assert np.array_equal(korn_ratio(spec, u, grad=G, strain=E), korn_ratio(spec, u))
+        assert np.array_equal(
+            korn_ratio_meanfree(spec, u, grad=G, strain=E), korn_ratio_meanfree(spec, u)
+        )
+        assert np.array_equal(
+            poincare_ratio(spec, u, r=0.7, grad=G), poincare_ratio(spec, u, r=0.7)
+        )
+
+
 # ---------------------------------------------------------------------------
 # field stacks
 # ---------------------------------------------------------------------------

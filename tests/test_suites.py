@@ -1,8 +1,11 @@
 """Suite runners: row schemas, contract structure, option handling."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from orliczfem import fem, suites
 from orliczfem.fem import (
     korn_ratio,
     korn_ratio_meanfree,
@@ -71,6 +74,30 @@ def test_korn_suite_blocks_match_per_field_ratios():
             max(poincare_ratio(spec, u, r=1.0) for u in fields),
         ]
         assert row[2:] == pytest.approx(want, rel=1e-12)
+
+
+def test_korn_suite_evaluates_each_kernel_once_per_block(monkeypatch):
+    calls = Counter()
+
+    def counted(name, kernel):
+        def kernel_call(field):
+            calls[name] += 1
+            return kernel(field)
+
+        return kernel_call
+
+    for name in ("gradient_at_qp", "strain_mandel"):
+        wrapped = counted(name, getattr(fem, name))
+        for module in (fem, suites):
+            monkeypatch.setattr(module, name, wrapped)
+    opts = {
+        "korn": {"ensemble": KORN_BLOCK + 5},
+        "mesh": {"domain": "unit_square", "h": [0.5, 0.25]},
+        "sweep": {"p_values": [1.5, 3.0]},
+    }
+    run_suite("korn_suite", opts, seed=3)
+    blocks = 4 * 2  # (p, h) cases x blocks per case
+    assert calls == {"gradient_at_qp": blocks, "strain_mandel": blocks}
 
 
 def test_manufactured_rows_per_case():

@@ -9,6 +9,7 @@ from orliczfem import truncation
 from orliczfem.fem import FemField, quad_cache
 from orliczfem.meshing import build_mesh
 from orliczfem.nfunctions import DomainError, PowerLaw
+from orliczfem.suites import run_suite
 from orliczfem.truncation import (
     BAD_SET_LEVEL,
     GridFunction,
@@ -224,19 +225,72 @@ def test_pruned_envelope_equals_all_pairs_on_smooth_truncations():
             assert np.array_equal(_mcshane_midpoint(v, good, lam), _all_pairs_midpoint(v, good, lam))
 
 
-def test_envelope_search_is_pruned(monkeypatch):
-    distances = []
+@pytest.fixture
+def distances(monkeypatch):
+    """Sizes of the envelope search's ``cdist`` calls, in call order."""
+    sizes = []
 
     def counting_cdist(a, b):
-        distances.append(len(a) * len(b))
+        sizes.append(len(a) * len(b))
         return cdist(a, b)
 
     monkeypatch.setattr(truncation, "cdist", counting_cdist)
-    v = GridFunction.sample(_spike, BBOX, 64)
-    bad = _bad(v, 8.0)
-    lipschitz_truncate(v, bad, 8.0)
-    good = ~bad
-    assert 0 < sum(distances) < 0.1 * v.values.size * np.count_nonzero(good)
+    return sizes
+
+
+def test_envelope_search_is_pruned(distances):
+    # the good values span [0, 1]; the bad set is four patches at the mid-sides
+    v = GridFunction.sample(_smooth, BBOX, 64)
+    bad = _bad(v, 12.0)
+    assert bad.any() and np.ptp(v.values[~bad]) > 0.9
+    lipschitz_truncate(v, bad, 12.0)
+    assert 0 < sum(distances) < 0.1 * v.values.size * np.count_nonzero(~bad)
+
+
+@pytest.mark.parametrize("lam", [1e-3, 1.0, 1e3])
+def test_zero_rim_alone_is_decided_without_a_search(distances, lam):
+    n = 37
+    values = np.zeros((n, n))
+    values[1:-1, 1:-1] = np.random.default_rng(5).normal(size=(n - 2, n - 2))
+    gf = GridFunction(values, (0.1, -0.4), 1.0 / (n - 1))
+    good = gf.boundary_mask()
+    got = _mcshane_midpoint(gf, good, lam)
+    assert distances == []
+    assert np.array_equal(got, _all_pairs_midpoint(gf, good, lam))
+
+
+@pytest.mark.parametrize("kind", ["rim", "one_bad", "random"])
+@pytest.mark.parametrize("c", [-3.7, 2e-16, 1.0 / 3.0, 7e5])
+@pytest.mark.parametrize("lam", [1e-3, 0.1, 10.0, 1e3])
+def test_constant_good_set_equals_all_pairs(kind, c, lam):
+    # the reach is d0(x) alone, so only the nearest good points are searched;
+    # their cone values must round as the oracle's do
+    n = 23
+    rng = np.random.default_rng([len(kind), int(np.log10(lam)) + 3])
+    good = _good_set(kind, n, rng)
+    values = rng.normal(size=(n, n))
+    values[good] = c
+    gf = GridFunction(values, (-0.3, 0.2), 1.0 / (n - 1))
+    assert np.array_equal(_mcshane_midpoint(gf, good, lam), _all_pairs_midpoint(gf, good, lam))
+
+
+def test_suite_envelopes_equal_all_pairs(monkeypatch):
+    # every envelope truncation_suite takes, on the inputs it really makes: good
+    # sets that are the zero rim alone, rims at rounding level, and mixed sets
+    pruned = truncation._mcshane_midpoint
+    kinds = set()
+
+    def checked(gf, good, lam):
+        got = pruned(gf, good, lam)
+        assert np.array_equal(got, _all_pairs_midpoint(gf, good, lam))
+        top = np.abs(gf.values[good]).max()
+        rim_only = np.array_equal(good, gf.boundary_mask())
+        kinds.add("mixed" if not rim_only else "zero rim" if top == 0.0 else "rounding rim")
+        return got
+
+    monkeypatch.setattr(truncation, "_mcshane_midpoint", checked)
+    assert run_suite("truncation_suite", {"truncation": {"lattice_n": 32}}, seed=1).passed
+    assert kinds == {"zero rim", "rounding rim", "mixed"}
 
 
 def test_envelope_differs_from_non_lipschitz_v_on_good_set():
@@ -304,6 +358,12 @@ def test_truncate_requires_zero_rim():
         lipschitz_truncate(gf, bad_set(maximal, 1.0), 1.0)
     with pytest.raises(DomainError):
         bad_set(maximal, 0.0)
+
+
+def test_truncate_rejects_an_empty_good_set():
+    gf = GridFunction(np.zeros((8, 8)), (0.0, 0.0), 1.0 / 7)
+    with pytest.raises(DomainError, match="good set is empty"):
+        lipschitz_truncate(gf, np.ones((8, 8), dtype=bool), 1.0)
 
 
 def test_truncate_rejects_a_bad_level_or_bad_set():
