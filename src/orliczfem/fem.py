@@ -423,13 +423,13 @@ def _matrix_norm(X: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("...ed,...ed->...", X, X))
 
 
-def _magnitudes(field: FemField, kind: str) -> np.ndarray:
+def _magnitudes(field: FemField, kind: str, kernel=None) -> np.ndarray:
     if kind == "sym_grad":
-        return _vector_norm(strain_mandel(field))
+        return _vector_norm(strain_mandel(field) if kernel is None else kernel)
     if kind == "grad":
-        return _matrix_norm(gradient_at_qp(field))
+        return _matrix_norm(gradient_at_qp(field) if kernel is None else kernel)
     if kind == "value":
-        return _vector_norm(values_at_qp(field))
+        return _vector_norm(values_at_qp(field) if kernel is None else kernel)
     raise DomainError(f"modular kind must be one of {_MODULAR_KINDS}, got {kind!r}")
 
 
@@ -440,9 +440,15 @@ def _region_mask(cache: QuadCache, region) -> np.ndarray:
 
 
 def _integral(w: np.ndarray, values: np.ndarray):
-    """Quadrature sum over the mesh: a float for one field, an (F,) array for a stack."""
-    total = np.sum(w * values, axis=(-2, -1))
-    return float(total) if total.ndim == 0 else total
+    """Quadrature sum over the mesh: a float for one field, an (F,) array for a stack.
+
+    A stack's (F, nc, 6q) values lie field-last in memory, as the kernels leave
+    them; one contraction then sums each field in the order, and so to the
+    bits, of ``np.sum(w * values, axis=(-2, -1))``, without the product array.
+    """
+    if values.ndim == 2:
+        return float(np.sum(w * values, axis=(-2, -1)))
+    return np.einsum("...cq,cq->...", values, w)
 
 
 def _check_nonzero(field: FemField, den, message: str) -> None:
@@ -453,15 +459,19 @@ def _check_nonzero(field: FemField, den, message: str) -> None:
         raise DomainError(message + where)
 
 
-def modular(spec: NFunction, field: FemField, kind: str, scale: float = 1.0, region=None):
+def modular(
+    spec: NFunction, field: FemField, kind: str, scale: float = 1.0, region=None, kernel=None
+):
     """Quadrature of phi(scale * |X|) with X in {eps u, grad u, u} over the mesh.
 
     ``region(x, y) -> bool`` restricts the integral to the quadrature points it
     selects (used for ball-restricted means).  A stack of F fields gives an
-    (F,) array.
+    (F,) array.  ``kernel``, X at the quadrature points (the field's
+    :func:`strain_mandel`, :func:`gradient_at_qp` or :func:`values_at_qp`), is
+    evaluated here when not given.
     """
     cache = quad_cache(field.mesh)
-    mags = _magnitudes(field, kind)
+    mags = _magnitudes(field, kind, kernel)
     w = cache.weights * _region_mask(cache, region)
     return _integral(w, spec.phi(scale * mags))
 
@@ -473,14 +483,19 @@ def region_measure(mesh: Mesh, region=None) -> float:
 
 
 def korn_ratio(
-    spec: NFunction, field: FemField, require_zero_boundary: bool = True, grad=None, strain=None
+    spec: NFunction,
+    field: FemField,
+    require_zero_boundary: bool = True,
+    strain=None,
+    grad_modular=None,
 ):
     """modular(grad) / modular(sym_grad) for a zero-boundary field, (F,) for a stack.
 
     ``require_zero_boundary=False`` skips the flag check for diagnostics on
     fields with symmetric Jacobians that are not zero on the boundary.
-    ``grad`` and ``strain``, the field's :func:`gradient_at_qp` and
-    :func:`strain_mandel`, are evaluated here when not given.
+    ``strain``, the field's :func:`strain_mandel`, and the numerator
+    ``grad_modular``, ``modular(spec, field, "grad")``, are evaluated here when
+    not given; the latter is also :func:`poincare_ratio`'s denominator at r = 1.
     """
     if require_zero_boundary and not field.zero_boundary:
         raise DomainError("korn_ratio requires a zero-boundary field")
@@ -488,14 +503,15 @@ def korn_ratio(
     E = strain_mandel(field) if strain is None else strain
     den = _integral(w, spec.phi(_vector_norm(E)))
     _check_nonzero(field, den, "korn_ratio undefined: the field is (numerically) rigid")
-    G = gradient_at_qp(field) if grad is None else grad
-    return _integral(w, spec.phi(_matrix_norm(G))) / den
+    num = modular(spec, field, "grad") if grad_modular is None else grad_modular
+    return num / den
 
 
 def korn_ratio_meanfree(spec: NFunction, field: FemField, grad=None, strain=None):
     """Mean-free variant: modulars of grad u - <grad u> and eps u - <eps u>.
 
-    ``grad`` and ``strain`` are as for :func:`korn_ratio`.
+    ``grad`` and ``strain``, the field's :func:`gradient_at_qp` and
+    :func:`strain_mandel`, are evaluated here when not given.
     """
     cache = quad_cache(field.mesh)
     w = cache.weights
@@ -511,17 +527,22 @@ def korn_ratio_meanfree(spec: NFunction, field: FemField, grad=None, strain=None
     return _integral(w, spec.phi(num_mag)) / den
 
 
-def poincare_ratio(spec: NFunction, field: FemField, r: float = 1.0, grad=None):
+def poincare_ratio(spec: NFunction, field: FemField, r: float = 1.0, grad_modular=None):
     """modular(value) / modular(grad scaled by r) for zero-boundary fields.
 
-    ``grad`` is as for :func:`korn_ratio`.
+    ``grad_modular`` is as for :func:`korn_ratio`: the denominator, and so
+    taken at r = 1 only.
     """
     if not field.zero_boundary:
         raise DomainError("poincare_ratio requires a zero-boundary field")
-    w = quad_cache(field.mesh).weights
-    G = gradient_at_qp(field) if grad is None else grad
-    den = _integral(w, spec.phi(r * _matrix_norm(G)))
+    if grad_modular is None:
+        den = modular(spec, field, "grad", scale=r)
+    elif r != 1.0:
+        raise DomainError(f"poincare_ratio takes grad_modular at r = 1 only, got r = {r}")
+    else:
+        den = grad_modular
     _check_nonzero(field, den, "poincare_ratio undefined for the zero field")
+    w = quad_cache(field.mesh).weights
     return _integral(w, spec.phi(_vector_norm(values_at_qp(field)))) / den
 
 

@@ -358,8 +358,9 @@ class KornRow(NamedTuple):
 
 #: Fields per stacked evaluation of the Korn ensemble.  A block's gradient and
 #: strain at the quadrature points (0.17 MB per field on the h = 1/16 unit
-#: square) serve all three ratios, and with the ratios' temporaries the block
-#: peaks at about 0.32 MB per field.
+#: square) serve all three ratios, and so does its int phi(|grad u|), the Korn
+#: numerator and the Poincare denominator; with the ratios' temporaries the
+#: block peaks at about 0.32 MB per field.
 KORN_BLOCK = 16
 
 
@@ -370,23 +371,26 @@ def run_korn_suite(options: dict, seed: int, jobs: int) -> SuiteResult:
     p_values = options["sweep"]["p_values"]
 
     items = [(i, p, h) for i, (p, h) in enumerate((p, h) for p in p_values for h in h_values)]
+    # one mesh per h, shared by every p and thread, as in the regularity sweep
+    meshes = {h: build_mesh(domain, h) for h in h_values}
 
     def work(item) -> KornRow:
         index, p, h = item
         rng = np.random.default_rng([seed, index])
         spec = PowerLaw(p)
-        mesh = build_mesh(domain, h)
+        mesh = meshes[h]
         korn_max = meanfree_max = poincare_max = 0.0
         for start in range(0, ensemble, KORN_BLOCK):
             fields = random_zero_boundary_field(mesh, rng, count=min(KORN_BLOCK, ensemble - start))
             G, E = gradient_at_qp(fields), strain_mandel(fields)
-            korn_max = max(korn_max, float(korn_ratio(spec, fields, grad=G, strain=E).max()))
+            grad_mod = modular(spec, fields, "grad", kernel=G)
+            korn = korn_ratio(spec, fields, strain=E, grad_modular=grad_mod)
+            korn_max = max(korn_max, float(korn.max()))
             meanfree_max = max(
                 meanfree_max, float(korn_ratio_meanfree(spec, fields, grad=G, strain=E).max())
             )
-            poincare_max = max(
-                poincare_max, float(poincare_ratio(spec, fields, r=1.0, grad=G).max())
-            )
+            poincare = poincare_ratio(spec, fields, r=1.0, grad_modular=grad_mod)
+            poincare_max = max(poincare_max, float(poincare.max()))
         return KornRow(p, h, korn_max, meanfree_max, poincare_max)
 
     rows = _parallel(work, items, jobs)
@@ -977,9 +981,12 @@ def run_suite(kind: str, options: dict, seed: int, jobs: int = 1) -> SuiteResult
     """Run suite ``kind``; ``options`` maps sections to keys, as in a config file.
 
     An unknown section or key, a count below its minimum or a list shorter than it raises
-    :class:`DomainError`; every key left out takes its default.
+    :class:`DomainError`, as does a worker-pool size ``jobs`` below 1; every key left out
+    takes its default.
     """
     if kind not in SUITES:
         raise DomainError(f"unknown suite {kind!r}; valid: {', '.join(sorted(SUITES))}")
+    if jobs < 1:
+        raise DomainError(f"jobs (the worker-pool size) must be at least 1, got {jobs}")
     suite = SUITES[kind]
     return suite.runner(suite.options(options), seed, jobs)

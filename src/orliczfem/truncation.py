@@ -43,6 +43,7 @@ is exactly 0 and nothing is searched.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -337,6 +338,11 @@ class _ForcingSample:
     comps: list  # the two components as lattice functions
     joint: np.ndarray  # their joint gradient magnitude
 
+    @functools.cached_property
+    def maximal(self) -> np.ndarray:
+        """M(joint), computed for the first level that is not inert and kept for the rest."""
+        return maximal_function(self.joint)
+
 
 def _forcing_sample(f: FemField, lattice_n: int) -> _ForcingSample:
     """The sample of ``f`` on its mesh's n x n lattice, memoised on ``f`` and redone if
@@ -376,8 +382,9 @@ def f_truncation_for_solver(
     (zero outside the mesh), both components are truncated against a shared
     bad set computed from the joint gradient magnitude, and the result is
     interpolated back to the P2 dofs with the boundary re-zeroed.  The field
-    is sampled once, for every later level: only lam changes between the
-    stages of a continuation.
+    is sampled once, and the sample's maximal function computed once (at the
+    first level that needs it), for every later level: only lam changes
+    between the stages of a continuation.
 
     ``f`` itself is returned when the bad set {M(grad f) > BAD_SET_LEVEL * lam}
     is empty, and also when max |grad f| <= lam, where the bad set need not be.
@@ -390,7 +397,7 @@ def f_truncation_for_solver(
     # is empty; the bad set, thresholded at BAD_SET_LEVEL * lam, need not be
     if float(sample.joint.max()) <= lam:
         return f
-    bad = bad_set(maximal_function(sample.joint), lam)
+    bad = bad_set(sample.maximal, lam)
     if not bad.any():
         return f
 

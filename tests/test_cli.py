@@ -228,6 +228,42 @@ def test_sweep_builds_one_mesh_per_h(tmp_path, monkeypatch):
     assert sorted(built) == [0.25, 0.5]  # shared by both p values
 
 
+def test_korn_suite_builds_one_mesh_per_h(tmp_path, monkeypatch):
+    built = []
+    build_mesh = suites.build_mesh
+
+    def counted(domain, h):
+        built.append(h)
+        return build_mesh(domain, h)
+
+    monkeypatch.setattr(suites, "build_mesh", counted)
+    text = KORN_SMALL.replace("p_values = 1.5 2.0", "p_values = 1.3 1.5 2.0 3.0")
+    cfg = _write(tmp_path, text)
+    assert main(["run", cfg, "--out", str(tmp_path / "o"), "--jobs", "2"]) == 0
+    assert sorted(built) == [0.25, 0.5]  # shared by all four p values
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_flag_below_one_exit_2_names_the_value(tmp_path, capsys, jobs):
+    cfg = _write(tmp_path, KORN_SMALL)
+    assert main(["run", cfg, "--out", str(tmp_path / "o"), "--jobs", jobs]) == 2
+    assert f"got {jobs}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_key_below_one_exit_2_names_the_value(tmp_path, capsys, jobs):
+    cfg = _write(tmp_path, KORN_SMALL.replace("seed = 5\n", f"seed = 5\njobs = {jobs}\n"))
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"got {jobs}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_suite_rejects_jobs_below_one():
+    with pytest.raises(DomainError, match="at least 1, got 0"):
+        run_suite("indices_suite", {}, seed=1, jobs=0)
+
+
 @pytest.mark.parametrize(
     "text,where",
     [

@@ -11,7 +11,10 @@ from scipy.sparse import linalg as splinalg
 from orliczfem import radial
 from orliczfem.fem import (
     FemField,
+    _integral,
+    _matrix_norm,
     _p2_values,
+    _vector_norm,
     assemble_jacobian,
     assemble_residual,
     evaluate_field,
@@ -199,13 +202,21 @@ def test_ratios_given_their_kernels_equal_their_own(square, count):
     u = random_zero_boundary_field(square, np.random.default_rng(31), count=count)
     G, E = gradient_at_qp(u), strain_mandel(u)
     for spec in (PowerLaw(1.3), PowerLaw(3)):
-        assert np.array_equal(korn_ratio(spec, u, grad=G, strain=E), korn_ratio(spec, u))
+        assert np.array_equal(korn_ratio(spec, u, strain=E), korn_ratio(spec, u))
         assert np.array_equal(
             korn_ratio_meanfree(spec, u, grad=G, strain=E), korn_ratio_meanfree(spec, u)
         )
+        # the shared int phi(|grad u|): Korn numerator, Poincare denominator at r = 1
+        grad_mod = modular(spec, u, "grad", kernel=G)
+        assert np.array_equal(grad_mod, modular(spec, u, "grad"))
         assert np.array_equal(
-            poincare_ratio(spec, u, r=0.7, grad=G), poincare_ratio(spec, u, r=0.7)
+            korn_ratio(spec, u, strain=E, grad_modular=grad_mod), korn_ratio(spec, u)
         )
+        assert np.array_equal(
+            poincare_ratio(spec, u, grad_modular=grad_mod), poincare_ratio(spec, u)
+        )
+        with pytest.raises(DomainError, match="r = 1"):
+            poincare_ratio(spec, u, r=0.7, grad_modular=grad_mod)
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +226,22 @@ def test_ratios_given_their_kernels_equal_their_own(square, count):
 
 def _entries(stack):
     return [FemField(stack.mesh, coeffs, stack.zero_boundary) for coeffs in stack.coeffs]
+
+
+@pytest.mark.parametrize("h,count", [(0.25, 5), (1 / 16, 16)])
+def test_stack_quadrature_sum_is_the_elementwise_sum(h, count):
+    # _integral contracts a stack in place of np.sum(w * values); on the
+    # kernels' field-last layout the two must agree to the bit
+    mesh = build_mesh("unit_square", h)
+    stack = random_zero_boundary_field(mesh, np.random.default_rng(41), count=count)
+    w = quad_cache(mesh).weights
+    spec = PowerLaw(1.5)
+    for values in (
+        spec.phi(_matrix_norm(gradient_at_qp(stack))),
+        spec.phi(_vector_norm(strain_mandel(stack))),
+        spec.phi(_vector_norm(values_at_qp(stack))),
+    ):
+        assert np.array_equal(_integral(w, values), np.sum(w * values, axis=(-2, -1)))
 
 
 @pytest.mark.parametrize("count", [1, 3, 16])

@@ -513,15 +513,24 @@ def test_forcing_sampled_once_and_resampled_after_a_change(disk, monkeypatch):
         sampled.append(field)
         return evaluate_located(field, cells, bary)
 
+    maximal = []
+    maximal_function = truncation.maximal_function
+
+    def counted_maximal(mag):
+        maximal.append(mag)
+        return maximal_function(mag)
+
     monkeypatch.setattr(truncation, "evaluate_located", counted)
+    monkeypatch.setattr(truncation, "maximal_function", counted_maximal)
     spec = PowerLaw(1.3)
     f = FemField.from_callable(disk, rough, zero_boundary=True)
     levels = [f_truncation_for_solver(f, hi, spec, lattice_n=32) for hi in (2.0, 10.0, 2.0)]
-    assert len(sampled) == 1
+    assert all(level is not f for level in levels)
+    assert len(sampled) == 1 and len(maximal) == 1  # and so is its maximal function
     assert np.array_equal(levels[0].coeffs, levels[2].coeffs)
 
     f.coeffs *= 0.5  # in place: the sample of the old coefficients must not serve
     halved = f_truncation_for_solver(f, 2.0, spec, lattice_n=32)
-    assert len(sampled) == 2
+    assert len(sampled) == 2 and len(maximal) == 2
     fresh = FemField(disk, f.coeffs.copy(), zero_boundary=True)
     assert np.array_equal(halved.coeffs, f_truncation_for_solver(fresh, 2.0, spec, 32).coeffs)
