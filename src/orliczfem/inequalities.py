@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .nfunctions import INDEX_GRID, NFunction, Truncated, conjugate_exponent
+from .nfunctions import INDEX_GRID, NFunction, Truncated, conjugate_exponent, simonenko_gap
 
 __all__ = ["inequality_margins", "young_margin", "YOUNG_LAMBDAS"]
 
@@ -72,12 +72,10 @@ def inequality_margins(spec: NFunction, grid=None) -> dict[str, float]:
     q_minus = conjugate_exponent(p_minus)
 
     phi_t = spec.phi(t)
-    d_t = spec.d_phi(t)
-    ratio = d_t * t / phi_t
-
+    simonenko_lo, simonenko_hi = simonenko_gap(spec, t)
     margins = {
-        "simonenko_lo": float(np.min(ratio - p_minus)),
-        "simonenko_hi": float(np.min(p_plus - ratio)),
+        "simonenko_lo": float(np.min(simonenko_lo)),
+        "simonenko_hi": float(np.min(simonenko_hi)),
         "delta2_phi": _rel_margin(2.0 ** p_plus * phi_t, spec.phi(2.0 * t)),
     }
 

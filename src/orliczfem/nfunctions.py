@@ -13,8 +13,12 @@ Variants provided here:
 * ``SumPower(p, q)``           phi(t) = t^p + t^q
 * ``Truncated(base, lo, hi)``  phi'(t) = phi'(clip(t, lo, hi)) * t / clip(t, lo, hi)
 
-The truncated variant freezes phi'/t outside [lo, hi], which gives quadratic
-growth (phi'' bounded above and below) while leaving phi untouched in between.
+The truncated variant freezes phi'/t outside [lo, hi] (0 <= lo <= hi, lo < oo,
+hi > 0; (0, oo) is no truncation), which gives quadratic growth (phi'' bounded
+above and below) while leaving phi untouched in between.  For every spec,
+phi''(0) raises ``SingularityError`` exactly when ``singular_at_zero`` is true,
+and evaluators return a float for a scalar argument.  Untruncated, quadratic
+growth means indices (2, 2): then phi''(t) t = phi'(t), so phi'' = phi'(1).
 """
 
 from __future__ import annotations
@@ -90,6 +94,11 @@ def _as_float_array(t):
     return arr
 
 
+def _float_if_0d(out):
+    """``out`` as a float when it is 0-d (a scalar argument), else unchanged."""
+    return float(out) if np.ndim(out) == 0 else out
+
+
 def invert_increasing(func, s):
     """Solve func(t) = s for t >= 0, elementwise, by bracketed bisection.
 
@@ -153,17 +162,17 @@ class NFunction:
         Raises ``DomainError`` for negative arguments and ``SingularityError``
         when phi'' is requested at t = 0 for a spec that is singular there.
         """
-        scalar = np.isscalar(t) or np.ndim(t) == 0
         arr = _as_float_array(t)
-        if self.singular_at_zero and np.any(arr == 0.0):
+        self._check_regular(arr)
+        return tuple(_float_if_0d(v) for v in (self.phi(arr), self.d_phi(arr), self.dd_phi(arr)))
+
+    def _check_regular(self, t):
+        """Raise ``SingularityError`` if phi'' is asked for at t = 0 of a singular spec."""
+        if self.singular_at_zero and np.any(t == 0.0):
             raise SingularityError(
                 f"{self.describe()}: second derivative undefined at t=0; "
                 "use a truncated spec with trunc_lo > 0"
             )
-        out = (self.phi(arr), self.d_phi(arr), self.dd_phi(arr))
-        if scalar:
-            return tuple(float(v) for v in out)
-        return out
 
     # -- indices ------------------------------------------------------------
 
@@ -181,19 +190,15 @@ class NFunction:
 
     def d_phi_inv(self, s):
         """Inverse of phi', by bracketed bisection to relative tolerance 1e-12."""
-        scalar = np.isscalar(s) or np.ndim(s) == 0
-        out = invert_increasing(self.d_phi, _as_float_array(s))
-        return float(out) if scalar else out
+        return _float_if_0d(invert_increasing(self.d_phi, _as_float_array(s)))
 
     def conjugate(self, s):
         """phi*(s) = sup_t (s t - phi(t)), via s * (phi')^-1(s) - phi((phi')^-1(s))."""
-        scalar = np.isscalar(s) or np.ndim(s) == 0
         arr = _as_float_array(s)
         tau = self.d_phi_inv(arr)
         out = arr * tau - self.phi(np.asarray(tau))
         # Legendre values are nonnegative; clip away rounding dust near 0.
-        out = np.maximum(out, 0.0)
-        return float(out) if scalar else out
+        return _float_if_0d(np.maximum(out, 0.0))
 
     def conjugate_spec(self) -> "NFunction":
         """The conjugate as a full N-function object (numeric evaluators)."""
@@ -202,15 +207,23 @@ class NFunction:
     # -- growth and truncation ------------------------------------------------
 
     def has_quadratic_growth(self) -> bool:
-        """True when phi'' is bounded above and below by positive constants."""
-        return False
+        """True when phi'' lies between positive constants: untruncated, indices (2, 2)."""
+        idx = self.indices()
+        return idx.p_minus == idx.p_plus == 2.0
 
     def quadratic_growth_bounds(self):
-        """(inf phi'', sup phi'') for quadratic-growth specs, else None."""
-        return None
+        """(inf phi'', sup phi'') for quadratic-growth specs, else None.
+
+        Untruncated, phi'' is the constant phi'(1); phi''(1) may round off it.
+        """
+        if not self.has_quadratic_growth():
+            return None
+        c = float(self.d_phi(1.0))
+        return (c, c)
 
     def truncate(self, lo: float, hi: float) -> "NFunction":
-        if lo <= 0.0 and math.isinf(hi):
+        """``Truncated(self, lo, hi)``; (0, oo) is no truncation and gives self."""
+        if lo == 0.0 and hi == math.inf:
             return self
         return Truncated(self, lo, hi)
 
@@ -258,26 +271,14 @@ class PowerLaw(NFunction):
 
     def dd_phi(self, t):
         t = np.asarray(t, dtype=float)
-        if self.p >= 2.0:
-            return (self.p - 1.0) * t ** (self.p - 2.0)
-        if np.any(t == 0.0):
-            raise SingularityError(f"power p={self.p}: phi'' singular at t=0")
+        self._check_regular(t)
         return (self.p - 1.0) * t ** (self.p - 2.0)
 
     def indices(self) -> IndexPair:
         return IndexPair(self.p, self.p)
 
     def d_phi_inv(self, s):
-        scalar = np.isscalar(s) or np.ndim(s) == 0
-        arr = _as_float_array(s)
-        out = arr ** (1.0 / (self.p - 1.0))
-        return float(out) if scalar else out
-
-    def has_quadratic_growth(self):
-        return self.p == 2.0
-
-    def quadratic_growth_bounds(self):
-        return (1.0, 1.0) if self.p == 2.0 else None
+        return _float_if_0d(_as_float_array(s) ** (1.0 / (self.p - 1.0)))
 
 
 class DeltaPower(NFunction):
@@ -294,8 +295,8 @@ class DeltaPower(NFunction):
     def __init__(self, p: float, delta: float):
         self.p = _check_exponent(p)
         self.delta = float(delta)
-        if self.delta < 0.0:
-            raise DomainError(f"delta must be nonnegative, got {delta}")
+        if not (0.0 <= self.delta < math.inf):
+            raise DomainError(f"delta must be finite and nonnegative, got {delta}")
         self.singular_at_zero = self.delta == 0.0 and self.p < 2.0
 
     def _fields(self):
@@ -338,10 +339,7 @@ class DeltaPower(NFunction):
     def dd_phi(self, t):
         t = np.asarray(t, dtype=float)
         if self.delta == 0.0:
-            if self.p >= 2.0:
-                return (self.p - 1.0) * t ** (self.p - 2.0)
-            if np.any(t == 0.0):
-                raise SingularityError(f"delta_power p={self.p}, delta=0: phi'' singular at t=0")
+            self._check_regular(t)
             return (self.p - 1.0) * t ** (self.p - 2.0)
         return (self.delta + t) ** (self.p - 3.0) * ((self.p - 1.0) * t + self.delta)
 
@@ -349,12 +347,6 @@ class DeltaPower(NFunction):
         if self.delta == 0.0:
             return IndexPair(self.p, self.p)
         return IndexPair(min(self.p, 2.0), max(self.p, 2.0))
-
-    def has_quadratic_growth(self):
-        return self.p == 2.0
-
-    def quadratic_growth_bounds(self):
-        return (1.0, 1.0) if self.p == 2.0 else None
 
 
 class SumPower(NFunction):
@@ -376,8 +368,7 @@ class SumPower(NFunction):
 
     def dd_phi(self, t):
         t = np.asarray(t, dtype=float)
-        if self.singular_at_zero and np.any(t == 0.0):
-            raise SingularityError(f"sum p={self.p}, q={self.q}: phi'' singular at t=0")
+        self._check_regular(t)
         return (
             self.p * (self.p - 1.0) * t ** (self.p - 2.0)
             + self.q * (self.q - 1.0) * t ** (self.q - 2.0)
@@ -386,19 +377,13 @@ class SumPower(NFunction):
     def indices(self) -> IndexPair:
         return IndexPair(min(self.p, self.q), max(self.p, self.q))
 
-    def has_quadratic_growth(self):
-        return self.p == 2.0 and self.q == 2.0
-
-    def quadratic_growth_bounds(self):
-        return (4.0, 4.0) if self.has_quadratic_growth() else None
-
 
 class Truncated(NFunction):
     """phi'(t) frozen to linear growth below ``lo`` and above ``hi``.
 
     ``lo = 0`` and ``hi = inf`` give one-sided truncations; both finite and
     positive yield quadratic growth.  Values and derivatives agree with the
-    base on (lo, hi).
+    base on (lo, hi).  Bounds need 0 <= lo <= hi, lo < inf and hi > 0.
     """
 
     def __init__(self, base: NFunction, lo: float, hi: float):
@@ -406,21 +391,28 @@ class Truncated(NFunction):
             raise DomainError("cannot truncate an already truncated spec")
         lo = float(lo)
         hi = float(hi)
-        if not (0.0 <= lo <= hi):
-            raise DomainError(f"need 0 <= trunc_lo <= trunc_hi, got ({lo}, {hi})")
+        if not (0.0 <= lo <= hi and lo < math.inf and hi > 0.0):
+            raise DomainError(
+                f"need 0 <= trunc_lo <= trunc_hi, trunc_lo < oo and trunc_hi > 0, "
+                f"got ({lo}, {hi})"
+            )
         self.base = base
         self.lo = lo
         self.hi = hi
         self.singular_at_zero = lo == 0.0 and base.singular_at_zero
-        # Cached branch constants phi'(c)/c (slopes of the frozen branches).
-        self._k_lo = base.d_phi(lo) / lo if lo > 0.0 else None
+        # Edges in t and slopes phi'(c)/c of the frozen branches.  An untruncated
+        # side gets NaN for both: no comparison with NaN holds, so its mask is
+        # empty and its branch is never called, even at t = inf.
+        self._lo_t = lo if lo > 0.0 else math.nan
+        self._hi_t = hi if math.isfinite(hi) else math.nan
+        self._k_lo = base.d_phi(lo) / lo if lo > 0.0 else math.nan
         self._phi_lo = float(base.phi(np.asarray(lo))) if lo > 0.0 else 0.0
+        self._k_hi = base.d_phi(hi) / hi if math.isfinite(hi) else math.nan
         if math.isfinite(hi):
-            self._k_hi = base.d_phi(hi) / hi
             self._phi_at_hi = float(self._phi_branch_mid(np.asarray(hi)))
-        else:
-            self._k_hi = None
-            self._phi_at_hi = None
+        # The same edges in s = phi'(t), for the inverse of phi'.
+        self._lo_s = self._lo_t * self._k_lo
+        self._hi_s = self._hi_t * self._k_hi
 
     def _fields(self):
         return list(self.base._fields()) + [("trunc_lo", self.lo), ("trunc_hi", self.hi)]
@@ -436,17 +428,15 @@ class Truncated(NFunction):
     def _phi_branch_hi(self, t):
         return self._phi_at_hi + 0.5 * self._k_hi * (t * t - self.hi * self.hi)
 
+    @staticmethod
+    def _branches(x, below, above, mid, at_lo, at_hi):
+        """``at_lo`` on ``below``, ``at_hi`` on ``above`` and ``mid`` elsewhere."""
+        return _piecewise(x, [(~(below | above), mid), (below, at_lo), (above, at_hi)])
+
     def phi(self, t):
         t = np.asarray(t, dtype=float)
-        below = t <= self.lo if self.lo > 0.0 else np.zeros(t.shape, dtype=bool)
-        above = t > self.hi if math.isfinite(self.hi) else np.zeros(t.shape, dtype=bool)
-        mid = ~(below | above)
-        pairs = [(mid, self._phi_branch_mid)]
-        if self.lo > 0.0:
-            pairs.append((below, self._phi_branch_lo))
-        if math.isfinite(self.hi):
-            pairs.append((above, self._phi_branch_hi))
-        return _piecewise(t, pairs)
+        branches = (self._phi_branch_mid, self._phi_branch_lo, self._phi_branch_hi)
+        return self._branches(t, t <= self._lo_t, t > self._hi_t, *branches)
 
     def d_phi(self, t):
         t = np.asarray(t, dtype=float)
@@ -460,32 +450,16 @@ class Truncated(NFunction):
 
     def dd_phi(self, t):
         t = np.asarray(t, dtype=float)
-        below = t <= self.lo if self.lo > 0.0 else np.zeros(t.shape, dtype=bool)
-        above = t >= self.hi if math.isfinite(self.hi) else np.zeros(t.shape, dtype=bool)
-        mid = ~(below | above)
-        pairs = [(mid, self.base.dd_phi)]
-        if self.lo > 0.0:
-            pairs.append((below, lambda x: np.full_like(x, self._k_lo)))
-        if math.isfinite(self.hi):
-            pairs.append((above, lambda x: np.full_like(x, self._k_hi)))
-        return _piecewise(t, pairs)
+        frozen = (lambda x: np.full_like(x, self._k_lo), lambda x: np.full_like(x, self._k_hi))
+        return self._branches(t, t <= self._lo_t, t >= self._hi_t, self.base.dd_phi, *frozen)
 
     def d_phi_inv(self, s):
         """Inverse of phi' by branch: s / k_lo up to phi'(lo), s / k_hi from phi'(hi) on,
         and the base's inverse in between."""
-        scalar = np.isscalar(s) or np.ndim(s) == 0
-        arr = _as_float_array(s)
-        none = np.zeros(arr.shape, dtype=bool)
-        below = arr <= self.lo * self._k_lo if self.lo > 0.0 else none
-        above = arr >= self.hi * self._k_hi if math.isfinite(self.hi) else none
-        mid = ~(below | above)
-        pairs = [(mid, self.base.d_phi_inv)]
-        if self.lo > 0.0:
-            pairs.append((below, lambda x: x / self._k_lo))
-        if math.isfinite(self.hi):
-            pairs.append((above, lambda x: x / self._k_hi))
-        out = _piecewise(arr, pairs)
-        return float(out) if scalar else out
+        s = _as_float_array(s)
+        frozen = (lambda x: x / self._k_lo, lambda x: x / self._k_hi)
+        out = self._branches(s, s <= self._lo_s, s >= self._hi_s, self.base.d_phi_inv, *frozen)
+        return _float_if_0d(out)
 
     def indices(self) -> IndexPair:
         # Frozen branches contribute ratio exactly 2; in between the base ratio
@@ -521,13 +495,10 @@ class _Conjugate(NFunction):
 
     def __init__(self, base: NFunction):
         self.base = base
-        try:
-            dd0 = float(base.dd_phi(np.asarray(0.0)))
-        except SingularityError:
-            dd0 = math.inf
+        dd0 = math.inf if base.singular_at_zero else float(base.dd_phi(np.asarray(0.0)))
         # (phi*)''(0) = 1 / phi''(0): singular exactly when phi''(0) = 0.
-        self._second_at_zero = None if dd0 == 0.0 else 1.0 / dd0
         self.singular_at_zero = dd0 == 0.0
+        self._second_at_zero = math.inf if self.singular_at_zero else 1.0 / dd0
 
     def _fields(self):
         return [("variant", "conjugate")] + [("base_" + k, v) for k, v in self.base._fields()]
@@ -540,10 +511,9 @@ class _Conjugate(NFunction):
 
     def dd_phi(self, s):
         s = np.asarray(s, dtype=float)
+        self._check_regular(s)
         zero = s == 0.0
         if np.any(zero):
-            if self._second_at_zero is None:
-                raise SingularityError("conjugate spec: phi'' singular at t=0")
             return _piecewise(
                 s,
                 [
@@ -555,9 +525,7 @@ class _Conjugate(NFunction):
 
     def d_phi_inv(self, s):
         # ((phi*)')^-1 = phi' exactly.
-        scalar = np.isscalar(s) or np.ndim(s) == 0
-        out = self.base.d_phi(_as_float_array(s))
-        return float(out) if scalar else out
+        return _float_if_0d(self.base.d_phi(_as_float_array(s)))
 
     def indices(self) -> IndexPair:
         return self.base.indices().conjugate()
@@ -576,8 +544,7 @@ def young_gap(spec: NFunction, s, t, lam: float = 1.0):
     t_arr = _as_float_array(t)
     p_plus = spec.indices().p_plus
     out = lam ** (1.0 - p_plus) * spec.phi(s_arr) + lam * spec.conjugate(t_arr) - s_arr * t_arr
-    scalar = (np.isscalar(s) or np.ndim(s) == 0) and (np.isscalar(t) or np.ndim(t) == 0)
-    return float(out) if scalar else out
+    return _float_if_0d(out)
 
 
 def simonenko_gap(spec: NFunction, t):
@@ -587,11 +554,7 @@ def simonenko_gap(spec: NFunction, t):
         raise DomainError("simonenko ratio needs t > 0")
     ratio = spec.d_phi(arr) * arr / spec.phi(arr)
     idx = spec.indices()
-    lo_gap = ratio - idx.p_minus
-    hi_gap = idx.p_plus - ratio
-    if np.isscalar(t) or np.ndim(t) == 0:
-        return float(lo_gap), float(hi_gap)
-    return lo_gap, hi_gap
+    return _float_if_0d(ratio - idx.p_minus), _float_if_0d(idx.p_plus - ratio)
 
 
 def truncation_dual_gap(base: NFunction, lo: float, hi: float, s):
@@ -607,8 +570,7 @@ def truncation_dual_gap(base: NFunction, lo: float, hi: float, s):
     lhs = Truncated(base, lo, hi).conjugate(s)
     rhs_spec = Truncated(base.conjugate_spec(), float(base.d_phi(lo)), float(base.d_phi(hi)))
     rhs = rhs_spec.phi(np.asarray(s, dtype=float))
-    out = np.abs(lhs - rhs)
-    return float(out) if (np.isscalar(s) or np.ndim(s) == 0) else out
+    return _float_if_0d(np.abs(lhs - rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -628,9 +590,7 @@ SPEC_KEYS = {
 
 def to_text(spec: NFunction) -> str:
     """Serialize to a key=value block, one pair per line."""
-    if isinstance(spec, _Conjugate):
-        raise DomainError("conjugate specs are derived objects and do not serialize")
-    if isinstance(spec, Truncated) and isinstance(spec.base, _Conjugate):
+    if isinstance(spec.base if isinstance(spec, Truncated) else spec, _Conjugate):
         raise DomainError("conjugate specs are derived objects and do not serialize")
     return "\n".join(f"{k}={v}" for k, v in spec._fields()) + "\n"
 

@@ -38,6 +38,23 @@ def test_malformed_key_exit_2_names_key(tmp_path, capsys):
     assert "frobnitz" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        (MINIMAL + "trunc_lo = -1\n", "trunc_lo"),
+        (MINIMAL + "trunc_lo = inf\n", "trunc_lo"),
+        (MINIMAL + "trunc_hi = 0\n", "trunc_lo"),
+        (MINIMAL.replace("= power", "= delta_power") + "delta = nan\n", "delta must be"),
+    ],
+    ids=["trunc_lo_negative", "trunc_lo_infinite", "trunc_hi_zero", "delta_nan"],
+)
+def test_spec_out_of_range_exit_2_names_the_key(tmp_path, capsys, text, named):
+    cfg = _write(tmp_path, text)
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_unknown_section_exit_2(tmp_path, capsys):
     cfg = _write(tmp_path, MINIMAL + "\n[warp]\nfactor = 9\n")
     assert main(["run", cfg]) == 2

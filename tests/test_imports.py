@@ -63,14 +63,20 @@ sys.path.insert(0, {str(ROOT / "perfbench")!r})
 import numpy as np
 import tracer
 spans = tracer.Tracer()
-tracer.install(spans)
 from orliczfem import fem, meshing, nfunctions, truncation
+spec = nfunctions.Truncated(nfunctions.PowerLaw(1.5), 0.1, 10.0)
+conjugate = spec.conjugate_spec()
+tracer.install(spans)
+t = np.linspace(0.0, 20.0, 7)
+for evaluate in (spec.phi, spec.d_phi, spec.dd_phi, spec.d_phi_inv, spec.conjugate, conjugate.phi):
+    evaluate(t)
+spec_points = spans.counts["nfunctions.eval_points"]
 mesh = meshing.build_mesh("unit_disk", 0.25)
 rough = lambda x, y: (1 - x * x - y * y) ** 2 * np.stack([np.sin(6 * x), np.cos(5 * y)])
 f = fem.FemField.from_callable(mesh, rough, zero_boundary=True)
 for hi in (1.0, 2.0):
     truncation.f_truncation_for_solver(f, hi, nfunctions.PowerLaw(1.3), lattice_n=16)
-print(json.dumps(dict(spans.counts)))
+print(json.dumps(dict(spans.counts, spec_points=spec_points)))
 """
 
 
@@ -85,6 +91,9 @@ def test_benchmark_tracer_installs_on_the_library():
     counts = json.loads(done.stdout.splitlines()[-1])
     assert counts["truncation.forcing_calls"] == 2
     assert counts["fem.locate_calls"] == 1
+    # six outermost evaluations of 7 points each; the base and inverse calls
+    # nested inside Truncated and conjugate evaluators count nothing
+    assert counts["spec_points"] == 42
 
 
 def _library_imports(path):

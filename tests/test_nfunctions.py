@@ -8,6 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import SPEC_ROSTER, spec_id
 from orliczfem.inequalities import inequality_margins
 from orliczfem.nfunctions import (
     INDEX_GRID,
@@ -73,6 +74,27 @@ def test_eval_singular_second_derivative_at_zero(singular):
     # phi and phi' themselves are fine at zero
     assert singular.phi(np.asarray(0.0)) == 0.0
     assert singular.d_phi(np.asarray(0.0)) == 0.0
+
+
+def _raises_singularity(func):
+    try:
+        func()
+    except SingularityError:
+        return True
+    return False
+
+
+SINGULARITY_ROSTER = (
+    SPEC_ROSTER
+    + [spec.conjugate_spec() for spec in SPEC_ROSTER]
+    + [Truncated(PowerLaw(1.5), 0.0, 10.0)]
+)
+
+
+@pytest.mark.parametrize("spec", SINGULARITY_ROSTER, ids=spec_id)
+def test_second_derivative_at_zero_raises_exactly_when_singular(spec):
+    assert _raises_singularity(lambda: spec.dd_phi(np.zeros(3))) == spec.singular_at_zero
+    assert _raises_singularity(lambda: spec.eval(0.0)) == spec.singular_at_zero
 
 
 def test_phi_is_integral_of_d_phi(spec):
@@ -146,6 +168,34 @@ def test_invalid_exponents_rejected():
         Truncated(PowerLaw(2), 2.0, 1.0)
     with pytest.raises(DomainError):
         IndexPair(2.0, 1.5)
+
+
+@pytest.mark.parametrize("delta", [math.nan, math.inf])
+def test_delta_power_rejects_a_non_finite_shift(delta):
+    with pytest.raises(DomainError, match="delta"):
+        DeltaPower(3.0, delta)
+    with pytest.raises(DomainError, match="delta"):
+        from_text(f"variant=delta_power, p=3.0, delta={delta}")
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(-1.0, math.inf), (0.0, -math.inf), (math.inf, math.inf), (0.0, 0.0)],
+)
+def test_truncation_bounds_are_checked_once(lo, hi):
+    # only (0, oo) means untruncated; every other pair is checked by Truncated
+    with pytest.raises(DomainError, match="trunc_lo"):
+        PowerLaw(3.0).truncate(lo, hi)
+    with pytest.raises(DomainError, match="trunc_lo"):
+        Truncated(PowerLaw(3.0), lo, hi)
+    with pytest.raises(DomainError, match="trunc_lo"):
+        from_text(f"variant=power, p=3.0, trunc_lo={lo}, trunc_hi={hi}")
+
+
+def test_truncate_to_zero_and_infinity_is_the_spec_itself():
+    spec = PowerLaw(3.0)
+    assert spec.truncate(0.0, math.inf) is spec
+    assert from_text("variant=power, p=3.0, trunc_lo=0.0") == spec
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +393,28 @@ def test_quadratic_growth_flags():
     assert not Truncated(PowerLaw(3), 0.1, math.inf).has_quadratic_growth()
 
 
+@pytest.mark.parametrize(
+    "spec, bounds",
+    [
+        (PowerLaw(2), (1.0, 1.0)),
+        (DeltaPower(2, 0.3), (1.0, 1.0)),
+        (DeltaPower(2, 0.1), (1.0, 1.0)),
+        (SumPower(2, 2), (4.0, 4.0)),
+        (Truncated(PowerLaw(2), 0.5, math.inf), (1.0, 1.0)),
+    ],
+    ids=["power", "delta_power", "delta_power_0.1", "sum", "truncated_lo"],
+)
+def test_quadratic_growth_bounds_of_index_two_specs(spec, bounds):
+    assert spec.has_quadratic_growth()
+    assert spec.quadratic_growth_bounds() == bounds
+
+
+@pytest.mark.parametrize("spec", [PowerLaw(3), DeltaPower(3, 1), SumPower(2, 3)], ids=spec_id)
+def test_no_quadratic_growth_off_index_two(spec):
+    assert not spec.has_quadratic_growth()
+    assert spec.quadratic_growth_bounds() is None
+
+
 def test_one_sided_truncations_match_base_on_their_side():
     base = PowerLaw(3)
     up = Truncated(base, 0.0, 2.0)
@@ -351,6 +423,60 @@ def test_one_sided_truncations_match_base_on_their_side():
     t_large = np.linspace(0.6, 50.0, 20)
     assert up.phi(t_small) == pytest.approx(base.phi(t_small), rel=1e-13)
     assert down.d_phi(t_large) == pytest.approx(base.d_phi(t_large), rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "base, lo, hi",
+    [
+        (PowerLaw(1.5), 0.1, 10.0),
+        (PowerLaw(3.0), 0.5, math.inf),
+        (DeltaPower(1.5, 0.3), 0.0, 2.0),
+    ],
+    ids=["two_sided", "lo_only", "hi_only"],
+)
+def test_truncated_evaluators_are_their_branch_formulas_at_the_edges(base, lo, hi):
+    # the documented formulas, bit for bit: phi'/t is frozen to k_lo on [0, lo]
+    # and to k_hi on [hi, oo); at t = hi, phi takes the middle branch, phi'' the top one
+    spec = Truncated(base, lo, hi)
+
+    def on_base(func, t):  # a branch sees the base on an array
+        return float(func(np.array([t]))[0])
+
+    def phi_mid(t):
+        if lo == 0.0:
+            return on_base(base.phi, t)
+        return on_base(base.phi, t) - float(base.phi(np.asarray(lo))) + 0.5 * lo * base.d_phi(lo)
+
+    k_lo = base.d_phi(lo) / lo if lo > 0.0 else None
+    k_hi = base.d_phi(hi) / hi if math.isfinite(hi) else None
+    ts = [t for t in (0.0, lo, hi) if t < math.inf]
+    phi, d_phi, dd_phi = [], [], []
+    for t in ts:
+        c = min(max(t, lo), hi)
+        d_phi.append(on_base(base.d_phi, c) / c * t if c > 0.0 else 0.0)
+        if lo > 0.0 and t <= lo:
+            phi.append(0.5 * k_lo * t * t)
+            dd_phi.append(k_lo)
+        else:
+            phi.append(phi_mid(t))
+            dd_phi.append(k_hi if t == hi else on_base(base.dd_phi, t))
+    t = np.array(ts)
+    assert spec.phi(t).tolist() == [float(v) for v in phi]
+    assert spec.d_phi(t).tolist() == [float(v) for v in d_phi]
+    assert spec.dd_phi(t).tolist() == [float(v) for v in dd_phi]
+
+    # s = phi'(lo) and phi'(hi) take the frozen inverses s / k; phi'(0) = 0 the base's
+    s, inverse = [], []
+    if lo > 0.0:
+        s.append(lo * k_lo)
+        inverse.append(lo * k_lo / k_lo)
+    else:
+        s.append(0.0)
+        inverse.append(on_base(base.d_phi_inv, 0.0))
+    if k_hi is not None:
+        s.append(hi * k_hi)
+        inverse.append(hi * k_hi / k_hi)
+    assert spec.d_phi_inv(np.array(s)).tolist() == [float(v) for v in inverse]
 
 
 # ---------------------------------------------------------------------------
