@@ -1,9 +1,10 @@
-"""Manufactured solutions: pick u*, derive f = -div(a_map(eps u*)) symbolically.
+"""Manufactured solution: the sine bubble u* and its forcing f = -div(a_map(eps u*)).
 
-The strain entries of u* and their partial derivatives come from sympy, which
-is imported on first use, so that runs of other suites do not load it; the
-divergence of the stress sigma = a_map(eps) is then assembled by the exact
-chain rule d_j sigma = DA(eps)[d_j eps] (see :mod:`orliczfem.radial`),
+u* = (a sin(pi x) sin(pi y), 0) vanishes on the boundary of the unit square.
+Its displacement, gradient, strain entries and their partial derivatives are
+written in closed form; the divergence of the stress sigma = a_map(eps) is then
+assembled by the exact chain rule d_j sigma = DA(eps)[d_j eps] (see
+:mod:`orliczfem.radial`),
 
     f_i = - sum_j DA(eps)[d_j eps]_ij,
 
@@ -36,62 +37,53 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 
 
-def _sympy_xy():
-    """The sympy module and the real symbols x, y of every manufactured case."""
-    import sympy
-
-    x, y = sympy.symbols("x y", real=True)
-    return sympy, x, y
-
-
 def _mandel(e11, e22, e12):
     """(..., 3) Mandel vectors of the symmetric matrices [[e11, e12], [e12, e22]]."""
     return np.stack([e11, e22, _SQRT2 * e12], axis=-1)
 
 
-@dataclass
+def _trig(x, y):
+    """sin(pi x), sin(pi y), cos(pi x), cos(pi y)."""
+    return np.sin(np.pi * x), np.sin(np.pi * y), np.cos(np.pi * x), np.cos(np.pi * y)
+
+
+@dataclass(frozen=True)
 class ManufacturedCase:
-    """Symbolic reference solution (sympy expressions in x, y) with lambdified strain data."""
+    """The sine bubble u* = (a sin(pi x) sin(pi y), 0) with closed-form strain data.
 
-    name: str
-    u_sym: tuple
+    Each entry is a product taken left to right: the coefficient, pi, the
+    sines, the cosines. ``tests/test_solver.py`` checks them symbolically.
+    """
 
-    def __post_init__(self):
-        sympy, x, y = _sympy_xy()
-        u1, u2 = self.u_sym
-        e11 = sympy.diff(u1, x)
-        e22 = sympy.diff(u2, y)
-        e12 = (sympy.diff(u1, y) + sympy.diff(u2, x)) / 2
-        grads = [sympy.diff(u1, x), sympy.diff(u1, y), sympy.diff(u2, x), sympy.diff(u2, y)]
-        strains = [e11, e22, e12]
-        d_strains = [sympy.diff(e, v) for e in strains for v in (x, y)]
-        lamb = lambda expr: sympy.lambdify((x, y), expr, modules="numpy")
-        self._u = [lamb(u1), lamb(u2)]
-        self._grad = [lamb(g) for g in grads]
-        self._eps = [lamb(e) for e in strains]
-        self._deps = [lamb(d) for d in d_strains]  # [dx e11, dy e11, dx e22, ...]
-
-    def _broadcast(self, funcs, x, y):
-        return [np.broadcast_to(np.asarray(fn(x, y), dtype=float), np.shape(x)) for fn in funcs]
+    amplitude: float
 
     def u(self, x, y):
         """(..., 2) exact displacement."""
-        return np.stack(self._broadcast(self._u, x, y), axis=-1)
+        u1 = self.amplitude * np.sin(np.pi * x) * np.sin(np.pi * y)
+        return np.stack([u1, np.zeros_like(u1)], axis=-1)
 
     def grad_u(self, x, y):
         """(..., 2, 2) exact Jacobian du_e/dx_d."""
-        g = self._broadcast(self._grad, x, y)
-        return np.stack(
-            [np.stack([g[0], g[1]], axis=-1), np.stack([g[2], g[3]], axis=-1)], axis=-2
-        )
+        sx, sy, cx, cy = _trig(x, y)
+        a = self.amplitude
+        du1 = np.stack([a * np.pi * sy * cx, a * np.pi * sx * cy], axis=-1)
+        return np.stack([du1, np.zeros_like(du1)], axis=-2)
 
     def strain(self, x, y):
         """(e11, e22, e12) arrays."""
-        return self._broadcast(self._eps, x, y)
+        sx, sy, cx, cy = _trig(x, y)
+        a = self.amplitude
+        e11 = a * np.pi * sy * cx
+        return [e11, np.zeros_like(e11), (a / 2) * np.pi * sx * cy]
 
     def strain_derivs(self, x, y):
         """[dx e11, dy e11, dx e22, dy e22, dx e12, dy e12] arrays."""
-        return self._broadcast(self._deps, x, y)
+        sx, sy, cx, cy = _trig(x, y)
+        a, pi2 = self.amplitude, np.pi**2
+        dx_e11, dy_e11 = -a * pi2 * sx * sy, a * pi2 * cx * cy
+        dx_e12, dy_e12 = (a / 2) * pi2 * cx * cy, -(a / 2) * pi2 * sx * sy
+        zero = np.zeros_like(dx_e11)
+        return [dx_e11, dy_e11, zero, zero, dx_e12, dy_e12]
 
     def forcing(self, spec: NFunction):
         """f(x, y) -> (..., 2) with f = -div(stress of eps u*) for ``spec``."""
@@ -113,9 +105,7 @@ class ManufacturedCase:
 
 def sine_bubble(amplitude: float = 1.0) -> ManufacturedCase:
     """u* = (a sin(pi x) sin(pi y), 0): zero on the unit-square boundary."""
-    sympy, x, y = _sympy_xy()
-    expr = amplitude * sympy.sin(sympy.pi * x) * sympy.sin(sympy.pi * y)
-    return ManufacturedCase("sine_bubble", (expr, sympy.Integer(0)))
+    return ManufacturedCase(amplitude)
 
 
 def exact_field(mesh: Mesh, case: ManufacturedCase) -> FemField:
@@ -141,13 +131,13 @@ def convergence_study(
     spec: NFunction,
     case: ManufacturedCase,
     h_values,
-    domain: str = "unit_square",
     cfg: SolveConfig | None = None,
 ):
-    """Solve at each h against the manufactured forcing; returns (errors, rates)."""
+    """Solve at each h on the unit square, on whose boundary u* vanishes;
+    returns (errors, rates)."""
     errors = []
     for h in h_values:
-        mesh = build_mesh(domain, h)
+        mesh = build_mesh("unit_square", h)
         f = forcing_field(mesh, spec, case)
         u, _ = solve(mesh, spec, f, cfg)
         errors.append(h1_error(u, case))

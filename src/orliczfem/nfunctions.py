@@ -89,8 +89,8 @@ class IndexPair:
 
 def _as_float_array(t):
     arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0.0):
-        raise DomainError("N-function arguments must be nonnegative")
+    if not np.all(arr >= 0.0):  # NaN fails every comparison
+        raise DomainError("N-function arguments must be nonnegative and not NaN")
     return arr
 
 
@@ -159,7 +159,7 @@ class NFunction:
     def eval(self, t):
         """Return the triple (phi(t), phi'(t), phi''(t)).
 
-        Raises ``DomainError`` for negative arguments and ``SingularityError``
+        Raises ``DomainError`` for negative or NaN arguments and ``SingularityError``
         when phi'' is requested at t = 0 for a spec that is singular there.
         """
         arr = _as_float_array(t)

@@ -1,9 +1,11 @@
 """Imports: what loading the CLI costs and which names cross module boundaries.
 
-The CLI loads neither scipy.signal nor sympy until a run needs them; no
-library module takes a private name from another; every name a module lists
-in ``__all__`` exists; and the benchmark tracer, which rebinds library
-functions by module and name, still finds them all.
+The CLI loads neither scipy.signal nor scipy.stats, and no run loads sympy
+(a test-only reference); the library imports only the standard library and
+its declared dependencies; no library module takes a private name from
+another; every name a module lists in ``__all__`` exists; and the benchmark
+tracer, which rebinds library functions by module and name, still finds them
+all.
 """
 
 import ast
@@ -11,6 +13,7 @@ import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -27,25 +30,29 @@ import numpy as np
 import orliczfem.cli
 at_import = [m for m in {HEAVY!r} if m in sys.modules]
 from orliczfem.manufactured import sine_bubble
+from orliczfem.nfunctions import PowerLaw
 case = sine_bubble(0.5)
 x, y = np.array([0.5, 0.25]), np.array([0.5, 0.5])
+forcing = case.forcing(PowerLaw(3))(0.25, 0.5)
 print(json.dumps({{
     "at_import": at_import,
     "sympy_after_case": "sympy" in sys.modules,
     "u": case.u(x, y).tolist(),
     "strain": [e.tolist() for e in case.strain(x, y)],
+    "forcing": forcing.tolist(),
 }}))
 """
 
 
-def test_cli_import_leaves_heavy_modules_unloaded_until_a_manufactured_case():
+def test_cli_import_leaves_heavy_modules_unloaded_and_a_manufactured_case_needs_no_sympy():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run(
         [sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, check=True
     )
     probe = json.loads(done.stdout.splitlines()[-1])
     assert probe["at_import"] == []
-    assert probe["sympy_after_case"]
+    assert not probe["sympy_after_case"]
+    assert all(math.isfinite(f) for f in probe["forcing"])
     # u* = (0.5 sin(pi x) sin(pi y), 0); e11 = du1/dx, e22 = 0, e12 = du1/dy / 2
     r = 0.5 ** 0.5
     assert probe["u"] == [[0.5, 0.0], [pytest.approx(0.5 * r), 0.0]]
@@ -104,6 +111,29 @@ def _library_imports(path):
         ):
             for alias in node.names:
                 yield node.module, alias.name
+
+
+def _imported_top_level_modules(path):
+    """Top-level name of every absolute import in ``path``, function bodies included."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_library_imports_only_stdlib_and_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        declared = tomllib.load(fh)["project"]["dependencies"]
+    allowed = {"orliczfem"} | {re.split(r"[<>=!~\[; ]", dep, maxsplit=1)[0] for dep in declared}
+    undeclared = sorted(
+        f"{path.name}: {module}"
+        for path in sorted((SRC / "orliczfem").glob("*.py"))
+        for module in _imported_top_level_modules(path)
+        if module not in sys.stdlib_module_names and module not in allowed
+    )
+    assert undeclared == []
 
 
 def test_no_module_imports_another_modules_private_names():

@@ -65,6 +65,26 @@ def test_eval_negative_argument_rejected(spec):
         spec.eval(-1.0)
 
 
+# The closed-form phi of a law does not check its argument (the solver's hot
+# path); the conjugate spec's phi does, through the Legendre transform.
+NAN_ENTRY_POINTS = {
+    "eval": lambda t: PowerLaw(3).eval(t),
+    "phi": lambda t: PowerLaw(3).conjugate_spec().phi(t),
+    "conjugate": lambda t: PowerLaw(3).conjugate(t),
+    "simonenko_gap": lambda t: simonenko_gap(PowerLaw(3), t),
+    "young_gap_s": lambda t: young_gap(PowerLaw(3), t, 1.0),
+    "young_gap_t": lambda t: young_gap(PowerLaw(3), 1.0, t),
+    "truncated_d_phi_inv": lambda t: Truncated(PowerLaw(3), 0.1, 10.0).d_phi_inv(t),
+}
+
+
+@pytest.mark.parametrize("evaluate", NAN_ENTRY_POINTS.values(), ids=NAN_ENTRY_POINTS.keys())
+@pytest.mark.parametrize("t", [math.nan, np.array([1.0, math.nan])], ids=["scalar", "array"])
+def test_nan_argument_rejected(evaluate, t):
+    with pytest.raises(DomainError, match="nonnegative and not NaN"):
+        evaluate(t)
+
+
 @pytest.mark.parametrize(
     "singular", [PowerLaw(1.5), DeltaPower(1.3, 0.0), SumPower(1.5, 3.0)]
 )

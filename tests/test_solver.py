@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import sympy
 from scipy.sparse import linalg as splinalg
 from scipy.sparse.linalg import splu
 
@@ -272,6 +273,32 @@ def test_manufactured_power2_rate():
         Truncated(PowerLaw(2), 1e-4, 1e4), sine_bubble(), [0.25, 0.125]
     )
     assert rates[0] >= 1.9
+
+
+@pytest.mark.parametrize("amplitude", [1.0, 0.5, 0.3])
+def test_manufactured_closed_form_matches_symbolic_derivatives(amplitude):
+    # derive u, grad u, the strains and their x/y derivatives of the bubble
+    # with sympy and compare them with the hand-written closed form
+    x, y = sympy.symbols("x y", real=True)
+    u1 = amplitude * sympy.sin(sympy.pi * x) * sympy.sin(sympy.pi * y)
+    u2 = sympy.Integer(0)
+    grads = [sympy.diff(u, v) for u in (u1, u2) for v in (x, y)]
+    strains = [grads[0], grads[3], (grads[1] + grads[2]) / 2]
+    d_strains = [sympy.diff(e, v) for e in strains for v in (x, y)]
+    exprs = [u1, u2] + grads + strains + d_strains
+
+    X, Y = np.random.default_rng(3).random((2, 64))
+    case = sine_bubble(amplitude)
+    closed = (
+        list(np.moveaxis(case.u(X, Y), -1, 0))
+        + list(case.grad_u(X, Y).reshape(-1, 4).T)
+        + case.strain(X, Y)
+        + case.strain_derivs(X, Y)
+    )
+    assert len(closed) == len(exprs) == 15
+    for expr, value in zip(exprs, closed):
+        reference = np.broadcast_to(sympy.lambdify((x, y), expr, "numpy")(X, Y), X.shape)
+        np.testing.assert_allclose(value, reference, rtol=1e-15, atol=1e-15, err_msg=str(expr))
 
 
 def test_manufactured_forcing_matches_divergence_for_power2():
