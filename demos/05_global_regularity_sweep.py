@@ -16,11 +16,10 @@ print(f"{'p':>4s} {'h':>7s} {'lhs':>10s} {'rhs':>10s} {'ratio':>9s}")
 for p in (1.3, 1.5, 2.0, 3.0, 4.0):
     spec = PowerLaw(p)
     for h in (1 / 4, 1 / 8, 1 / 16):
-        mesh = build_mesh("unit_disk", h)
-        f = default_disk_forcing(mesh)
-        report, stages = regularity_ratio(spec, mesh, f)
+        f = default_disk_forcing(build_mesh("unit_disk", h))
+        report, stages = regularity_ratio(spec, f)
         print(f"{p:4.1f} {h:7.4f} {report.lhs:10.5f} {report.rhs:10.5f} {report.ratio:9.5f}")
-    ratios = report.stats["stage_ratios"]
-    cauchy = report.stats["cauchy"]
+    ratios = [s.w12_total / report.rhs for s in stages]
+    cauchy = [s.cauchy_prev for s in stages[1:]]
     print(f"      stage ratios at finest h: {[f'{r:.5f}' for r in ratios]}")
     print(f"      transform Cauchy distances: {[f'{c:.2e}' for c in cauchy]}")

@@ -124,8 +124,8 @@ def _solve_failure(exc) -> str:
     failed solve, with its trace, as its cause.
     """
     newton = exc.__cause__ if isinstance(exc, ContinuationError) else exc
-    iteration, _, residual, _ = newton.trace.rows[-1]
-    return f"Newton iteration {iteration}, residual {residual:.3e}; {exc}"
+    last = newton.trace.rows[-1]
+    return f"Newton iteration {last.iter}, residual {last.residual:.3e}; {exc}"
 
 
 def _cmd_run(args) -> int:

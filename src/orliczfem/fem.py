@@ -32,6 +32,7 @@ __all__ = [
     "QuadCache",
     "FemField",
     "quad_cache",
+    "same_mesh",
     "modular",
     "region_measure",
     "korn_ratio",
@@ -355,6 +356,12 @@ def _single(field: FemField, name: str) -> None:
         raise DomainError(f"{name} takes a single field, got a stack of {field.count}")
 
 
+def same_mesh(field: FemField, other: FemField, name: str) -> None:
+    """Raise :class:`DomainError` unless ``other`` (the ``name``) lives on ``field``'s mesh."""
+    if other.mesh is not field.mesh:
+        raise DomainError(f"the {name} lives on another mesh than the field it goes with")
+
+
 def _local_block(field: FemField) -> np.ndarray:
     """(nc, 6b, 2e, F) local coefficients of the F fields (F = 1 for a single field).
 
@@ -482,22 +489,14 @@ def region_measure(mesh: Mesh, region=None) -> float:
     return float(np.sum(cache.weights * _region_mask(cache, region)))
 
 
-def korn_ratio(
-    spec: NFunction,
-    field: FemField,
-    require_zero_boundary: bool = True,
-    strain=None,
-    grad_modular=None,
-):
+def korn_ratio(spec: NFunction, field: FemField, strain=None, grad_modular=None):
     """modular(grad) / modular(sym_grad) for a zero-boundary field, (F,) for a stack.
 
-    ``require_zero_boundary=False`` skips the flag check for diagnostics on
-    fields with symmetric Jacobians that are not zero on the boundary.
     ``strain``, the field's :func:`strain_mandel`, and the numerator
     ``grad_modular``, ``modular(spec, field, "grad")``, are evaluated here when
-    not given; the latter is also :func:`poincare_ratio`'s denominator at r = 1.
+    not given; the latter is also :func:`poincare_ratio`'s denominator.
     """
-    if require_zero_boundary and not field.zero_boundary:
+    if not field.zero_boundary:
         raise DomainError("korn_ratio requires a zero-boundary field")
     w = quad_cache(field.mesh).weights
     E = strain_mandel(field) if strain is None else strain
@@ -527,20 +526,14 @@ def korn_ratio_meanfree(spec: NFunction, field: FemField, grad=None, strain=None
     return _integral(w, spec.phi(num_mag)) / den
 
 
-def poincare_ratio(spec: NFunction, field: FemField, r: float = 1.0, grad_modular=None):
-    """modular(value) / modular(grad scaled by r) for zero-boundary fields.
+def poincare_ratio(spec: NFunction, field: FemField, grad_modular=None):
+    """modular(value) / modular(grad) for zero-boundary fields.
 
-    ``grad_modular`` is as for :func:`korn_ratio`: the denominator, and so
-    taken at r = 1 only.
+    ``grad_modular``, the denominator, is as for :func:`korn_ratio`.
     """
     if not field.zero_boundary:
         raise DomainError("poincare_ratio requires a zero-boundary field")
-    if grad_modular is None:
-        den = modular(spec, field, "grad", scale=r)
-    elif r != 1.0:
-        raise DomainError(f"poincare_ratio takes grad_modular at r = 1 only, got r = {r}")
-    else:
-        den = grad_modular
+    den = modular(spec, field, "grad") if grad_modular is None else grad_modular
     _check_nonzero(field, den, "poincare_ratio undefined for the zero field")
     w = quad_cache(field.mesh).weights
     return _integral(w, spec.phi(_vector_norm(values_at_qp(field)))) / den
@@ -581,8 +574,7 @@ def assemble_residual(
     _single(field, "assemble_residual")
     cache = quad_cache(field.mesh)
     if isinstance(f, FemField):
-        if f.mesh is not field.mesh:
-            raise DomainError("field and forcing live on different meshes")
+        same_mesh(field, f, "forcing")
         f = local_load(f)
     elif f.shape != cache.vector_dofs.shape:
         raise DomainError(f"local load needs shape {cache.vector_dofs.shape}, got {f.shape}")
@@ -658,17 +650,18 @@ def w12_norm_v(spec: NFunction, field: FemField):
 # ---------------------------------------------------------------------------
 
 
-def locate_points(mesh: Mesh, points: np.ndarray, tol: float = 1e-10):
+def locate_points(mesh: Mesh, points: np.ndarray):
     """Locate points in cells: returns (cell ids with -1 for outside, barycentric).
 
-    A point within ``tol`` (in barycentric coordinates) of a cell lies within
-    that cell's largest centroid-to-vertex distance, grown by 4 tol, of its
-    centroid.  A KD-tree over the centroids returns every cell that can
-    therefore contain the point; the exact in-cell test runs on those alone,
-    and a point none of them contains is outside the mesh.  Of several
-    containing cells (a point on an edge) the one with the nearest centroid
-    is returned.
+    A point within ``tol`` = 1e-10 (in barycentric coordinates) of a cell
+    lies within that cell's largest centroid-to-vertex distance, grown by 4
+    tol, of its centroid.  A KD-tree over the centroids returns every cell
+    that can therefore contain the point; the exact in-cell test runs on
+    those alone, and a point none of them contains is outside the mesh.  Of
+    several containing cells (a point on an edge) the one with the nearest
+    centroid is returned.
     """
+    tol = 1e-10
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     cache = quad_cache(mesh)
     corners = mesh.nodes[mesh.cells]
@@ -746,10 +739,14 @@ def write_field_text(field: FemField, path) -> None:
 
 
 def read_field_text(mesh: Mesh, path) -> FemField:
+    """The field :func:`write_field_text` wrote; a malformed file is a :class:`DomainError`."""
     with open(path) as fh:
         tokens = fh.read().split()
-    n, dim, flag = int(tokens[0]), int(tokens[1]), int(tokens[2])
+    try:  # too few header tokens, a non-number or a coefficient count off the header's
+        n, dim, flag = (int(t) for t in tokens[:3])
+        coeffs = np.array(tokens[3:], dtype=float).reshape(n, dim)
+    except ValueError:
+        raise DomainError("field file is malformed") from None
     if dim != 2:
         raise DomainError("field files must have 2 components")
-    coeffs = np.array(tokens[3 : 3 + 2 * n], dtype=float).reshape(n, 2)
     return FemField(mesh, coeffs, zero_boundary=bool(flag))

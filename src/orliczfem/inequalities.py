@@ -25,8 +25,8 @@ def _rel_margin(bound, value):
     return float(np.min((bound - value) / scale))
 
 
-def young_margin(spec: NFunction, lambdas=YOUNG_LAMBDAS) -> float:
-    """Smallest absolute Young gap lam^(1-p+) phi(s) + lam phi*(t) - s t.
+def young_margin(spec: NFunction) -> float:
+    """Smallest absolute Young gap lam^(1-p+) phi(s) + lam phi*(t) - s t, lam in YOUNG_LAMBDAS.
 
     Sampled along and around the equality line t = phi'(s) at moderate
     magnitudes, where the gap is smallest and the absolute tolerance of the
@@ -40,14 +40,14 @@ def young_margin(spec: NFunction, lambdas=YOUNG_LAMBDAS) -> float:
     for factor in (0.3, 1.0, 3.0):
         t = factor * d
         conj_t = spec.conjugate(t)
-        for lam in lambdas:
+        for lam in YOUNG_LAMBDAS:
             gap = lam ** (1.0 - p_plus) * phi_s + lam * conj_t - s * t
             worst = min(worst, float(gap.min()))
     return worst
 
 
-def inequality_margins(spec: NFunction, grid=None) -> dict[str, float]:
-    """Worst-case margins of the index-driven scalar inequalities for ``spec``.
+def inequality_margins(spec: NFunction) -> dict[str, float]:
+    """Worst-case margins of the index-driven scalar inequalities for ``spec`` on INDEX_GRID.
 
     Keys (all relative margins unless noted):
 
@@ -66,7 +66,7 @@ def inequality_margins(spec: NFunction, grid=None) -> dict[str, float]:
     * ``quad_growth_lo`` / ``quad_growth_hi``: phi'' stays inside its reported
       quadratic-growth bounds
     """
-    t = INDEX_GRID if grid is None else np.asarray(grid, dtype=float)
+    t = INDEX_GRID
     idx = spec.indices()
     p_minus, p_plus = idx.p_minus, idx.p_plus
     q_minus = conjugate_exponent(p_minus)

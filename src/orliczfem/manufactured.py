@@ -139,7 +139,7 @@ def convergence_study(
     for h in h_values:
         mesh = build_mesh("unit_square", h)
         f = forcing_field(mesh, spec, case)
-        u, _ = solve(mesh, spec, f, cfg)
+        u, _ = solve(spec, f, cfg)
         errors.append(h1_error(u, case))
     rates = [
         math.log(errors[i] / errors[i + 1]) / math.log(h_values[i] / h_values[i + 1])

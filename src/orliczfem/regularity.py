@@ -14,7 +14,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .fem import (
     modular,
     quad_cache,
     region_measure,
+    same_mesh,
     strain_grad_mandel,
     strain_mandel,
     values_at_qp,
@@ -45,21 +46,16 @@ __all__ = [
 
 @dataclass
 class RegularityReport:
-    """One experiment record: measured sides, their ratio, and the protocol."""
+    """The measured sides of the global regularity estimate and their ratio."""
 
-    experiment: str
-    spec: str
-    h: float
-    delta_stages: tuple
     lhs: float
     rhs: float
     ratio: float
-    stats: dict = dataclass_field(default_factory=dict)
 
     def __post_init__(self):
         for value in (self.lhs, self.rhs, self.ratio):
             if not math.isfinite(value):
-                raise DomainError(f"non-finite report entry in {self.experiment}")
+                raise DomainError(f"non-finite regularity report entry {value}")
 
 
 def default_disk_forcing(mesh: Mesh, amplitude: float = 1.0) -> FemField:
@@ -83,13 +79,9 @@ def conjugate_forcing_modulars(spec: NFunction, f: FemField):
 
 
 def regularity_ratio(
-    spec: NFunction,
-    mesh: Mesh,
-    f: FemField,
-    cfg: SolveConfig | None = None,
-    lattice_n: int = 64,
+    spec: NFunction, f: FemField, cfg: SolveConfig | None = None, lattice_n: int = 64
 ):
-    """Run the truncation continuation and measure the global regularity ratio.
+    """Run the truncation continuation on f's mesh and measure the global regularity ratio.
 
     Returns ``(report, stages)``.  The left side is the final-stage W^{1,2}
     data of the transformed strain; the right side is
@@ -98,9 +90,7 @@ def regularity_ratio(
     """
     if not f.zero_boundary:
         raise DomainError("regularity experiments need a zero-trace forcing")
-    cfg = cfg or SolveConfig()
     stages = delta_continuation(
-        mesh,
         spec,
         f,
         cfg,
@@ -109,24 +99,7 @@ def regularity_ratio(
     m_f, m_g = conjugate_forcing_modulars(spec, f)
     rhs = m_f + m_g
     lhs = stages[-1].w12_total
-    ratio = lhs / rhs if rhs > 0.0 else 0.0
-    stage_ratios = [s.w12_total / rhs if rhs > 0.0 else 0.0 for s in stages]
-    report = RegularityReport(
-        experiment="global_regularity",
-        spec=spec.describe(),
-        h=mesh.h,
-        delta_stages=tuple(cfg.delta_schedule),
-        lhs=lhs,
-        rhs=rhs,
-        ratio=ratio,
-        stats={
-            "stage_ratios": stage_ratios,
-            "cauchy": [s.cauchy_prev for s in stages[1:]],
-            "forcing_modular": m_f,
-            "forcing_grad_modular": m_g,
-        },
-    )
-    return report, stages
+    return RegularityReport(lhs, rhs, lhs / rhs if rhs > 0.0 else 0.0), stages
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +141,10 @@ def caccioppoli_ratio(
 
     lhs: mean of phi(|eps u|) over B(center, radius).
     rhs: mean of phi(|u - pi| / radius) over 2B at the least-squares rigid
-    motion pi, plus the mean of phi*(radius |f|) over 2B.
+    motion pi, plus the mean of phi*(radius |f|) over 2B.  A forcing on
+    another mesh than the field's is a :class:`DomainError`.
     """
+    same_mesh(field, f, "forcing")
     mesh = field.mesh
     center = np.asarray(center, dtype=float)
     if float(mesh.boundary_distance(center[None, :])[0]) <= 2.0 * radius:
@@ -205,7 +180,7 @@ def caccioppoli_ratio(
 # ---------------------------------------------------------------------------
 
 
-def interpolation_step_check(spec: PowerLaw, stage: StageResult, q: float = 8.0) -> float:
+def interpolation_step_check(spec: PowerLaw, stage: StageResult) -> float:
     """Discrete gap ratio of the Hoelder step for power laws with p < 2.
 
     ``stage`` is a continuation stage of ``spec`` with trunc_lo > 0; its field
@@ -234,6 +209,7 @@ def interpolation_step_check(spec: PowerLaw, stage: StageResult, q: float = 8.0)
         raise DomainError("interpolation step check needs a stage with trunc_lo > 0")
     field = stage.field
     p = spec.p
+    q = 8.0
     r = 2.0 * q / (q + 2.0 - p)
 
     cache = quad_cache(field.mesh)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse.linalg import splu
@@ -25,16 +26,17 @@ from .fem import (
     assemble_residual,
     local_load,
     quad_cache,
+    same_mesh,
     strain_and_norm,
     v_strain_mandel,
     w12_norm_v,
 )
-from .meshing import Mesh
 from .nfunctions import DomainError, NFunction
 from .tableio import write_csv
 
 __all__ = [
     "SolveConfig",
+    "TraceRow",
     "SolveTrace",
     "StageResult",
     "NonConvergenceError",
@@ -81,24 +83,31 @@ class SolveConfig:
             raise DomainError("delta schedule must have lo non-increasing, hi non-decreasing")
 
 
+class TraceRow(NamedTuple):
+    """One Newton iterate's energy and residual norm, and the Armijo step to it (0 at first)."""
+
+    iter: int
+    energy: float
+    residual: float
+    step: float
+
+
 @dataclass
 class SolveTrace:
     """Per-iteration record of one Newton solve."""
 
-    rows: list = dataclass_field(default_factory=list)  # (iter, energy, residual, step)
+    rows: list = dataclass_field(default_factory=list)  # of TraceRow
 
     def append(self, iteration, energy_value, residual, step):
-        self.rows.append((int(iteration), float(energy_value), float(residual), float(step)))
+        row = TraceRow(int(iteration), float(energy_value), float(residual), float(step))
+        self.rows.append(row)
 
     @property
     def iterations(self) -> int:
         return len(self.rows) - 1 if self.rows else 0
 
-    def energies(self):
-        return [r[1] for r in self.rows]
-
     def to_csv(self, path) -> None:
-        write_csv(path, ("iter", "energy", "residual", "step"), self.rows)
+        write_csv(path, TraceRow._fields, self.rows)
 
 
 class NonConvergenceError(RuntimeError):
@@ -144,14 +153,14 @@ def energy(spec: NFunction, field: FemField, load: np.ndarray):
 
 
 def solve(
-    mesh: Mesh,
     spec: NFunction,
     f: FemField,
     cfg: SolveConfig | None = None,
     initial: FemField | None = None,
 ):
-    """Newton-solve the zero-boundary problem; returns (field, trace).
+    """Newton-solve the zero-boundary problem on the forcing's mesh; returns (field, trace).
 
+    An ``initial`` guess on another mesh is a :class:`DomainError`.
     The spec must have quadratic growth (truncate degenerate specs first).
     The free-dof Jacobian is then SPD.  Newton works on the free dofs in the
     order of the mesh's :meth:`~orliczfem.fem.QuadCache.free_pattern`, the
@@ -165,11 +174,15 @@ def solve(
             f"{spec.describe()} lacks quadratic growth; "
             "truncate it (trunc_lo > 0, trunc_hi < oo) before solving"
         )
+    mesh = f.mesh
     cache = quad_cache(mesh)
     free = cache.free_pattern().free_dofs
     load = local_load(f)
 
-    u = FemField.zeros(mesh) if initial is None else initial.with_zero_boundary()
+    if initial is None:
+        initial = FemField.zeros(mesh)
+    same_mesh(f, initial, "initial guess")
+    u = initial.with_zero_boundary()
     current, strain = energy(spec, u, load)
     trace = SolveTrace()
     step = 0.0
@@ -231,29 +244,30 @@ class StageResult:
 
 
 def delta_continuation(
-    mesh: Mesh,
     spec: NFunction,
     f: FemField,
     cfg: SolveConfig | None = None,
     stage_forcing=None,
 ):
-    """Warm-started truncation continuation; returns the list of stage results.
+    """Warm-started truncation continuation on f's mesh; returns the list of stage results.
 
     ``stage_forcing(trunc_lo, trunc_hi) -> FemField`` may supply a per-stage
     forcing (e.g. a Lipschitz-truncated one); by default every stage uses f.
+    The first stage starts from zero on f's mesh, so a stage forcing on
+    another mesh is a :class:`DomainError`.
     """
     cfg = cfg or SolveConfig()
     if not cfg.delta_schedule:
         raise DomainError("delta schedule is empty")
-    cache = quad_cache(mesh)
+    cache = quad_cache(f.mesh)
     stages: list[StageResult] = []
-    u = None
+    u = FemField.zeros(f.mesh)
     prev_v = None
     for lo, hi in cfg.delta_schedule:
         stage_spec = spec.truncate(lo, hi)
         stage_f = f if stage_forcing is None else stage_forcing(lo, hi)
         try:
-            u, trace = solve(mesh, stage_spec, stage_f, cfg, initial=u)
+            u, trace = solve(stage_spec, stage_f, cfg, initial=u)
         except NonConvergenceError as exc:
             raise ContinuationError(
                 f"stage {len(stages)} (trunc_lo={lo}, trunc_hi={hi}) failed: {exc}", stages

@@ -389,7 +389,7 @@ def run_korn_suite(options: dict, seed: int, jobs: int) -> SuiteResult:
             meanfree_max = max(
                 meanfree_max, float(korn_ratio_meanfree(spec, fields, grad=G, strain=E).max())
             )
-            poincare = poincare_ratio(spec, fields, r=1.0, grad_modular=grad_mod)
+            poincare = poincare_ratio(spec, fields, grad_modular=grad_mod)
             poincare_max = max(poincare_max, float(poincare.max()))
         return KornRow(p, h, korn_max, meanfree_max, poincare_max)
 
@@ -520,8 +520,7 @@ def run_regularity_sweep(options: dict, seed: int, jobs: int) -> SuiteResult:
         p, h = item
         spec = PowerLaw(p)
         f = forcings[h]
-        mesh = f.mesh
-        report, stages = regularity_ratio(spec, mesh, f, cfg, lattice_n)
+        report, stages = regularity_ratio(spec, f, cfg, lattice_n)
         rows = []
         traces = {}
         for k, stage in enumerate(stages):
@@ -828,12 +827,14 @@ def run_truncation_suite(options: dict, seed: int, jobs: int) -> SuiteResult:
 class Key(NamedTuple):
     """One config key: the type that parses its text, its default and its minimum.
 
-    The minimum bounds a count's value and a list's length.
+    The minimum bounds a count's value and a list's length; a list repeats no
+    value unless ``repeats`` (a repeated h or p is one case run twice).
     """
 
     type: object
     default: object = None
     minimum: int | None = None
+    repeats: bool = False
 
 
 def float_list(text: str) -> list:
@@ -860,9 +861,10 @@ def _text(value) -> str:
 #: ``[spec]`` has no defaults: without it a suite runs the default roster.
 _SPEC = {key: Key(kind) for key, kind in SPEC_KEYS.items()}
 _SOLVER = {key: Key(kind, getattr(SolveConfig(), key)) for key, kind in SOLVER_KEYS.items()}
+# a constant delta_lo with a rising delta_hi is a schedule, so these may repeat
 _SCHEDULE = {
-    "delta_lo": Key(float_list, [lo for lo, _ in DEFAULT_SCHEDULE], 2),
-    "delta_hi": Key(float_list, [hi for _, hi in DEFAULT_SCHEDULE], 2),
+    "delta_lo": Key(float_list, [lo for lo, _ in DEFAULT_SCHEDULE], 2, repeats=True),
+    "delta_hi": Key(float_list, [hi for _, hi in DEFAULT_SCHEDULE], 2, repeats=True),
 }
 
 
@@ -900,6 +902,8 @@ class SuiteSpec:
                         f"list at least {minimum} values" if is_list else f"be at least {minimum}"
                     )
                     raise DomainError(f"key '{key}' in section [{section}] must {bound}")
+                if is_list and not keys[key].repeats and len(set(value)) < len(value):
+                    raise DomainError(f"key '{key}' in section [{section}] must not repeat a value")
         filled = {
             section: {key: k.default for key, k in keys.items() if k.default is not None}
             | given.get(section, {})
@@ -980,9 +984,9 @@ SUITES = {
 def run_suite(kind: str, options: dict, seed: int, jobs: int = 1) -> SuiteResult:
     """Run suite ``kind``; ``options`` maps sections to keys, as in a config file.
 
-    An unknown section or key, a count below its minimum or a list shorter than it raises
-    :class:`DomainError`, as does a worker-pool size ``jobs`` below 1; every key left out
-    takes its default.
+    An unknown section or key, a count below its minimum, a list shorter than it or
+    repeating a value where its key forbids that raises :class:`DomainError`, as does a
+    worker-pool size ``jobs`` below 1; every key left out takes its default.
     """
     if kind not in SUITES:
         raise DomainError(f"unknown suite {kind!r}; valid: {', '.join(sorted(SUITES))}")

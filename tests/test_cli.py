@@ -171,6 +171,35 @@ def test_single_valued_list_is_config_error(tmp_path, capsys, kind, section, val
     assert "must list at least 2 values" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "kind,section,key,values",
+    [
+        ("korn_suite", "mesh", "h", [0.5, 0.5]),
+        ("korn_suite", "sweep", "p_values", [3.0, 1.5, 3.0]),
+        ("manufactured", "manufactured", "h", [0.5, 0.5]),
+        ("regularity_sweep", "mesh", "h", [0.5, 0.25, 0.5]),
+        ("regularity_sweep", "sweep", "p_values", [3.0, 3.0]),
+    ],
+)
+def test_repeated_list_value_is_config_error(tmp_path, capsys, kind, section, key, values):
+    # a repeated h or p is one case run twice: no refinement step, contracts listed twice
+    message = rf"'{key}' in section \[{section}\] must not repeat a value"
+    with pytest.raises(DomainError, match=message):
+        run_suite(kind, {section: {key: values}}, seed=1)
+    line = f"{key} = {' '.join(map(str, values))}\n"
+    cfg = _write(tmp_path, f"[experiment]\nkind = {kind}\nseed = 1\n\n[{section}]\n{line}")
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "must not repeat a value" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_schedule_lists_may_repeat():
+    # a constant delta_lo with a rising delta_hi is a valid schedule
+    schedule = {"delta_lo": [0.1, 0.1], "delta_hi": [10.0, 100.0]}
+    options = SUITES["regularity_sweep"].options({"schedule": schedule})
+    assert options["schedule"] == schedule
+
+
 def test_negative_max_iters_exit_2(tmp_path, capsys):
     cfg = _write(
         tmp_path,

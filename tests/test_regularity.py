@@ -36,22 +36,23 @@ def swirl(disk):
 
 @pytest.fixture(scope="module")
 def solved(disk, swirl):
-    return delta_continuation(disk, PowerLaw(3), swirl)[-1]
+    return delta_continuation(PowerLaw(3), swirl)[-1]
 
 
 def test_regularity_ratio_zero_forcing(disk):
-    report, stages = regularity_ratio(PowerLaw(2), disk, FemField.zeros(disk))
+    report, stages = regularity_ratio(PowerLaw(2), FemField.zeros(disk))
     assert report.ratio == 0.0
     assert report.lhs == 0.0
     assert all(s.trace.iterations == 0 for s in stages)
 
 
 def test_regularity_ratio_finite_and_stable(disk, swirl):
-    report, stages = regularity_ratio(PowerLaw(2), disk, swirl)
+    report, stages = regularity_ratio(PowerLaw(2), swirl)
     assert math.isfinite(report.ratio) and report.ratio > 0.0
-    assert len(stages) == len(report.delta_stages)
+    assert len(stages) == len(SolveConfig().delta_schedule)
+    assert report.lhs == stages[-1].w12_total
     # quadratic law: the truncation is inert, every stage identical
-    assert len(set(report.stats["stage_ratios"])) == 1
+    assert len({s.w12_total for s in stages}) == 1
 
 
 @pytest.mark.parametrize("p", [1.3, 4.0])
@@ -66,7 +67,7 @@ def test_sweep_stage_and_energy_row_never_bisect(disk, swirl, monkeypatch, p):
     monkeypatch.setattr(nfunctions, "invert_increasing", no_bisection)
     spec = PowerLaw(p)
     cfg = SolveConfig(delta_schedule=((1e-3, 1e3),))
-    report, stages = regularity_ratio(spec, disk, swirl, cfg, lattice_n=16)
+    report, stages = regularity_ratio(spec, swirl, cfg, lattice_n=16)
     stage_spec = spec.truncate(stages[0].trunc_lo, stages[0].trunc_hi)
     rhs_energy = modular(stage_spec.conjugate_spec(), swirl, "value")
     assert math.isfinite(report.ratio) and rhs_energy > 0.0
@@ -77,12 +78,12 @@ def test_sweep_stage_and_energy_row_never_bisect(disk, swirl, monkeypatch, p):
 def test_regularity_requires_zero_trace(disk):
     f = FemField.from_callable(disk, lambda x, y: np.stack([x, y]))
     with pytest.raises(DomainError):
-        regularity_ratio(PowerLaw(2), disk, f)
+        regularity_ratio(PowerLaw(2), f)
 
 
 def test_report_rejects_non_finite():
     with pytest.raises(DomainError):
-        RegularityReport("x", "spec", 0.1, (), math.nan, 1.0, 1.0)
+        RegularityReport(math.nan, 1.0, 1.0)
 
 
 def test_conjugate_forcing_modulars_positive(disk, swirl):
@@ -105,6 +106,13 @@ def test_caccioppoli_rigid_field_zero(disk):
     u = FemField.from_callable(disk, lambda x, y: np.stack([0.2 - 0.3 * y, 0.3 * x]))
     ratio = caccioppoli_ratio(PowerLaw(2), u, FemField.zeros(disk), (0.0, 0.0), 0.2)
     assert ratio == 0.0
+
+
+def test_caccioppoli_rejects_a_forcing_on_another_mesh(solved):
+    # the same mesh built twice: equal arrays, but not the field's mesh
+    twin = default_disk_forcing(build_mesh("unit_disk", 1.0 / 6.0))
+    with pytest.raises(DomainError, match="forcing lives on another mesh"):
+        caccioppoli_ratio(PowerLaw(3), solved.field, twin, (0.0, 0.0), 0.2)
 
 
 def test_caccioppoli_interior_check(disk, solved, swirl):
@@ -148,7 +156,7 @@ def test_interpolation_step_trivial_for_constant_strain(disk):
 
 def test_interpolation_step_solved_field(disk, swirl):
     spec = PowerLaw(1.5)
-    stages = delta_continuation(disk, spec, swirl)
+    stages = delta_continuation(spec, swirl)
     ratio = interpolation_step_check(spec, stages[-1])
     assert ratio >= 1.0 - 1e-10
     assert ratio <= 50.0
@@ -169,7 +177,7 @@ def test_threads_sharing_a_mesh_and_forcing_match_serial_runs():
     exponents = (1.5, 3.0) * 4
 
     def run(f, p):
-        _, stages = regularity_ratio(PowerLaw(p), f.mesh, f, cfg, lattice_n=16)
+        _, stages = regularity_ratio(PowerLaw(p), f, cfg, lattice_n=16)
         return [s.trace.rows for s in stages], stages[-1].field.coeffs
 
     serial = default_disk_forcing(build_mesh("unit_disk", 0.25))

@@ -29,10 +29,12 @@ from orliczfem.manufactured import (
 )
 from orliczfem.meshing import build_mesh
 from orliczfem.nfunctions import DomainError, PowerLaw, Truncated
+from orliczfem.regularity import default_disk_forcing
 from orliczfem.solver import (
     ContinuationError,
     NonConvergenceError,
     SolveConfig,
+    TraceRow,
     delta_continuation,
     energy,
     solve,
@@ -54,7 +56,7 @@ def swirl(disk):
 
 
 def test_zero_forcing_zero_solution(disk):
-    u, trace = solve(disk, Truncated(PowerLaw(3), 0.01, 100.0), FemField.zeros(disk))
+    u, trace = solve(Truncated(PowerLaw(3), 0.01, 100.0), FemField.zeros(disk))
     assert trace.iterations == 0
     assert np.all(u.coeffs == 0.0)
     assert u.zero_boundary
@@ -62,7 +64,7 @@ def test_zero_forcing_zero_solution(disk):
 
 def test_quadratic_growth_required(disk):
     with pytest.raises(DomainError, match="quadratic growth"):
-        solve(disk, PowerLaw(3), FemField.zeros(disk))
+        solve(PowerLaw(3), FemField.zeros(disk))
 
 
 def test_config_validation():
@@ -77,8 +79,8 @@ def test_config_validation():
 
 
 def test_energy_monotone_along_trace(disk, swirl):
-    _, trace = solve(disk, Truncated(PowerLaw(3), 0.01, 100.0), swirl)
-    energies = trace.energies()
+    _, trace = solve(Truncated(PowerLaw(3), 0.01, 100.0), swirl)
+    energies = [row.energy for row in trace.rows]
     assert all(b <= a + 1e-15 for a, b in zip(energies, energies[1:]))
     assert energies[-1] <= 0.0  # J(u) <= J(0) = 0
 
@@ -86,7 +88,7 @@ def test_energy_monotone_along_trace(disk, swirl):
 def test_galerkin_orthogonality_at_solution(disk, swirl):
     spec = Truncated(PowerLaw(3), 0.01, 100.0)
     cfg = SolveConfig(newton_tol=1e-10)
-    u, _ = solve(disk, spec, swirl, cfg)
+    u, _ = solve(spec, swirl, cfg)
     residual = assemble_residual(spec, u, swirl)
     free = ~quad_cache(disk).boundary_vector()
     assert np.abs(residual[free]).max() <= cfg.newton_tol
@@ -95,9 +97,9 @@ def test_galerkin_orthogonality_at_solution(disk, swirl):
 def test_uniqueness_from_different_initial_guesses(disk, swirl):
     spec = Truncated(PowerLaw(2), 1e-4, 1e4)
     cfg = SolveConfig(newton_tol=1e-10)
-    u1, _ = solve(disk, spec, swirl, cfg)
+    u1, _ = solve(spec, swirl, cfg)
     rng = np.random.default_rng(17)
-    u2, _ = solve(disk, spec, swirl, cfg, initial=random_zero_boundary_field(disk, rng))
+    u2, _ = solve(spec, swirl, cfg, initial=random_zero_boundary_field(disk, rng))
     diff = FemField(disk, u1.coeffs - u2.coeffs, zero_boundary=True)
     g = gradient_at_qp(diff)
     v = values_at_qp(diff)
@@ -111,17 +113,50 @@ def test_uniqueness_from_different_initial_guesses(disk, swirl):
 def test_nonconvergence_carries_trace(disk, swirl):
     cfg = SolveConfig(newton_tol=1e-14, max_iters=1)
     with pytest.raises(NonConvergenceError) as err:
-        solve(disk, Truncated(PowerLaw(3), 0.01, 100.0), swirl, cfg)
+        solve(Truncated(PowerLaw(3), 0.01, 100.0), swirl, cfg)
     assert len(err.value.trace.rows) >= 1
 
 
 def test_trace_csv(disk, swirl, tmp_path):
-    _, trace = solve(disk, Truncated(PowerLaw(3), 0.01, 100.0), swirl)
+    _, trace = solve(Truncated(PowerLaw(3), 0.01, 100.0), swirl)
     path = tmp_path / "trace.csv"
     trace.to_csv(path)
     lines = path.read_text().splitlines()
     assert lines[0] == "iter,energy,residual,step"
     assert len(lines) == len(trace.rows) + 1
+    assert all(isinstance(row, TraceRow) for row in trace.rows)
+    first, last = trace.rows[0], trace.rows[-1]
+    assert (first.iter, first.step) == (0, 0.0)
+    assert last.iter == trace.iterations and last.residual <= SolveConfig().newton_tol
+    assert last[3] == last.step  # the rows still index as tuples
+
+
+# ---------------------------------------------------------------------------
+# one mesh per solve: the forcing's
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def hexagon_forcing():
+    # the same numbers of cells and nodes as the unit disk at h = 1/4, so every
+    # coefficient array fits either mesh
+    hexagon = build_mesh("unit_disk_polygonal(6)", 0.25)
+    assert hexagon.n_cells == build_mesh("unit_disk", 0.25).n_cells
+    return default_disk_forcing(hexagon)
+
+
+def test_solve_rejects_an_initial_guess_on_another_mesh(hexagon_forcing):
+    disk = build_mesh("unit_disk", 0.25)
+    spec = Truncated(PowerLaw(3), 0.01, 100.0)
+    with pytest.raises(DomainError, match="initial guess lives on another mesh"):
+        solve(spec, hexagon_forcing, initial=FemField.zeros(disk))
+
+
+def test_continuation_rejects_a_stage_forcing_on_another_mesh(hexagon_forcing):
+    swirl = default_disk_forcing(build_mesh("unit_disk", 0.25))
+    cfg = SolveConfig(delta_schedule=((1e-1, 1e1),))
+    with pytest.raises(DomainError, match="another mesh"):
+        delta_continuation(PowerLaw(3), swirl, cfg, stage_forcing=lambda lo, hi: hexagon_forcing)
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +257,9 @@ def test_newton_iterate_evaluates_its_strain_once(disk, swirl, monkeypatch):
     monkeypatch.setattr(solver, "energy", counted("energy", solver.energy))
     monkeypatch.setattr(solver, "assemble_residual", recorded("residual", assemble_residual))
     monkeypatch.setattr(solver, "assemble_jacobian", recorded("jacobian", assemble_jacobian))
-    _, trace = solve(disk, spec, swirl)
+    _, trace = solve(spec, swirl)
 
-    trials = sum(round(-math.log2(row[3])) + 1 for row in trace.rows[1:])
+    trials = sum(round(-math.log2(row.step)) + 1 for row in trace.rows[1:])
     assert trace.iterations >= 3 and trials > trace.iterations  # some step backtracked
     assert calls == {"strain": 1 + trials, "energy": 1 + trials}
     assert len(assembled["residual"]) == len(trace.rows)
@@ -324,7 +359,7 @@ def test_manufactured_h1_error_of_exact_interpolant():
     spec = Truncated(PowerLaw(2), 1e-4, 1e4)
     interp = exact_field(mesh, case)
     assert h1_error(interp, case) <= 5e-2
-    u, _ = solve(mesh, spec, forcing_field(mesh, spec, case))
+    u, _ = solve(spec, forcing_field(mesh, spec, case))
     assert h1_error(u, case) <= 5e-2
 
 
@@ -334,14 +369,14 @@ def test_manufactured_h1_error_of_exact_interpolant():
 
 
 def test_continuation_quadratic_spec_fixed_point(disk, swirl):
-    stages = delta_continuation(disk, PowerLaw(2), swirl)
+    stages = delta_continuation(PowerLaw(2), swirl)
     assert all(s.cauchy_prev == 0.0 for s in stages[1:])
     assert all(s.trace.iterations == 0 for s in stages[1:])
     assert all(s.w12_total == stages[0].w12_total for s in stages)
 
 
 def test_continuation_cauchy_diagnostic_decreases(disk, swirl):
-    stages = delta_continuation(disk, PowerLaw(3), swirl)
+    stages = delta_continuation(PowerLaw(3), swirl)
     cauchy = [s.cauchy_prev for s in stages[1:]]
     assert all(b <= a + 1e-12 for a, b in zip(cauchy, cauchy[1:]))
     assert cauchy[-1] <= 1e-6
@@ -349,7 +384,7 @@ def test_continuation_cauchy_diagnostic_decreases(disk, swirl):
 
 def test_continuation_bounded_transform_data(disk, swirl):
     for p in (1.5, 3.0):
-        stages = delta_continuation(disk, PowerLaw(p), swirl)
+        stages = delta_continuation(PowerLaw(p), swirl)
         totals = [s.w12_total for s in stages]
         assert all(math.isfinite(t) for t in totals)
         assert max(totals) <= 100.0 * min(t for t in totals if t > 0)
@@ -362,13 +397,13 @@ def test_continuation_abort_carries_partial_stages(disk, swirl):
         delta_schedule=((1e-1, 1e1), (1e-2, 1e2)),
     )
     with pytest.raises(ContinuationError) as err:
-        delta_continuation(disk, PowerLaw(3), swirl, cfg)
+        delta_continuation(PowerLaw(3), swirl, cfg)
     assert isinstance(err.value.stages, list)
 
 
 def test_continuation_empty_schedule_rejected(disk, swirl):
     with pytest.raises(DomainError):
-        delta_continuation(disk, PowerLaw(3), swirl, SolveConfig(delta_schedule=()))
+        delta_continuation(PowerLaw(3), swirl, SolveConfig(delta_schedule=()))
 
 
 def test_continuation_stage_forcing_hook(disk, swirl):
@@ -379,5 +414,5 @@ def test_continuation_stage_forcing_hook(disk, swirl):
         return swirl
 
     cfg = SolveConfig(delta_schedule=((1e-1, 1e1), (1e-2, 1e2)))
-    delta_continuation(disk, PowerLaw(3), swirl, cfg, stage_forcing=hook)
+    delta_continuation(PowerLaw(3), swirl, cfg, stage_forcing=hook)
     assert seen == [(1e-1, 1e1), (1e-2, 1e2)]

@@ -71,7 +71,7 @@ def test_korn_suite_blocks_match_per_field_ratios():
         want = [
             max(korn_ratio(spec, u) for u in fields),
             max(korn_ratio_meanfree(spec, u) for u in fields),
-            max(poincare_ratio(spec, u, r=1.0) for u in fields),
+            max(poincare_ratio(spec, u) for u in fields),
         ]
         assert row[2:] == pytest.approx(want, rel=1e-12)
 
