@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import importlib
 import os
 import sys
 
@@ -139,6 +140,8 @@ def _cmd_run(args) -> int:
     if args.jobs is not None:
         jobs = args.jobs
     out_dir = args.out or out or "."
+    for module in SUITES[kind].imports:
+        importlib.import_module(module)
 
     try:
         result = run_suite(kind, options, seed, jobs)

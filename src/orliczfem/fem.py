@@ -20,9 +20,6 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
-from scipy.spatial import cKDTree
 
 from . import radial
 from .meshing import LOCAL_EDGES, Mesh, cell_jacobians
@@ -249,6 +246,9 @@ def _minimum_degree_order(indices: np.ndarray, indptr: np.ndarray) -> np.ndarray
     strictly diagonally dominant matrix of that structure: -1 off the
     diagonal and the column count on it, which keeps every pivot diagonal.
     """
+    from scipy import sparse
+    from scipy.sparse.linalg import splu
+
     n = len(indptr) - 1
     counts = np.diff(indptr)
     cols = np.repeat(np.arange(n), counts)
@@ -585,8 +585,9 @@ def assemble_residual(
     return np.bincount(cache.vector_dofs.ravel(), weights=r_loc.ravel(), minlength=cache.n_vector)
 
 
-def assemble_jacobian(spec: NFunction, field: FemField, strain=None) -> sparse.csc_matrix:
-    """J_ij = int da_map(eps u)[eps psi_j] : eps psi_i over the free dofs, sparse symmetric.
+def assemble_jacobian(spec: NFunction, field: FemField, strain=None):
+    """J_ij = int da_map(eps u)[eps psi_j] : eps psi_i over the free dofs, a symmetric
+    ``scipy.sparse.csc_matrix``.
 
     At each quadrature point DA = c1 I + (c2 - c1) n n^T (see :mod:`radial`),
     so with the point's strain table B and b = B^T n the local matrix is
@@ -597,6 +598,8 @@ def assemble_jacobian(spec: NFunction, field: FemField, strain=None) -> sparse.c
     :meth:`QuadCache.free_pattern`, so the matrix comes in its fill-reducing
     order; rows and columns of boundary dofs are not assembled.
     """
+    from scipy import sparse
+
     _single(field, "assemble_jacobian")
     cache = quad_cache(field.mesh)
     E, t = strain_and_norm(field) if strain is None else strain
@@ -661,6 +664,8 @@ def locate_points(mesh: Mesh, points: np.ndarray):
     several containing cells (a point on an edge) the one with the nearest
     centroid is returned.
     """
+    from scipy.spatial import cKDTree
+
     tol = 1e-10
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     cache = quad_cache(mesh)

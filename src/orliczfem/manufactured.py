@@ -22,7 +22,7 @@ import numpy as np
 from . import radial
 from .fem import FemField, gradient_at_qp, quad_cache, values_at_qp
 from .meshing import Mesh, build_mesh
-from .nfunctions import NFunction
+from .nfunctions import DomainError, NFunction
 from .solver import SolveConfig, solve
 
 __all__ = [
@@ -134,7 +134,10 @@ def convergence_study(
     cfg: SolveConfig | None = None,
 ):
     """Solve at each h on the unit square, on whose boundary u* vanishes;
-    returns (errors, rates)."""
+    returns (errors, rates).  A repeated h, which has no rate, is a
+    :class:`DomainError`."""
+    if len(set(h_values)) < len(h_values):
+        raise DomainError(f"h_values must not repeat a value, got {list(h_values)}")
     errors = []
     for h in h_values:
         mesh = build_mesh("unit_square", h)

@@ -254,7 +254,10 @@ def read_mesh_text(path, domain_tag: str = "from_file", h: float = math.nan) -> 
         tokens = fh.read().split()
     if len(tokens) < 3:
         raise DomainError("mesh file too short")
-    n_nodes, n_cells, dim = (int(t) for t in tokens[:3])
+    try:  # a non-integer in the header
+        n_nodes, n_cells, dim = (int(t) for t in tokens[:3])
+    except ValueError:
+        raise DomainError("mesh file is malformed") from None
     if dim != 2:
         raise DomainError(f"only dim=2 meshes are supported, got {dim}")
     if n_nodes < 3 or n_cells < 1:
@@ -264,10 +267,13 @@ def read_mesh_text(path, domain_tag: str = "from_file", h: float = math.nan) -> 
     per_node = (len(rest) - 3 * n_cells) // n_nodes
     if per_node not in (2, 3) or len(rest) != per_node * n_nodes + 3 * n_cells:
         raise DomainError("mesh file is malformed")
-    vals = np.array(rest[: per_node * n_nodes], dtype=float).reshape(n_nodes, per_node)
+    try:  # a non-number among the nodes or a non-integer among the cells
+        vals = np.array(rest[: per_node * n_nodes], dtype=float).reshape(n_nodes, per_node)
+        cells = np.array(rest[per_node * n_nodes :], dtype=np.int64).reshape(n_cells, 3)
+    except ValueError:
+        raise DomainError("mesh file is malformed") from None
     nodes = vals[:, :2]
     flags = vals[:, 2].astype(bool) if per_node == 3 else None
-    cells = np.array(rest[per_node * n_nodes :], dtype=np.int64).reshape(n_cells, 3)
     if cells.min() < 0 or cells.max() >= n_nodes:
         raise DomainError("mesh file references nonexistent nodes")
     return Mesh(nodes, cells, flags, domain_tag, h)

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse.linalg import splu
 
 from .fem import (
     FemField,
@@ -135,6 +134,8 @@ def factorized(matrix):
     pivots keep the factor symmetric in structure, which is valid, and pivots
     stably, because every matrix factored here is symmetric positive definite.
     """
+    from scipy.sparse.linalg import splu
+
     return splu(matrix, permc_spec="NATURAL", options={"SymmetricMode": True}).solve
 
 

@@ -867,12 +867,22 @@ _SCHEDULE = {
     "delta_hi": Key(float_list, [hi for _, hi in DEFAULT_SCHEDULE], 2, repeats=True),
 }
 
+# The modules a run imports on first use that ``import orliczfem`` does not load:
+# numpy's lazy submodules (``default_rng`` loads numpy.random, ``np.unique``
+# numpy.ma) and the SciPy modules the library imports inside the functions that
+# use them.  A forcing truncation locates its lattice with a KD-tree and, when
+# its bad set is not empty, truncates with the maximal function and envelopes.
+_TRUNCATION_IMPORTS = ("scipy.fft", "scipy.ndimage", "scipy.spatial", "scipy.spatial.distance")
+
 
 @dataclass(frozen=True)
 class SuiteSpec:
-    """A suite: its runner, its row type (the CSV columns) and its config table.
+    """A suite: its runner, its row type (the CSV columns), its config table and imports.
 
     The table maps each config section the suite takes to that section's keys.
+    ``imports`` names the modules a run of the suite imports on first use;
+    ``orliczfem run`` imports them before the suite starts, so that their cost
+    is set-up and not the suite's.
     """
 
     name: str
@@ -880,6 +890,7 @@ class SuiteSpec:
     row: type
     config: dict
     description: str
+    imports: tuple
 
     def options(self, given: dict) -> dict:
         """``given`` checked against :attr:`config`, with every default filled in."""
@@ -931,6 +942,7 @@ SUITES = {
         SuiteSpec(
             "indices_suite", run_indices_suite, IndexRow, {"spec": _SPEC},
             "index formulas and scalar inequality sweeps on log grids",
+            (),
         ),
         SuiteSpec(
             "hammer_suite", run_hammer_suite, HammerRow,
@@ -939,6 +951,7 @@ SUITES = {
                 "spec": _SPEC,
             },
             "monotonicity equivalence triple and derivative checks on random tensors",
+            ("numpy.random",),
         ),
         SuiteSpec(
             "korn_suite", run_korn_suite, KornRow,
@@ -951,11 +964,13 @@ SUITES = {
                 "sweep": {"p_values": Key(float_list, [1.3, 1.5, 2.0, 3.0])},
             },
             "Korn/Poincare modular ratios on random zero-boundary ensembles",
+            ("numpy.random", "numpy.ma"),
         ),
         SuiteSpec(
             "manufactured", run_manufactured, ManufacturedRow,
             {"manufactured": {"h": Key(float_list, [0.25, 0.125, 0.0625], 2)}, "solver": _SOLVER},
             "solver convergence rates against manufactured solutions",
+            ("numpy.ma", "scipy.sparse.linalg"),
         ),
         SuiteSpec(
             "regularity_sweep", run_regularity_sweep, SweepRow,
@@ -971,11 +986,13 @@ SUITES = {
                 "forcing": {"amplitude": Key(float, 1.0)},
             },
             "energy, global regularity, Caccioppoli and interpolation ratios over p x h x stages",
+            ("numpy.ma", "scipy.sparse.linalg", *_TRUNCATION_IMPORTS),
         ),
         SuiteSpec(
             "truncation_suite", run_truncation_suite, TruncationRow,
             {"truncation": {"lattice_n": Key(int, 64, 2)}},
             "truncation duality, lattice Lipschitz truncation, truncated-forcing bound",
+            ("numpy.random", "numpy.ma", *_TRUNCATION_IMPORTS),
         ),
     )
 }

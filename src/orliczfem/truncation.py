@@ -49,10 +49,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import fft
-from scipy.ndimage import distance_transform_edt
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
 from .fem import FemField, evaluate_located, locate_points, quad_cache
 from .nfunctions import DomainError, NFunction
@@ -180,6 +176,8 @@ def _convolve_same(mag: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     transformed: the kernel broadcasts along it and the window keeps its
     central line.
     """
+    from scipy import fft
+
     axes = [a for a in range(mag.ndim) if mag.shape[a] != 1]
     full = [
         s + k - 1 if a in axes else max(s, k)
@@ -214,6 +212,10 @@ def bad_set(maximal: np.ndarray, lam: float) -> np.ndarray:
 
 def _mcshane_midpoint(gf: GridFunction, good: np.ndarray, lam: float) -> np.ndarray:
     """Clipped midpoint of the McShane envelopes over ``good`` (pruned, see module docstring)."""
+    from scipy.ndimage import distance_transform_edt
+    from scipy.spatial import cKDTree
+    from scipy.spatial.distance import cdist
+
     if not good.any():
         raise DomainError("the good set is empty: the bad set covers every lattice point")
     good_vals = gf.values[good]

@@ -1,8 +1,11 @@
 """Imports: what loading the CLI costs and which names cross module boundaries.
 
-The CLI loads neither scipy.signal nor scipy.stats, and no run loads sympy
-(a test-only reference); the library imports only the standard library and
-its declared dependencies; no library module takes a private name from
+Loading the CLI and listing the suites load no SciPy, and no run loads sympy
+(a test-only reference); ``orliczfem run`` imports a suite's modules
+(``SuiteSpec.imports``) before the suite starts, so the suite imports nothing
+more, and each of those modules is one its run imports; the Korn, index and
+hammer suites never load SciPy; the library imports only the standard library
+and its declared dependencies; no library module takes a private name from
 another; every name a module lists in ``__all__`` exists; and the benchmark
 tracer, which rebinds library functions by module and name, still finds them
 all.
@@ -22,7 +25,18 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-HEAVY = ("scipy.signal", "scipy.stats", "sympy")
+HEAVY = ("scipy", "sympy")
+
+
+def _probe(source, *args):
+    """The JSON that ``source`` prints last, run in a fresh interpreter with ``args``."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", source, *map(str, args)], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
 
 PROBE = f"""
 import json, sys
@@ -45,11 +59,7 @@ print(json.dumps({{
 
 
 def test_cli_import_leaves_heavy_modules_unloaded_and_a_manufactured_case_needs_no_sympy():
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    done = subprocess.run(
-        [sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, check=True
-    )
-    probe = json.loads(done.stdout.splitlines()[-1])
+    probe = _probe(PROBE)
     assert probe["at_import"] == []
     assert not probe["sympy_after_case"]
     assert all(math.isfinite(f) for f in probe["forcing"])
@@ -60,6 +70,79 @@ def test_cli_import_leaves_heavy_modules_unloaded_and_a_manufactured_case_needs_
     assert e11 == pytest.approx([0.0, 0.5 * math.pi * r], abs=1e-15)
     assert e22 == [0.0, 0.0]
     assert e12 == pytest.approx([0.0, 0.0], abs=1e-15)
+
+
+# A small config of each suite that still takes every path that imports: the
+# sweep's amplitude gives its forcing truncations a bad set, so they reach the
+# maximal function and the envelopes.
+REDUCED = {
+    "indices_suite": {},
+    "hammer_suite": {"hammer": {"pairs": "50", "fd_samples": "20"}},
+    "korn_suite": {"korn": {"ensemble": "4"}},
+    "truncation_suite": {"truncation": {"lattice_n": "16"}},
+    "manufactured": {"manufactured": {"h": "0.5 0.25"}},
+    "regularity_sweep": {
+        "sweep": {"p_values": "2.0"},
+        "mesh": {"h": "0.5 0.25", "lattice_n": "8"},
+        "forcing": {"amplitude": "20"},
+    },
+}
+
+NO_SCIPY = ("indices_suite", "hammer_suite", "korn_suite")
+
+SETUP_PROBE = """
+import contextlib, io, json, sys
+from orliczfem import cli
+kind, config, out = sys.argv[1:]
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(["list-suites"])
+    cli.main(["list-suites", kind])
+at_list = "scipy" in sys.modules
+run_suite, added = cli.run_suite, []
+def recorded(*args, **kwargs):
+    before = set(sys.modules)
+    result = run_suite(*args, **kwargs)
+    added.extend(sorted(set(sys.modules) - before))
+    return result
+cli.run_suite = recorded
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["run", config, "--jobs", "2", "--out", out])
+print(json.dumps({
+    "at_list": at_list, "code": code, "added": added, "scipy": "scipy" in sys.modules,
+}))
+"""
+
+BARE_PROBE = """
+import json, sys
+from orliczfem.cli import parse_config
+from orliczfem.suites import SUITES, run_suite
+kind, seed, jobs, out, options = parse_config(sys.argv[1])
+run_suite(kind, options, seed)
+print(json.dumps([module for module in SUITES[kind].imports if module not in sys.modules]))
+"""
+
+
+def _reduced_config(tmp_path, kind):
+    lines = ["[experiment]", f"kind = {kind}", "seed = 1"]
+    for section, keys in REDUCED[kind].items():
+        lines += [f"[{section}]", *(f"{key} = {value}" for key, value in keys.items())]
+    path = tmp_path / f"{kind}.ini"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("kind", sorted(REDUCED))
+def test_run_imports_its_suites_modules_before_the_suite_starts(tmp_path, kind):
+    probe = _probe(SETUP_PROBE, kind, _reduced_config(tmp_path, kind), tmp_path / "out")
+    assert not probe["at_list"]  # nor, before it, at import
+    assert probe["code"] in (0, 1)  # a reduced config may violate a contract
+    assert probe["added"] == []
+    assert probe["scipy"] == (kind not in NO_SCIPY)
+
+
+@pytest.mark.parametrize("kind", sorted(REDUCED))
+def test_every_setup_import_is_one_the_run_makes(tmp_path, kind):
+    assert _probe(BARE_PROBE, _reduced_config(tmp_path, kind)) == []
 
 
 ROOT = SRC.parent
@@ -90,12 +173,7 @@ print(json.dumps(dict(spans.counts, spec_points=spec_points)))
 def test_benchmark_tracer_installs_on_the_library():
     # the tracer rebinds functions by module and name: a rename must fail here,
     # and the forcing lattice's point location must stay visible to it
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    done = subprocess.run(
-        [sys.executable, "-c", TRACER_PROBE], env=env, capture_output=True, text=True
-    )
-    assert done.returncode == 0, done.stderr
-    counts = json.loads(done.stdout.splitlines()[-1])
+    counts = _probe(TRACER_PROBE)
     assert counts["truncation.forcing_calls"] == 2
     assert counts["fem.locate_calls"] == 1
     # six outermost evaluations of 7 points each; the base and inverse calls

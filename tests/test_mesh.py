@@ -119,3 +119,8 @@ def test_text_malformed(tmp_path):
     path.write_text("3 1 2\n0 0 1\n1 0 1\n0 1 1\n0 1 7\n")
     with pytest.raises(DomainError):
         read_mesh_text(path)
+    # a non-number in the header, among the nodes or among the cells
+    for text in ("3 one 2\n", "3 1 2\n0 0\n1 x\n0 1\n0 1 2\n", "3 1 2\n0 0\n1 0\n0 1\n0 1 z\n"):
+        path.write_text(text)
+        with pytest.raises(DomainError, match="malformed"):
+            read_mesh_text(path)

@@ -286,7 +286,8 @@ def test_factorized_fill_matches_minimum_degree(monkeypatch, h):
         factors.append(splu(matrix, **kwargs))
         return factors[-1]
 
-    monkeypatch.setattr(solver, "splu", splu_kept)
+    # factorized imports splu when called, so patch it where it is looked up
+    monkeypatch.setattr("scipy.sparse.linalg.splu", splu_kept)
     solver.factorized(jac)
     natural = np.argsort(quad_cache(mesh).free_pattern().free_dofs)
     reference = splu(
@@ -308,6 +309,12 @@ def test_manufactured_power2_rate():
         Truncated(PowerLaw(2), 1e-4, 1e4), sine_bubble(), [0.25, 0.125]
     )
     assert rates[0] >= 1.9
+
+
+def test_convergence_study_rejects_a_repeated_h():
+    # two equal h have no rate: log(h_i / h_{i+1}) = 0
+    with pytest.raises(DomainError, match="repeat"):
+        convergence_study(Truncated(PowerLaw(2), 1e-4, 1e4), sine_bubble(), [0.5, 0.5])
 
 
 @pytest.mark.parametrize("amplitude", [1.0, 0.5, 0.3])

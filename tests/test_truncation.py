@@ -234,7 +234,8 @@ def distances(monkeypatch):
         sizes.append(len(a) * len(b))
         return cdist(a, b)
 
-    monkeypatch.setattr(truncation, "cdist", counting_cdist)
+    # the envelope search imports cdist when called, so patch it where it is looked up
+    monkeypatch.setattr("scipy.spatial.distance.cdist", counting_cdist)
     return sizes
 
 
