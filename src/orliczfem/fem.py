@@ -39,7 +39,6 @@ __all__ = [
     "local_load",
     "assemble_residual",
     "assemble_jacobian",
-    "v_strain_mandel",
     "w12_norm_v",
     "random_zero_boundary_field",
     "locate_points",
@@ -440,10 +439,12 @@ def _magnitudes(field: FemField, kind: str, kernel=None) -> np.ndarray:
     raise DomainError(f"modular kind must be one of {_MODULAR_KINDS}, got {kind!r}")
 
 
-def _region_mask(cache: QuadCache, region) -> np.ndarray:
+def _weights(cache: QuadCache, region) -> np.ndarray:
+    """Quadrature weights, zeroed off the points ``region(x, y) -> bool`` selects if given."""
     if region is None:
-        return np.ones(cache.weights.shape, dtype=bool)
-    return np.asarray(region(cache.qpoints[..., 0], cache.qpoints[..., 1]), dtype=bool)
+        return cache.weights
+    x, y = cache.qpoints[..., 0], cache.qpoints[..., 1]
+    return cache.weights * np.asarray(region(x, y), dtype=bool)
 
 
 def _integral(w: np.ndarray, values: np.ndarray):
@@ -474,19 +475,16 @@ def modular(
     ``region(x, y) -> bool`` restricts the integral to the quadrature points it
     selects (used for ball-restricted means).  A stack of F fields gives an
     (F,) array.  ``kernel``, X at the quadrature points (the field's
-    :func:`strain_mandel`, :func:`gradient_at_qp` or :func:`values_at_qp`), is
-    evaluated here when not given.
+    :func:`strain_mandel`, :func:`gradient_at_qp` or :func:`values_at_qp`, or
+    a shift of it), is evaluated here when not given.
     """
-    cache = quad_cache(field.mesh)
     mags = _magnitudes(field, kind, kernel)
-    w = cache.weights * _region_mask(cache, region)
-    return _integral(w, spec.phi(scale * mags))
+    return _integral(_weights(quad_cache(field.mesh), region), spec.phi(scale * mags))
 
 
 def region_measure(mesh: Mesh, region=None) -> float:
     """Quadrature measure of a region (consistent with :func:`modular`)."""
-    cache = quad_cache(mesh)
-    return float(np.sum(cache.weights * _region_mask(cache, region)))
+    return float(np.sum(_weights(quad_cache(mesh), region)))
 
 
 def korn_ratio(spec: NFunction, field: FemField, strain=None, grad_modular=None):
@@ -498,32 +496,27 @@ def korn_ratio(spec: NFunction, field: FemField, strain=None, grad_modular=None)
     """
     if not field.zero_boundary:
         raise DomainError("korn_ratio requires a zero-boundary field")
-    w = quad_cache(field.mesh).weights
-    E = strain_mandel(field) if strain is None else strain
-    den = _integral(w, spec.phi(_vector_norm(E)))
+    den = modular(spec, field, "sym_grad", kernel=strain)
     _check_nonzero(field, den, "korn_ratio undefined: the field is (numerically) rigid")
     num = modular(spec, field, "grad") if grad_modular is None else grad_modular
     return num / den
 
 
 def korn_ratio_meanfree(spec: NFunction, field: FemField, grad=None, strain=None):
-    """Mean-free variant: modulars of grad u - <grad u> and eps u - <eps u>.
+    """Mean-free variant: the modular of grad u - <grad u> over that of eps u - <eps u>.
 
     ``grad`` and ``strain``, the field's :func:`gradient_at_qp` and
     :func:`strain_mandel`, are evaluated here when not given.
     """
-    cache = quad_cache(field.mesh)
-    w = cache.weights
+    w = quad_cache(field.mesh).weights
     vol = float(w.sum())
     G = gradient_at_qp(field) if grad is None else grad
     mean_g = np.einsum("cq,...cqed->...ed", w, G) / vol
     E = strain_mandel(field) if strain is None else strain
     mean_e = np.einsum("cq,...cqi->...i", w, E) / vol
-    num_mag = _matrix_norm(G - mean_g[..., None, None, :, :])
-    den_mag = _vector_norm(E - mean_e[..., None, None, :])
-    den = _integral(w, spec.phi(den_mag))
+    den = modular(spec, field, "sym_grad", kernel=E - mean_e[..., None, None, :])
     _check_nonzero(field, den, "mean-free korn ratio undefined for rigid fields")
-    return _integral(w, spec.phi(num_mag)) / den
+    return modular(spec, field, "grad", kernel=G - mean_g[..., None, None, :, :]) / den
 
 
 def poincare_ratio(spec: NFunction, field: FemField, grad_modular=None):
@@ -535,8 +528,7 @@ def poincare_ratio(spec: NFunction, field: FemField, grad_modular=None):
         raise DomainError("poincare_ratio requires a zero-boundary field")
     den = modular(spec, field, "grad") if grad_modular is None else grad_modular
     _check_nonzero(field, den, "poincare_ratio undefined for the zero field")
-    w = quad_cache(field.mesh).weights
-    return _integral(w, spec.phi(_vector_norm(values_at_qp(field)))) / den
+    return modular(spec, field, "value") / den
 
 
 # ---------------------------------------------------------------------------
@@ -617,27 +609,21 @@ def assemble_jacobian(spec: NFunction, field: FemField, strain=None):
     return sparse.csc_matrix((data[:nnz], pattern.indices, pattern.indptr), shape=(n, n))
 
 
-def v_strain_mandel(spec: NFunction, field: FemField) -> np.ndarray:
-    """(nc, q, 3) Mandel form of v_map(eps u) at the quadrature points."""
-    E = strain_mandel(field)
-    t = np.sqrt(np.sum(E * E, axis=-1))
-    return np.sqrt(radial.ratio(spec, t))[..., None] * E
-
-
 def w12_norm_v(spec: NFunction, field: FemField):
-    """(int |v_map(eps u)|^2, int |grad v_map(eps u)|^2) by cellwise chain rule.
+    """(V, int |V|^2, int |grad V|^2) for V = v_map(eps u), by cellwise chain rule.
 
-    The gradient part evaluates |d_i v_map(eps u)| = |dv_map(eps u)[d_i eps u]|
-    with the cellwise-constant strain derivative of the P2 field, through
-    :func:`radial.derivative_sq_norm`.  At zero strain this needs the
-    quadratic-branch limit, so degenerate specs must be passed in truncated
-    form (the solver's stage spec).
+    V is the (nc, 6q, 3) Mandel form of the transformed strain at the
+    quadrature points.  The gradient part evaluates |d_i V| =
+    |dv_map(eps u)[d_i eps u]| with the cellwise-constant strain derivative of
+    the P2 field, through :func:`radial.derivative_sq_norm`.  At zero strain
+    this needs the quadratic-branch limit, so degenerate specs must be passed
+    in truncated form (the solver's stage spec).
     """
     _single(field, "w12_norm_v")
     cache = quad_cache(field.mesh)
     E, t = strain_and_norm(field)
     b1, b2 = radial.transform_coefficients(spec, t)
-    V = b1[..., None] * E  # b1 = sqrt(phi'(t)/t), as in v_strain_mandel
+    V = b1[..., None] * E  # b1 = sqrt(phi'(t)/t)
     l2_part = float(np.sum(cache.weights * np.sum(V * V, axis=-1)))
 
     dE = strain_grad_mandel(field)  # (nc, 2, 3), cellwise constant
@@ -645,7 +631,7 @@ def w12_norm_v(spec: NFunction, field: FemField):
     h2 = np.sum(dE * dE, axis=-1)[:, None, :]  # (nc, 1, 2): |d_i eps u|^2
     sq = radial.derivative_sq_norm(b1[..., None], b2[..., None], inner, h2)
     semi_part = float(np.sum(cache.weights * np.sum(sq, axis=-1)))
-    return l2_part, semi_part
+    return V, l2_part, semi_part
 
 
 # ---------------------------------------------------------------------------

@@ -442,7 +442,7 @@ class Truncated(NFunction):
         t = np.asarray(t, dtype=float)
         c = np.clip(t, self.lo, self.hi)
         out = np.zeros_like(t)
-        pos = c > 0.0
+        pos = ~(c <= 0.0)  # NaN stays NaN
         if np.any(pos):
             cp = c[pos]
             out[pos] = self.base.d_phi(cp) / cp * t[pos]

@@ -24,8 +24,8 @@ from .fem import (
     quad_cache,
     region_measure,
     same_mesh,
+    strain_and_norm,
     strain_grad_mandel,
-    strain_mandel,
     values_at_qp,
 )
 from .meshing import Mesh
@@ -219,8 +219,7 @@ def interpolation_step_check(spec: PowerLaw, stage: StageResult) -> float:
         return math.inf
     lhs = float(np.sum(cache.weights * (grad_eps[:, None] ** r)))
 
-    E = strain_mandel(field)
-    t = np.sqrt(np.sum(E * E, axis=-1))
+    _, t = strain_and_norm(field)
     clamped = np.maximum(t, stage.trunc_lo)
     power_int = float(np.sum(cache.weights * clamped**q))
 

@@ -27,7 +27,6 @@ from .fem import (
     quad_cache,
     same_mesh,
     strain_and_norm,
-    v_strain_mandel,
     w12_norm_v,
 )
 from .nfunctions import DomainError, NFunction
@@ -273,15 +272,12 @@ def delta_continuation(
             raise ContinuationError(
                 f"stage {len(stages)} (trunc_lo={lo}, trunc_hi={hi}) failed: {exc}", stages
             ) from exc
-        l2_part, semi_part = w12_norm_v(stage_spec, u)
-        v_now = v_strain_mandel(stage_spec, u)
+        v_now, l2_part, semi_part = w12_norm_v(stage_spec, u)
         if prev_v is None:
             cauchy = math.nan
         else:
             diff = v_now - prev_v
-            cauchy = float(
-                math.sqrt(np.sum(cache.weights * np.sum(diff * diff, axis=-1)))
-            )
+            cauchy = math.sqrt(np.sum(cache.weights * np.sum(diff * diff, axis=-1)))
         prev_v = v_now
         stages.append(StageResult(lo, hi, u.copy(), l2_part, semi_part, cauchy, trace))
     return stages

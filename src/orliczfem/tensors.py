@@ -48,10 +48,13 @@ def _matrices(P) -> np.ndarray:
     return arr
 
 
+def _frobenius(arr: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.sum(arr * arr, axis=(-2, -1)))
+
+
 def frobenius(P):
     """Frobenius norm over the trailing matrix axes."""
-    arr = _matrices(P)
-    out = np.sqrt(np.sum(arr * arr, axis=(-2, -1)))
+    out = _frobenius(_matrices(P))
     return float(out) if out.ndim == 0 else out
 
 
@@ -62,7 +65,7 @@ def frobenius(P):
 
 def _radial_apply(P, coeff_of_t):
     arr = _matrices(P)
-    t = np.sqrt(np.sum(arr * arr, axis=(-2, -1)))
+    t = _frobenius(arr)
     coeff = np.zeros_like(t)
     pos = t > 0.0
     if np.any(pos):
@@ -83,7 +86,7 @@ def v_map(spec: NFunction, P):
 def v_inv(spec: NFunction, Q):
     """Inverse of :func:`v_map`: solves sqrt(phi'(t) t) = |Q| radially."""
     arr = _matrices(Q)
-    s = np.sqrt(np.sum(arr * arr, axis=(-2, -1)))
+    s = _frobenius(arr)
     tau = invert_increasing(lambda t: np.sqrt(spec.d_phi(t) * t), s)
     scale = np.zeros_like(s)
     pos = s > 0.0
@@ -100,7 +103,7 @@ def _radial_derivative(coefficients, spec, P, H):
         raise DomainError("P and H must have the same tensor dimension")
     arr, h_arr = np.broadcast_arrays(arr, h_arr)
     E = arr.reshape(arr.shape[:-2] + (-1,))
-    t = np.sqrt(np.sum(E * E, axis=-1))
+    t = _frobenius(arr)
     c1, c2 = coefficients(spec, t)
     out = radial.derivative(c1, c2, radial.unit(E, t), h_arr.reshape(E.shape))
     return out.reshape(arr.shape)
@@ -149,9 +152,7 @@ def hammer_triple(spec: NFunction, P, Q) -> HammerTriple:
     lhs = np.sum(a_diff * diff, axis=(-2, -1))
     mid = np.sum(v_diff * v_diff, axis=(-2, -1))
 
-    t_sum = np.sqrt(np.sum(p_arr * p_arr, axis=(-2, -1))) + np.sqrt(
-        np.sum(q_arr * q_arr, axis=(-2, -1))
-    )
+    t_sum = _frobenius(p_arr) + _frobenius(q_arr)
     diff_sq = np.sum(diff * diff, axis=(-2, -1))
     rhs = np.zeros_like(t_sum)
     pos = t_sum > 0.0

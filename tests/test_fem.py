@@ -37,7 +37,7 @@ from orliczfem.fem import (
 )
 from orliczfem.meshing import LOCAL_EDGES, build_mesh
 from orliczfem.nfunctions import DomainError, PowerLaw, SingularityError, Truncated
-from orliczfem.solver import v_strain_mandel
+from orliczfem.tensors import a_map, v_map
 
 RNG = np.random.default_rng(5150)
 
@@ -270,6 +270,33 @@ def test_stack_equals_per_entry_calls(disk, count):
         assert got == pytest.approx([ratio(spec, u) for u in entries], rel=1e-13)
 
 
+@pytest.mark.parametrize("count", [None, 4])
+def test_ratios_are_quotients_of_modulars(disk, count):
+    # each ratio is its quotient of modular calls, to the bit
+    u = random_zero_boundary_field(disk, np.random.default_rng(17), count=count)
+    spec = PowerLaw(1.5)
+    w = quad_cache(disk).weights
+    G, E = gradient_at_qp(u), strain_mandel(u)
+    G0 = G - np.einsum("cq,...cqed->...ed", w, G)[..., None, None, :, :] / w.sum()
+    E0 = E - np.einsum("cq,...cqi->...i", w, E)[..., None, None, :] / w.sum()
+    grad, sym_grad = modular(spec, u, "grad"), modular(spec, u, "sym_grad")
+    assert np.array_equal(korn_ratio(spec, u), grad / sym_grad)
+    assert np.array_equal(poincare_ratio(spec, u), modular(spec, u, "value") / grad)
+    assert np.array_equal(
+        korn_ratio_meanfree(spec, u),
+        modular(spec, u, "grad", kernel=G0) / modular(spec, u, "sym_grad", kernel=E0),
+    )
+
+
+def test_full_region_changes_no_bit(disk):
+    u = random_zero_boundary_field(disk, np.random.default_rng(18))
+    spec = PowerLaw(3)
+    everywhere = lambda x, y: np.ones_like(x, dtype=bool)
+    for kind in ("sym_grad", "grad", "value"):
+        assert modular(spec, u, kind, region=everywhere) == modular(spec, u, kind)
+    assert region_measure(disk, everywhere) == region_measure(disk)
+
+
 def test_stacked_draw_is_successive_single_draws(square):
     stack = random_zero_boundary_field(square, np.random.default_rng(11), count=5)
     rng = np.random.default_rng(11)
@@ -413,16 +440,24 @@ def test_residual_requires_quadratic_branch_at_zero_strain(square):
         assemble_residual(PowerLaw(1.5), u, FemField.zeros(square))
 
 
-def test_stress_strain_contraction_equals_transform_norm(disk):
-    # a_map(eps u) : eps u == |v_map(eps u)|^2 pointwise at quadrature points
+def _mandel_matrices(E):
+    """(..., 3) Mandel vectors as (..., 2, 2) symmetric matrices."""
+    off = E[..., 2] / math.sqrt(2.0)
+    return np.stack([np.stack([E[..., 0], off], -1), np.stack([off, E[..., 1]], -1)], -2)
+
+
+def test_w12_transformed_strain_is_v_map_of_the_strain(disk):
+    # w12_norm_v's V is v_map(eps u) at the quadrature points, in Mandel form,
+    # and a_map(eps u) : eps u == |V|^2 pointwise
     rng = np.random.default_rng(31)
     u = random_zero_boundary_field(disk, rng)
     spec = Truncated(PowerLaw(3), 0.01, 100.0)
-    E = strain_mandel(u)
-    t = np.sqrt(np.sum(E * E, axis=-1))
-    A = np.where(t > 0, spec.d_phi(t) / np.where(t > 0, t, 1.0), 0.0)[..., None] * E
-    V = v_strain_mandel(spec, u)
-    assert np.sum(A * E, axis=-1) == pytest.approx(np.sum(V * V, axis=-1), rel=1e-12)
+    eps = _mandel_matrices(strain_mandel(u))
+    V = w12_norm_v(spec, u)[0]
+    assert V.shape == strain_mandel(u).shape
+    np.testing.assert_allclose(_mandel_matrices(V), v_map(spec, eps), rtol=1e-13, atol=0.0)
+    contraction = np.sum(a_map(spec, eps) * eps, axis=(-2, -1))
+    assert contraction == pytest.approx(np.sum(V * V, axis=-1), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -431,12 +466,13 @@ def test_stress_strain_contraction_equals_transform_norm(disk):
 
 
 def test_w12_norm_zero_field(square):
-    assert w12_norm_v(PowerLaw(2), FemField.zeros(square)) == (0.0, 0.0)
+    V, l2, semi = w12_norm_v(PowerLaw(2), FemField.zeros(square))
+    assert not V.any() and (l2, semi) == (0.0, 0.0)
 
 
 def test_w12_norm_identity_strain(square):
     u = FemField.from_callable(square, lambda x, y: np.stack([x, y]))
-    l2, semi = w12_norm_v(PowerLaw(2), u)
+    _, l2, semi = w12_norm_v(PowerLaw(2), u)
     assert l2 == pytest.approx(2.0, rel=1e-12)  # |Id|^2 * |Omega|
     assert semi == pytest.approx(0.0, abs=1e-22)
 
@@ -444,7 +480,7 @@ def test_w12_norm_identity_strain(square):
 def test_w12_seminorm_vanishes_for_linear_fields(square):
     u = FemField.from_callable(square, lambda x, y: np.stack([0.2 * x + 0.7 * y, 0.4 * x]))
     for spec in (PowerLaw(2), Truncated(PowerLaw(3), 0.1, 10.0)):
-        _, semi = w12_norm_v(spec, u)
+        semi = w12_norm_v(spec, u)[2]
         assert semi <= 1e-20
 
 
@@ -458,7 +494,7 @@ def test_w12_seminorm_matches_the_derivative_build(disk, p):
     unit = radial.unit(E, t)[:, :, None, :]
     dV = radial.derivative(b1[..., None], b2[..., None], unit, strain_grad_mandel(u)[:, None])
     reference = float(np.sum(quad_cache(disk).weights * np.sum(dV * dV, axis=(-2, -1))))
-    _, semi = w12_norm_v(spec, u)
+    semi = w12_norm_v(spec, u)[2]
     assert semi == pytest.approx(reference, rel=1e-13)
 
 

@@ -1,10 +1,12 @@
 """Suite outputs against the golden snapshot in ``tests/golden/``.
 
-For each suite below the snapshot holds the default-config CSV
-(``<suite>.csv``) and the contracts, as (name, passed) pairs, and envelopes of
-``summary.json`` (``<suite>.json``), all at seed 20240811.  Cells compare at
-rtol 1e-6 and atol 1e-12, the tolerance of ``perfbench/reference``: reordering
-floating-point work legitimately moves the low bits.
+For each suite below the snapshot holds the CSV (``<suite>.csv``) and the
+contracts, as (name, passed) pairs, and envelopes of ``summary.json``
+(``<suite>.json``) of one run at seed 20240811.  Each suite runs at its
+default config except ``regularity_sweep``, which runs at a reduced one (two
+exponents, two meshes, a 16² lattice) to stay well under a second.  Cells
+compare at rtol 1e-6 and atol 1e-12, the tolerance of ``perfbench/reference``:
+reordering floating-point work legitimately moves the low bits.
 
 Regenerate, only when a change is meant to alter these outputs, with
 
@@ -25,14 +27,22 @@ from orliczfem.suites import run_suite
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 SEED = 20240811
-SUITES = ("hammer_suite", "indices_suite", "manufactured")
+SUITES = {
+    "hammer_suite": {},
+    "indices_suite": {},
+    "manufactured": {},
+    "regularity_sweep": {
+        "sweep": {"p_values": [1.3, 3.0]},
+        "mesh": {"h": [0.25, 0.125], "lattice_n": 16},
+    },
+}
 RTOL = 1e-6
 ATOL = 1e-12
 
 
 def _run(suite, out_dir):
-    """(CSV rows, {"contracts", "envelopes"}) of one default-config run."""
-    write_outputs(run_suite(suite, {}, SEED), SEED, out_dir)
+    """(CSV rows, {"contracts", "envelopes"}) of one run at the suite's config."""
+    write_outputs(run_suite(suite, SUITES[suite], SEED), SEED, out_dir)
     with open(os.path.join(out_dir, f"{suite}.csv"), newline="") as fh:
         rows = list(csv.reader(fh))
     with open(os.path.join(out_dir, "summary.json")) as fh:

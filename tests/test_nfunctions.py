@@ -85,6 +85,21 @@ def test_nan_argument_rejected(evaluate, t):
         evaluate(t)
 
 
+@pytest.mark.parametrize("lo, hi", [(0.1, 10.0), (0.0, 10.0), (0.1, math.inf)])
+def test_truncated_d_phi_keeps_nan(lo, hi):
+    # the closed form checks no argument, but a NaN stays NaN rather than turning into 0
+    spec = Truncated(PowerLaw(3), lo, hi)
+    assert math.isnan(spec.d_phi(math.nan))
+    out = spec.d_phi(np.array([1.0, math.nan, 0.0]))
+    assert math.isnan(out[1]) and out[0] == spec.d_phi(1.0) and out[2] == 0.0
+
+
+@pytest.mark.parametrize("base", [PowerLaw(3), PowerLaw(1.5)])
+def test_truncated_d_phi_at_zero_without_lower_truncation(base):
+    assert Truncated(base, 0.0, 10.0).d_phi(0.0) == 0.0
+    assert Truncated(base, 0.0, 10.0).d_phi(np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
+
+
 @pytest.mark.parametrize(
     "singular", [PowerLaw(1.5), DeltaPower(1.3, 0.0), SumPower(1.5, 3.0)]
 )

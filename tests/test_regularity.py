@@ -149,7 +149,7 @@ def test_caccioppoli_shrinking_radius_no_blowup(disk, solved, swirl):
 def test_interpolation_step_trivial_for_constant_strain(disk):
     u = FemField.from_callable(disk, lambda x, y: np.stack([x, -y]))
     stage_spec = Truncated(PowerLaw(1.5), 1e-4, 1e4)
-    stage = StageResult(1e-4, 1e4, u, *w12_norm_v(stage_spec, u), math.nan, SolveTrace())
+    stage = StageResult(1e-4, 1e4, u, *w12_norm_v(stage_spec, u)[1:], math.nan, SolveTrace())
     ratio = interpolation_step_check(PowerLaw(1.5), stage)
     assert ratio == math.inf
 
