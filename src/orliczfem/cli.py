@@ -6,9 +6,9 @@ Usage:
     orliczfem list-suites [NAME]
 
 Configs are INI-style key=value sections (see ``list-suites NAME`` for a
-template of each suite).  Exit codes: 0 when every suite contract held,
-1 when a contract was violated (the failures are enumerated on stderr),
-2 for config parse/validation errors, 3 when a Newton solve or truncation
+template of each suite).  Exit codes: 0 when every contract held, 1 when one
+was violated (the failures go to stderr), 2 for config parse/validation errors
+or an output path that is not a directory, 3 when a Newton solve or truncation
 continuation failed (the failing stage, iteration and residual go to stderr).
 """
 
@@ -140,6 +140,12 @@ def _cmd_run(args) -> int:
     if args.jobs is not None:
         jobs = args.jobs
     out_dir = args.out or out or "."
+    existing = os.path.abspath(out_dir)
+    while not os.path.lexists(existing):  # the outputs go into its deepest existing part
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        print(f"error: output directory {out_dir}: {existing} is not a directory", file=sys.stderr)
+        return 2
     for module in SUITES[kind].imports:
         importlib.import_module(module)
 

@@ -30,6 +30,7 @@ __all__ = [
     "FemField",
     "quad_cache",
     "same_mesh",
+    "integral",
     "modular",
     "region_measure",
     "korn_ratio",
@@ -421,39 +422,27 @@ def gradient_at_qp(field: FemField) -> np.ndarray:
 _MODULAR_KINDS = ("sym_grad", "grad", "value")
 
 
-def _vector_norm(X: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum("...i,...i->...", X, X))
-
-
-def _matrix_norm(X: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum("...ed,...ed->...", X, X))
-
-
 def _magnitudes(field: FemField, kind: str, kernel=None) -> np.ndarray:
     if kind == "sym_grad":
-        return _vector_norm(strain_mandel(field) if kernel is None else kernel)
+        return radial.norm(strain_mandel(field) if kernel is None else kernel)
     if kind == "grad":
-        return _matrix_norm(gradient_at_qp(field) if kernel is None else kernel)
+        return radial.norm(gradient_at_qp(field) if kernel is None else kernel, 2)
     if kind == "value":
-        return _vector_norm(values_at_qp(field) if kernel is None else kernel)
+        return radial.norm(values_at_qp(field) if kernel is None else kernel)
     raise DomainError(f"modular kind must be one of {_MODULAR_KINDS}, got {kind!r}")
 
 
-def _weights(cache: QuadCache, region) -> np.ndarray:
-    """Quadrature weights, zeroed off the points ``region(x, y) -> bool`` selects if given."""
-    if region is None:
-        return cache.weights
-    x, y = cache.qpoints[..., 0], cache.qpoints[..., 1]
-    return cache.weights * np.asarray(region(x, y), dtype=bool)
+def integral(mesh: Mesh, values: np.ndarray, region=None):
+    """Quadrature sum of ``values`` at the (nc, 6q) points, restricted to ``region(x, y)`` if given.
 
-
-def _integral(w: np.ndarray, values: np.ndarray):
-    """Quadrature sum over the mesh: a float for one field, an (F,) array for a stack.
-
-    A stack's (F, nc, 6q) values lie field-last in memory, as the kernels leave
-    them; one contraction then sums each field in the order, and so to the
-    bits, of ``np.sum(w * values, axis=(-2, -1))``, without the product array.
+    A float for one field; an (F,) array for a stack's (F, nc, 6q) values, which
+    lie field-last as the kernels leave them, so one contraction sums each field
+    in the order, and to the bits, of ``np.sum(w * values)`` without the product.
     """
+    cache = quad_cache(mesh)
+    w = cache.weights
+    if region is not None:
+        w = w * np.asarray(region(*np.moveaxis(cache.qpoints, -1, 0)), dtype=bool)
     if values.ndim == 2:
         return float(np.sum(w * values, axis=(-2, -1)))
     return np.einsum("...cq,cq->...", values, w)
@@ -478,13 +467,12 @@ def modular(
     :func:`strain_mandel`, :func:`gradient_at_qp` or :func:`values_at_qp`, or
     a shift of it), is evaluated here when not given.
     """
-    mags = _magnitudes(field, kind, kernel)
-    return _integral(_weights(quad_cache(field.mesh), region), spec.phi(scale * mags))
+    return integral(field.mesh, spec.phi(scale * _magnitudes(field, kind, kernel)), region)
 
 
 def region_measure(mesh: Mesh, region=None) -> float:
     """Quadrature measure of a region (consistent with :func:`modular`)."""
-    return float(np.sum(_weights(quad_cache(mesh), region)))
+    return integral(mesh, np.ones_like(quad_cache(mesh).weights), region)
 
 
 def korn_ratio(spec: NFunction, field: FemField, strain=None, grad_modular=None):
@@ -551,7 +539,7 @@ def local_load(f: FemField) -> np.ndarray:
 def strain_and_norm(field: FemField):
     """(E, |E|): the (nc, 6q, 3) Mandel strain at the quadrature points and its norm."""
     E = strain_mandel(field)
-    return E, _vector_norm(E)
+    return E, radial.norm(E)
 
 
 def assemble_residual(
@@ -620,17 +608,16 @@ def w12_norm_v(spec: NFunction, field: FemField):
     in truncated form (the solver's stage spec).
     """
     _single(field, "w12_norm_v")
-    cache = quad_cache(field.mesh)
     E, t = strain_and_norm(field)
     b1, b2 = radial.transform_coefficients(spec, t)
     V = b1[..., None] * E  # b1 = sqrt(phi'(t)/t)
-    l2_part = float(np.sum(cache.weights * np.sum(V * V, axis=-1)))
+    l2_part = integral(field.mesh, radial.sq_norm(V))
 
     dE = strain_grad_mandel(field)  # (nc, 2, 3), cellwise constant
     inner = radial.unit(E, t) @ dE.transpose(0, 2, 1)  # (nc, q, 2): n : d_i eps u
-    h2 = np.sum(dE * dE, axis=-1)[:, None, :]  # (nc, 1, 2): |d_i eps u|^2
+    h2 = radial.sq_norm(dE)[:, None, :]  # (nc, 1, 2): |d_i eps u|^2
     sq = radial.derivative_sq_norm(b1[..., None], b2[..., None], inner, h2)
-    semi_part = float(np.sum(cache.weights * np.sum(sq, axis=-1)))
+    semi_part = integral(field.mesh, np.sum(sq, axis=-1))
     return V, l2_part, semi_part
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import radial
-from .fem import FemField, gradient_at_qp, quad_cache, values_at_qp
+from .fem import FemField, gradient_at_qp, integral, quad_cache, values_at_qp
 from .meshing import Mesh, build_mesh
 from .nfunctions import DomainError, NFunction
 from .solver import SolveConfig, solve
@@ -91,7 +91,7 @@ class ManufacturedCase:
         def f(x, y):
             E = _mandel(*self.strain(x, y))
             dxe11, dye11, dxe22, dye22, dxe12, dye12 = self.strain_derivs(x, y)
-            t = np.sqrt(np.sum(E * E, axis=-1))
+            t = radial.norm(E)
             a1, a2 = radial.coefficients(spec, t)
             n = radial.unit(E, t)
             Sx = radial.derivative(a1, a2, n, _mandel(dxe11, dxe22, dxe12))  # d_x sigma
@@ -119,12 +119,10 @@ def forcing_field(mesh: Mesh, spec: NFunction, case: ManufacturedCase) -> FemFie
 
 def h1_error(field: FemField, case: ManufacturedCase) -> float:
     """Full H1 distance between the discrete field and the exact solution."""
-    cache = quad_cache(field.mesh)
-    x, y = cache.qpoints[..., 0], cache.qpoints[..., 1]
+    x, y = np.moveaxis(quad_cache(field.mesh).qpoints, -1, 0)
     du = values_at_qp(field) - case.u(x, y)
     dg = gradient_at_qp(field) - case.grad_u(x, y)
-    sq = np.sum(du * du, axis=-1) + np.sum(dg * dg, axis=(-2, -1))
-    return math.sqrt(float(np.sum(cache.weights * sq)))
+    return math.sqrt(integral(field.mesh, radial.sq_norm(du) + radial.sq_norm(dg, 2)))
 
 
 def convergence_study(

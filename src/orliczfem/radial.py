@@ -21,6 +21,8 @@ import numpy as np
 from .nfunctions import NFunction, SingularityError
 
 __all__ = [
+    "norm",
+    "sq_norm",
     "at_zero",
     "ratio",
     "coefficients",
@@ -29,6 +31,16 @@ __all__ = [
     "derivative",
     "derivative_sq_norm",
 ]
+
+
+def sq_norm(X: np.ndarray, axes: int = 1) -> np.ndarray:
+    """|X|^2 over X's ``axes`` trailing axes: 1 for vectors, 2 for matrices (Frobenius)."""
+    return np.einsum("...ij,...ij->..." if axes == 2 else "...i,...i->...", X, X)
+
+
+def norm(X: np.ndarray, axes: int = 1) -> np.ndarray:
+    """|X|, the square root of :func:`sq_norm`."""
+    return np.sqrt(sq_norm(X, axes))
 
 
 def at_zero(spec: NFunction) -> float:

@@ -18,8 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import radial
 from .fem import (
     FemField,
+    integral,
     modular,
     quad_cache,
     region_measure,
@@ -111,26 +113,23 @@ def rigid_projection(field: FemField, region) -> np.ndarray:
     """Weighted L2 projection of the field onto rigid motions (a - c y, b + c x).
 
     Returns the coefficients (a, b, c); the projection is taken over the
-    quadrature points selected by ``region``.
+    quadrature points selected by ``region``, evaluated once as a 0/1 factor
+    of each integrand (an exact product).
     """
-    cache = quad_cache(field.mesh)
-    mask = np.asarray(region(cache.qpoints[..., 0], cache.qpoints[..., 1]), dtype=bool)
-    w = cache.weights * mask
+    x, y = np.moveaxis(quad_cache(field.mesh).qpoints, -1, 0)
+    mask = np.asarray(region(x, y), dtype=bool).astype(float)
     u = values_at_qp(field)
-    x = cache.qpoints[..., 0]
-    y = cache.qpoints[..., 1]
     # basis: (1,0), (0,1), (-y, x)
     g = np.zeros((3, 3))
     rhs = np.zeros(3)
     b3x, b3y = -y, x
-    g[0, 0] = np.sum(w)
-    g[1, 1] = np.sum(w)
-    g[0, 2] = g[2, 0] = np.sum(w * b3x)
-    g[1, 2] = g[2, 1] = np.sum(w * b3y)
-    g[2, 2] = np.sum(w * (b3x * b3x + b3y * b3y))
-    rhs[0] = np.sum(w * u[..., 0])
-    rhs[1] = np.sum(w * u[..., 1])
-    rhs[2] = np.sum(w * (u[..., 0] * b3x + u[..., 1] * b3y))
+    g[0, 0] = g[1, 1] = integral(field.mesh, mask)
+    g[0, 2] = g[2, 0] = integral(field.mesh, mask * b3x)
+    g[1, 2] = g[2, 1] = integral(field.mesh, mask * b3y)
+    g[2, 2] = integral(field.mesh, mask * (b3x * b3x + b3y * b3y))
+    rhs[0] = integral(field.mesh, mask * u[..., 0])
+    rhs[1] = integral(field.mesh, mask * u[..., 1])
+    rhs[2] = integral(field.mesh, mask * (u[..., 0] * b3x + u[..., 1] * b3y))
     return np.linalg.solve(g, rhs)
 
 
@@ -212,16 +211,13 @@ def interpolation_step_check(spec: PowerLaw, stage: StageResult) -> float:
     q = 8.0
     r = 2.0 * q / (q + 2.0 - p)
 
-    cache = quad_cache(field.mesh)
-    dE = strain_grad_mandel(field)  # (nc, 2, 3), cellwise constant
-    grad_eps = np.sqrt(np.sum(dE * dE, axis=(1, 2)))  # (nc,)
+    grad_eps = radial.norm(strain_grad_mandel(field), 2)  # (nc,), cellwise constant
     if float(grad_eps.max(initial=0.0)) <= 1e-10:  # constant strain up to roundoff
         return math.inf
-    lhs = float(np.sum(cache.weights * (grad_eps[:, None] ** r)))
+    lhs = integral(field.mesh, grad_eps[:, None] ** r)
 
     _, t = strain_and_norm(field)
-    clamped = np.maximum(t, stage.trunc_lo)
-    power_int = float(np.sum(cache.weights * clamped**q))
+    power_int = integral(field.mesh, np.maximum(t, stage.trunc_lo) ** q)
 
     bound = (p - 1.0) ** (-r / 2.0) * stage.w12_semi ** (r / 2.0) * power_int ** ((2.0 - r) / 2.0)
     return bound / lhs

@@ -19,10 +19,12 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import radial
 from .fem import (
     FemField,
     assemble_jacobian,
     assemble_residual,
+    integral,
     local_load,
     quad_cache,
     same_mesh,
@@ -146,10 +148,9 @@ def energy(spec: NFunction, field: FemField, load: np.ndarray):
     strain at the quadrature points: the residual and the Jacobian of the same
     field take that pair instead of evaluating the strain again.
     """
-    cache = quad_cache(field.mesh)
     strain = strain_and_norm(field)
-    stored = float(np.sum(cache.weights * spec.phi(strain[1])))
-    return stored - float(np.sum(load * field.coeffs.ravel()[cache.vector_dofs])), strain
+    work = float(np.sum(load * field.coeffs.ravel()[quad_cache(field.mesh).vector_dofs]))
+    return integral(field.mesh, spec.phi(strain[1])) - work, strain
 
 
 def solve(
@@ -192,6 +193,8 @@ def solve(
         trace.append(it, current, res_norm, step)
         if res_norm <= cfg.newton_tol:
             return u, trace
+        if not math.isfinite(res_norm):
+            raise NonConvergenceError(f"non-finite residual at Newton iteration {it}", trace)
         if it == cfg.max_iters:
             break
 
@@ -259,7 +262,6 @@ def delta_continuation(
     cfg = cfg or SolveConfig()
     if not cfg.delta_schedule:
         raise DomainError("delta schedule is empty")
-    cache = quad_cache(f.mesh)
     stages: list[StageResult] = []
     u = FemField.zeros(f.mesh)
     prev_v = None
@@ -276,8 +278,7 @@ def delta_continuation(
         if prev_v is None:
             cauchy = math.nan
         else:
-            diff = v_now - prev_v
-            cauchy = math.sqrt(np.sum(cache.weights * np.sum(diff * diff, axis=-1)))
+            cauchy = math.sqrt(integral(f.mesh, radial.sq_norm(v_now - prev_v)))
         prev_v = v_now
         stages.append(StageResult(lo, hi, u.copy(), l2_part, semi_part, cauchy, trace))
     return stages

@@ -510,6 +510,10 @@ def run_regularity_sweep(options: dict, seed: int, jobs: int) -> SuiteResult:
     lattice_n = options["mesh"]["lattice_n"]
     p_values = options["sweep"]["p_values"]
     amplitude = options["forcing"]["amplitude"]
+    if not (math.isfinite(amplitude) and amplitude != 0.0):  # a zero forcing has no ratio
+        raise DomainError(
+            f"key 'amplitude' in section [forcing] must be finite and nonzero, got {amplitude}"
+        )
     cfg = _solve_config(options)
     # one mesh and forcing per h, shared by every p and thread: their per-mesh
     # memos (quadrature cache, located lattice, Jacobian pattern, forcing

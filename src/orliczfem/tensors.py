@@ -48,13 +48,9 @@ def _matrices(P) -> np.ndarray:
     return arr
 
 
-def _frobenius(arr: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(arr * arr, axis=(-2, -1)))
-
-
 def frobenius(P):
     """Frobenius norm over the trailing matrix axes."""
-    out = _frobenius(_matrices(P))
+    out = radial.norm(_matrices(P), 2)
     return float(out) if out.ndim == 0 else out
 
 
@@ -65,7 +61,7 @@ def frobenius(P):
 
 def _radial_apply(P, coeff_of_t):
     arr = _matrices(P)
-    t = _frobenius(arr)
+    t = radial.norm(arr, 2)
     coeff = np.zeros_like(t)
     pos = t > 0.0
     if np.any(pos):
@@ -86,7 +82,7 @@ def v_map(spec: NFunction, P):
 def v_inv(spec: NFunction, Q):
     """Inverse of :func:`v_map`: solves sqrt(phi'(t) t) = |Q| radially."""
     arr = _matrices(Q)
-    s = _frobenius(arr)
+    s = radial.norm(arr, 2)
     tau = invert_increasing(lambda t: np.sqrt(spec.d_phi(t) * t), s)
     scale = np.zeros_like(s)
     pos = s > 0.0
@@ -103,7 +99,7 @@ def _radial_derivative(coefficients, spec, P, H):
         raise DomainError("P and H must have the same tensor dimension")
     arr, h_arr = np.broadcast_arrays(arr, h_arr)
     E = arr.reshape(arr.shape[:-2] + (-1,))
-    t = _frobenius(arr)
+    t = radial.norm(arr, 2)
     c1, c2 = coefficients(spec, t)
     out = radial.derivative(c1, c2, radial.unit(E, t), h_arr.reshape(E.shape))
     return out.reshape(arr.shape)
@@ -150,10 +146,10 @@ def hammer_triple(spec: NFunction, P, Q) -> HammerTriple:
     v_diff = v_map(spec, p_arr) - v_map(spec, q_arr)
 
     lhs = np.sum(a_diff * diff, axis=(-2, -1))
-    mid = np.sum(v_diff * v_diff, axis=(-2, -1))
+    mid = radial.sq_norm(v_diff, 2)
 
-    t_sum = _frobenius(p_arr) + _frobenius(q_arr)
-    diff_sq = np.sum(diff * diff, axis=(-2, -1))
+    t_sum = radial.norm(p_arr, 2) + radial.norm(q_arr, 2)
+    diff_sq = radial.sq_norm(diff, 2)
     rhs = np.zeros_like(t_sum)
     pos = t_sum > 0.0
     if np.any(pos):

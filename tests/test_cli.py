@@ -5,6 +5,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from orliczfem import suites
@@ -328,6 +329,38 @@ def test_run_failure_exit_3_names_stage_iteration_residual(tmp_path, capsys, tex
     err = capsys.readouterr().err
     assert re.search(r"run failed: Newton iteration 1, residual \d\.\d{3}e[-+]\d+", err)
     assert re.search(where, err)
+
+
+@pytest.mark.parametrize("amplitude", ["0", "nan", "inf"])
+def test_zero_or_non_finite_amplitude_exit_2_names_the_key(tmp_path, capsys, amplitude):
+    cfg = _write(tmp_path, REDUCED_SWEEP + f"\n[forcing]\namplitude = {amplitude}\n")
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "key 'amplitude' in section [forcing] must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_overflowing_forcing_exit_3_names_stage_and_iteration(tmp_path, capsys):
+    cfg = _write(tmp_path, REDUCED_SWEEP + "\n[forcing]\namplitude = 1e300\n")
+    with np.errstate(all="ignore"):  # the forcing's truncation overflows too
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "Newton iteration 0, residual inf; stage 0 (trunc_lo=" in err
+    assert "non-finite residual at Newton iteration 0" in err
+
+
+@pytest.mark.parametrize("where", ["taken", "taken/sub"])
+def test_unusable_output_directory_exit_2_before_the_suite_runs(
+    tmp_path, capsys, monkeypatch, where
+):
+    import orliczfem.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "run_suite", lambda *a, **k: calls.append(a))
+    (tmp_path / "taken").write_text("a file, not a directory\n")
+    cfg = _write(tmp_path, MINIMAL)
+    assert main(["run", cfg, "--out", str(tmp_path / where)]) == 2
+    assert f"{tmp_path / 'taken'} is not a directory" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_parse_config_types(tmp_path):

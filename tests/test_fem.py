@@ -11,15 +11,13 @@ from scipy.sparse import linalg as splinalg
 from orliczfem import radial
 from orliczfem.fem import (
     FemField,
-    _integral,
-    _matrix_norm,
     _p2_values,
-    _vector_norm,
     assemble_jacobian,
     assemble_residual,
     evaluate_field,
     evaluate_field_gradient,
     gradient_at_qp,
+    integral,
     korn_ratio,
     korn_ratio_meanfree,
     locate_points,
@@ -229,18 +227,18 @@ def _entries(stack):
 
 @pytest.mark.parametrize("h,count", [(0.25, 5), (1 / 16, 16)])
 def test_stack_quadrature_sum_is_the_elementwise_sum(h, count):
-    # _integral contracts a stack in place of np.sum(w * values); on the
+    # integral contracts a stack in place of np.sum(w * values); on the
     # kernels' field-last layout the two must agree to the bit
     mesh = build_mesh("unit_square", h)
     stack = random_zero_boundary_field(mesh, np.random.default_rng(41), count=count)
     w = quad_cache(mesh).weights
     spec = PowerLaw(1.5)
     for values in (
-        spec.phi(_matrix_norm(gradient_at_qp(stack))),
-        spec.phi(_vector_norm(strain_mandel(stack))),
-        spec.phi(_vector_norm(values_at_qp(stack))),
+        spec.phi(radial.norm(gradient_at_qp(stack), 2)),
+        spec.phi(radial.norm(strain_mandel(stack))),
+        spec.phi(radial.norm(values_at_qp(stack))),
     ):
-        assert np.array_equal(_integral(w, values), np.sum(w * values, axis=(-2, -1)))
+        assert np.array_equal(integral(mesh, values), np.sum(w * values, axis=(-2, -1)))
 
 
 @pytest.mark.parametrize("count", [1, 3, 16])

@@ -214,6 +214,18 @@ def test_library_imports_only_stdlib_and_declared_dependencies():
     assert undeclared == []
 
 
+def test_only_fem_reads_the_quadrature_weights():
+    # every mesh integral is fem.integral, so the weights stay behind fem
+    readers = sorted(
+        path.name
+        for path in sorted((SRC / "orliczfem").glob("*.py"))
+        if path.name != "fem.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "weights"
+    )
+    assert readers == []
+
+
 def test_no_module_imports_another_modules_private_names():
     private = [
         f"{path.name}: {module}.{name}"

@@ -117,6 +117,14 @@ def test_nonconvergence_carries_trace(disk, swirl):
     assert len(err.value.trace.rows) >= 1
 
 
+def test_non_finite_residual_is_nonconvergence_naming_the_iteration(disk, swirl):
+    huge = FemField(disk, 1e300 * swirl.coeffs, zero_boundary=True)
+    with np.errstate(over="ignore"), pytest.raises(NonConvergenceError) as err:
+        solve(Truncated(PowerLaw(3), 0.01, 100.0), huge)
+    assert "non-finite residual at Newton iteration 0" in str(err.value)
+    assert err.value.trace.rows[-1].residual == math.inf
+
+
 def test_trace_csv(disk, swirl, tmp_path):
     _, trace = solve(Truncated(PowerLaw(3), 0.01, 100.0), swirl)
     path = tmp_path / "trace.csv"

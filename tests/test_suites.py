@@ -128,6 +128,23 @@ def test_regularity_sweep_schedule_validation():
         run_suite("regularity_sweep", {"schedule": {"delta_lo": [0.1]}}, seed=1, jobs=1)
 
 
+@pytest.mark.parametrize("amplitude", [0.0, float("nan"), float("inf"), -float("inf")])
+def test_zero_or_non_finite_amplitude_rejected_naming_the_key(amplitude):
+    with pytest.raises(DomainError, match=r"key 'amplitude' in section \[forcing\] must be finite"):
+        run_suite("regularity_sweep", {"forcing": {"amplitude": amplitude}}, seed=1, jobs=1)
+
+
+def test_negative_amplitude_runs():
+    opts = {
+        "sweep": {"p_values": [2.0]},
+        "mesh": {"h": [0.5, 0.25], "lattice_n": 16},
+        "schedule": {"delta_lo": [1e-1, 1e-2], "delta_hi": [1e1, 1e2]},
+        "forcing": {"amplitude": -1.0},
+    }
+    rows = run_suite("regularity_sweep", opts, seed=1, jobs=1).rows
+    assert all(np.isfinite(row.ratio) for row in rows if row.experiment == "energy")
+
+
 def test_truncation_suite_structure():
     result = run_suite("truncation_suite", {"truncation": {"lattice_n": 48}}, seed=1, jobs=1)
     kinds = {row.experiment for row in result.rows}
