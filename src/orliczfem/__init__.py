@@ -13,7 +13,7 @@ from .fem import (
     random_zero_boundary_field,
     w12_norm_v,
 )
-from .meshing import Mesh, build_mesh, read_mesh_text, write_mesh_text
+from .meshing import Mesh, build_mesh
 from .nfunctions import (
     DeltaPower,
     DomainError,

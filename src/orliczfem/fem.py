@@ -46,8 +46,6 @@ __all__ = [
     "evaluate_field",
     "evaluate_located",
     "evaluate_field_gradient",
-    "write_field_text",
-    "read_field_text",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -288,8 +286,8 @@ class FemField:
     Coefficients of shape (F, n_scalar, 2) hold a stack of F fields on one
     mesh, all with the same ``zero_boundary`` flag.  The kernels,
     :func:`modular` and the three ratios evaluate a stack in one call and
-    return a leading F axis; assembly, the transform norm, point evaluation
-    and the text format take single fields only.
+    return a leading F axis; assembly, the transform norm and point evaluation
+    take single fields only.
     """
 
     def __init__(self, mesh: Mesh, coeffs: np.ndarray, zero_boundary: bool = False):
@@ -433,7 +431,10 @@ def _magnitudes(field: FemField, kind: str, kernel=None) -> np.ndarray:
 
 
 def integral(mesh: Mesh, values: np.ndarray, region=None):
-    """Quadrature sum of ``values`` at the (nc, 6q) points, restricted to ``region(x, y)`` if given.
+    """Quadrature sum of ``values`` at the (nc, 6q) points, restricted to ``region`` if given.
+
+    ``region`` is a boolean (nc, 6q) mask of the quadrature points, such as a
+    predicate of ``quad_cache(mesh).qpoints``.
 
     A float for one field; an (F,) array for a stack's (F, nc, 6q) values, which
     lie field-last as the kernels leave them, so one contraction sums each field
@@ -442,7 +443,7 @@ def integral(mesh: Mesh, values: np.ndarray, region=None):
     cache = quad_cache(mesh)
     w = cache.weights
     if region is not None:
-        w = w * np.asarray(region(*np.moveaxis(cache.qpoints, -1, 0)), dtype=bool)
+        w = w * region
     if values.ndim == 2:
         return float(np.sum(w * values, axis=(-2, -1)))
     return np.einsum("...cq,cq->...", values, w)
@@ -461,17 +462,17 @@ def modular(
 ):
     """Quadrature of phi(scale * |X|) with X in {eps u, grad u, u} over the mesh.
 
-    ``region(x, y) -> bool`` restricts the integral to the quadrature points it
-    selects (used for ball-restricted means).  A stack of F fields gives an
-    (F,) array.  ``kernel``, X at the quadrature points (the field's
-    :func:`strain_mandel`, :func:`gradient_at_qp` or :func:`values_at_qp`, or
-    a shift of it), is evaluated here when not given.
+    ``region``, a boolean (nc, 6q) mask, restricts the integral to the
+    quadrature points it selects (used for ball-restricted means).  A stack of
+    F fields gives an (F,) array.  ``kernel``, X at the quadrature points (the
+    field's :func:`strain_mandel`, :func:`gradient_at_qp` or
+    :func:`values_at_qp`, or a shift of it), is evaluated here when not given.
     """
     return integral(field.mesh, spec.phi(scale * _magnitudes(field, kind, kernel)), region)
 
 
 def region_measure(mesh: Mesh, region=None) -> float:
-    """Quadrature measure of a region (consistent with :func:`modular`)."""
+    """Quadrature measure of a region mask (consistent with :func:`modular`)."""
     return integral(mesh, np.ones_like(quad_cache(mesh).weights), region)
 
 
@@ -701,30 +702,3 @@ def evaluate_field_gradient(field: FemField, points: np.ndarray) -> np.ndarray:
         out[inside] = np.einsum("nbd,nbe->ned", phys, loc)
     return out
 
-
-# ---------------------------------------------------------------------------
-# coefficient text format
-# ---------------------------------------------------------------------------
-
-
-def write_field_text(field: FemField, path) -> None:
-    """Header "n_coeffs 2 zero_boundary", then one "cx cy" line per scalar dof."""
-    _single(field, "write_field_text")
-    with open(path, "w") as fh:
-        fh.write(f"{len(field.coeffs)} 2 {int(field.zero_boundary)}\n")
-        for cx, cy in field.coeffs:
-            fh.write(f"{cx:.17g} {cy:.17g}\n")
-
-
-def read_field_text(mesh: Mesh, path) -> FemField:
-    """The field :func:`write_field_text` wrote; a malformed file is a :class:`DomainError`."""
-    with open(path) as fh:
-        tokens = fh.read().split()
-    try:  # too few header tokens, a non-number or a coefficient count off the header's
-        n, dim, flag = (int(t) for t in tokens[:3])
-        coeffs = np.array(tokens[3:], dtype=float).reshape(n, dim)
-    except ValueError:
-        raise DomainError("field file is malformed") from None
-    if dim != 2:
-        raise DomainError("field files must have 2 components")
-    return FemField(mesh, coeffs, zero_boundary=bool(flag))

@@ -29,7 +29,6 @@ __all__ = [
     "ManufacturedCase",
     "sine_bubble",
     "forcing_field",
-    "exact_field",
     "h1_error",
     "convergence_study",
 ]
@@ -106,10 +105,6 @@ class ManufacturedCase:
 def sine_bubble(amplitude: float = 1.0) -> ManufacturedCase:
     """u* = (a sin(pi x) sin(pi y), 0): zero on the unit-square boundary."""
     return ManufacturedCase(amplitude)
-
-
-def exact_field(mesh: Mesh, case: ManufacturedCase) -> FemField:
-    return FemField.from_callable(mesh, lambda x, y: case.u(x, y).T)
 
 
 def forcing_field(mesh: Mesh, spec: NFunction, case: ManufacturedCase) -> FemField:

@@ -24,9 +24,7 @@ import numpy as np
 
 from .nfunctions import DomainError
 
-__all__ = [
-    "Mesh", "LOCAL_EDGES", "cell_jacobians", "build_mesh", "read_mesh_text", "write_mesh_text"
-]
+__all__ = ["Mesh", "LOCAL_EDGES", "cell_jacobians", "build_mesh"]
 
 #: Vertex pairs of a cell's local edges: column k of ``Mesh.cell_edges`` joins
 #: ``LOCAL_EDGES[k]``, and the P2 edge function k lives on it.
@@ -35,13 +33,13 @@ LOCAL_EDGES = ((0, 1), (1, 2), (2, 0))
 
 @dataclass
 class Mesh:
-    """Conforming triangle mesh with boundary-node flags."""
+    """Conforming triangle mesh; its edge tables and boundary flags come from the cells."""
 
     nodes: np.ndarray  # (nv, 2)
     cells: np.ndarray  # (nc, 3), positively oriented
-    boundary_nodes: np.ndarray  # (nv,) bool
     domain_tag: str
     h: float
+    boundary_nodes: np.ndarray = field(init=False)  # (nv,) bool
     edges: np.ndarray = field(init=False)  # (ne, 2) sorted node pairs
     cell_edges: np.ndarray = field(init=False)  # (nc, 3) edge ids
     boundary_edges: np.ndarray = field(init=False)  # (ne,) bool
@@ -51,14 +49,8 @@ class Mesh:
         self.cells = np.ascontiguousarray(self.cells, dtype=np.int64)
         _orient_positively(self.nodes, self.cells)
         self.edges, self.cell_edges, self.boundary_edges = _edge_tables(self.cells)
-        flags = np.zeros(len(self.nodes), dtype=bool)
-        flags[np.unique(self.edges[self.boundary_edges])] = True
-        if self.boundary_nodes is None:
-            self.boundary_nodes = flags
-        else:
-            self.boundary_nodes = np.asarray(self.boundary_nodes, dtype=bool)
-            if not np.array_equal(self.boundary_nodes, flags):
-                raise DomainError("boundary flags inconsistent with cell adjacency")
+        self.boundary_nodes = np.zeros(len(self.nodes), dtype=bool)
+        self.boundary_nodes[np.unique(self.edges[self.boundary_edges])] = True
 
     @property
     def n_nodes(self) -> int:
@@ -71,9 +63,6 @@ class Mesh:
     @property
     def n_edges(self) -> int:
         return len(self.edges)
-
-    def cell_areas(self) -> np.ndarray:
-        return 0.5 * np.abs(cell_jacobians(self.nodes, self.cells)[1])
 
     def boundary_distance(self, points: np.ndarray) -> np.ndarray:
         """Distance from each point to the nearest boundary node (polygonal proxy)."""
@@ -129,7 +118,7 @@ def _square_mesh(h: float) -> Mesh:
             v11 = v01 + 1
             cells.append((v00, v10, v11))
             cells.append((v00, v11, v01))
-    return Mesh(nodes, np.array(cells), None, "unit_square", h)
+    return Mesh(nodes, np.array(cells), "unit_square", h)
 
 
 def _ring_chain(j: int, m: int, closed: bool):
@@ -201,7 +190,7 @@ def _disk_mesh(h: float, tag: str, half: bool = False, kgon: int | None = None) 
     nodes = np.array(nodes)
     if kgon is not None:
         nodes = _map_to_kgon(nodes, kgon)
-    return Mesh(nodes, np.array(cells), None, tag, h)
+    return Mesh(nodes, np.array(cells), tag, h)
 
 
 def _map_to_kgon(nodes: np.ndarray, k: int) -> np.ndarray:
@@ -233,47 +222,3 @@ def build_mesh(domain_tag: str, h: float) -> Mesh:
         return _disk_mesh(h, domain_tag, kgon=k)
     raise DomainError(f"unknown domain tag {domain_tag!r}")
 
-
-# ---------------------------------------------------------------------------
-# text format
-# ---------------------------------------------------------------------------
-
-
-def write_mesh_text(mesh: Mesh, path) -> None:
-    """Header "n_nodes n_cells dim", node lines "x y flag", cell lines "i j k"."""
-    with open(path, "w") as fh:
-        fh.write(f"{mesh.n_nodes} {mesh.n_cells} 2\n")
-        for (x, y), flag in zip(mesh.nodes, mesh.boundary_nodes):
-            fh.write(f"{x:.17g} {y:.17g} {int(flag)}\n")
-        for i, j, k in mesh.cells:
-            fh.write(f"{i} {j} {k}\n")
-
-
-def read_mesh_text(path, domain_tag: str = "from_file", h: float = math.nan) -> Mesh:
-    with open(path) as fh:
-        tokens = fh.read().split()
-    if len(tokens) < 3:
-        raise DomainError("mesh file too short")
-    try:  # a non-integer in the header
-        n_nodes, n_cells, dim = (int(t) for t in tokens[:3])
-    except ValueError:
-        raise DomainError("mesh file is malformed") from None
-    if dim != 2:
-        raise DomainError(f"only dim=2 meshes are supported, got {dim}")
-    if n_nodes < 3 or n_cells < 1:
-        raise DomainError("mesh file declares an empty mesh")
-    rest = tokens[3:]
-    # node lines carry 2 or 3 entries depending on whether flags are present
-    per_node = (len(rest) - 3 * n_cells) // n_nodes
-    if per_node not in (2, 3) or len(rest) != per_node * n_nodes + 3 * n_cells:
-        raise DomainError("mesh file is malformed")
-    try:  # a non-number among the nodes or a non-integer among the cells
-        vals = np.array(rest[: per_node * n_nodes], dtype=float).reshape(n_nodes, per_node)
-        cells = np.array(rest[per_node * n_nodes :], dtype=np.int64).reshape(n_cells, 3)
-    except ValueError:
-        raise DomainError("mesh file is malformed") from None
-    nodes = vals[:, :2]
-    flags = vals[:, 2].astype(bool) if per_node == 3 else None
-    if cells.min() < 0 or cells.max() >= n_nodes:
-        raise DomainError("mesh file references nonexistent nodes")
-    return Mesh(nodes, cells, flags, domain_tag, h)

@@ -109,15 +109,15 @@ def regularity_ratio(
 # ---------------------------------------------------------------------------
 
 
-def rigid_projection(field: FemField, region) -> np.ndarray:
+def rigid_projection(field: FemField, region: np.ndarray) -> np.ndarray:
     """Weighted L2 projection of the field onto rigid motions (a - c y, b + c x).
 
     Returns the coefficients (a, b, c); the projection is taken over the
-    quadrature points selected by ``region``, evaluated once as a 0/1 factor
-    of each integrand (an exact product).
+    quadrature points selected by the boolean (nc, 6q) mask ``region``, taken
+    as a 0/1 factor of each integrand (an exact product).
     """
     x, y = np.moveaxis(quad_cache(field.mesh).qpoints, -1, 0)
-    mask = np.asarray(region(x, y), dtype=bool).astype(float)
+    mask = np.asarray(region, dtype=float)
     u = values_at_qp(field)
     # basis: (1,0), (0,1), (-y, x)
     g = np.zeros((3, 3))
@@ -149,15 +149,14 @@ def caccioppoli_ratio(
     if float(mesh.boundary_distance(center[None, :])[0]) <= 2.0 * radius:
         raise DomainError("caccioppoli ball must satisfy 2B inside the domain")
 
-    def ball(r):
-        return lambda x, y: (x - center[0]) ** 2 + (y - center[1]) ** 2 <= r * r
-
-    outer = ball(2.0 * radius)
-    lhs_meas = region_measure(mesh, ball(radius))
+    x, y = np.moveaxis(quad_cache(mesh).qpoints, -1, 0)
+    dist2 = (x - center[0]) ** 2 + (y - center[1]) ** 2
+    inner, outer = dist2 <= radius * radius, dist2 <= (2.0 * radius) * (2.0 * radius)
+    lhs_meas = region_measure(mesh, inner)
     rhs_meas = region_measure(mesh, outer)
     if lhs_meas == 0.0 or rhs_meas == 0.0:
         raise DomainError("caccioppoli ball contains no quadrature points")
-    lhs = modular(spec, field, "sym_grad", region=ball(radius)) / lhs_meas
+    lhs = modular(spec, field, "sym_grad", region=inner) / lhs_meas
 
     a, b, c = rigid_projection(field, outer)
     # the rigid motion is linear, so P2 interpolates it exactly

@@ -965,7 +965,7 @@ SUITES = {
                     "domain": Key(str, "unit_square"),
                     "h": Key(float_list, [0.25, 0.125], 2),
                 },
-                "sweep": {"p_values": Key(float_list, [1.3, 1.5, 2.0, 3.0])},
+                "sweep": {"p_values": Key(float_list, [1.3, 1.5, 2.0, 3.0], 1)},
             },
             "Korn/Poincare modular ratios on random zero-boundary ensembles",
             ("numpy.random", "numpy.ma"),
@@ -979,7 +979,7 @@ SUITES = {
         SuiteSpec(
             "regularity_sweep", run_regularity_sweep, SweepRow,
             {
-                "sweep": {"p_values": Key(float_list, [1.3, 1.5, 2.0, 3.0, 4.0])},
+                "sweep": {"p_values": Key(float_list, [1.3, 1.5, 2.0, 3.0, 4.0], 1)},
                 "mesh": {
                     "domain": Key(str, "unit_disk"),
                     "h": Key(float_list, [0.25, 0.125, 0.0625], 2),

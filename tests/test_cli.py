@@ -172,6 +172,16 @@ def test_single_valued_list_is_config_error(tmp_path, capsys, kind, section, val
     assert "must list at least 2 values" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["korn_suite", "regularity_sweep"])
+def test_empty_p_values_is_config_error(tmp_path, capsys, kind):
+    # no p is no case: korn_suite would hold every contract over zero rows
+    with pytest.raises(DomainError, match=r"'p_values' in section \[sweep\] must list at least 1"):
+        run_suite(kind, {"sweep": {"p_values": []}}, seed=1)
+    cfg = _write(tmp_path, f"[experiment]\nkind = {kind}\nseed = 1\n\n[sweep]\np_values =\n")
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "'p_values' in section [sweep]" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "kind,section,key,values",
     [

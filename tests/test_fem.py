@@ -1,7 +1,6 @@
 """P2 elements: quadrature, strains, modulars, assembly, and the transform norm."""
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -25,15 +24,13 @@ from orliczfem.fem import (
     poincare_ratio,
     quad_cache,
     random_zero_boundary_field,
-    read_field_text,
     region_measure,
     strain_grad_mandel,
     strain_mandel,
     values_at_qp,
     w12_norm_v,
-    write_field_text,
 )
-from orliczfem.meshing import LOCAL_EDGES, build_mesh
+from orliczfem.meshing import LOCAL_EDGES, build_mesh, cell_jacobians
 from orliczfem.nfunctions import DomainError, PowerLaw, SingularityError, Truncated
 from orliczfem.tensors import a_map, v_map
 
@@ -57,7 +54,8 @@ def disk():
 
 def test_quadrature_weights_sum_to_cell_areas(square):
     cache = quad_cache(square)
-    assert cache.weights.sum(axis=1) == pytest.approx(square.cell_areas(), rel=1e-13)
+    areas = 0.5 * np.abs(cell_jacobians(square.nodes, square.cells)[1])
+    assert cache.weights.sum(axis=1) == pytest.approx(areas, rel=1e-13)
 
 
 def test_edge_functions_follow_the_local_edge_order(square, disk):
@@ -132,11 +130,38 @@ def test_modular_refinement_stability():
 
 def test_modular_region_restriction(square):
     u = FemField.from_callable(square, lambda x, y: np.stack([x, y]))
-    left = lambda x, y: x < 0.5
+    left = quad_cache(square).qpoints[..., 0] < 0.5
     total = modular(PowerLaw(2), u, "sym_grad")
     part = modular(PowerLaw(2), u, "sym_grad", region=left)
     assert 0.0 < part < total
     assert region_measure(square, left) == pytest.approx(0.5, rel=1e-12)
+
+
+def test_region_and_its_complement_partition_the_integral(disk):
+    u = random_zero_boundary_field(disk, np.random.default_rng(21))
+    spec = PowerLaw(3)
+    upper = quad_cache(disk).qpoints[..., 1] > 0.1
+    assert region_measure(disk, upper) + region_measure(disk, ~upper) == pytest.approx(
+        region_measure(disk), rel=1e-14
+    )
+    for kind in ("sym_grad", "grad", "value"):
+        split = modular(spec, u, kind, region=upper) + modular(spec, u, kind, region=~upper)
+        assert split == pytest.approx(modular(spec, u, kind), rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda mesh, u, region: integral(mesh, values_at_qp(u)[..., 0], region),
+        lambda mesh, u, region: modular(PowerLaw(2), u, "value", region=region),
+        lambda mesh, u, region: region_measure(mesh, region),
+    ],
+    ids=["integral", "modular", "region_measure"],
+)
+def test_callable_region_is_a_type_error(square, call):
+    u = FemField.from_callable(square, lambda x, y: np.stack([x, y]))
+    with pytest.raises(TypeError):
+        call(square, u, lambda x, y: x < 0.5)
 
 
 def test_modular_unknown_kind(square):
@@ -254,7 +279,7 @@ def test_stack_equals_per_entry_calls(disk, count):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), kernel.__name__
 
     spec = PowerLaw(1.5)
-    upper = lambda x, y: y > 0.1
+    upper = quad_cache(disk).qpoints[..., 1] > 0.1
     for kind in ("sym_grad", "grad", "value"):
         for region in (None, upper):
             got = modular(spec, stack, kind, scale=0.7, region=region)
@@ -289,7 +314,7 @@ def test_ratios_are_quotients_of_modulars(disk, count):
 def test_full_region_changes_no_bit(disk):
     u = random_zero_boundary_field(disk, np.random.default_rng(18))
     spec = PowerLaw(3)
-    everywhere = lambda x, y: np.ones_like(x, dtype=bool)
+    everywhere = np.ones(quad_cache(disk).weights.shape, dtype=bool)
     for kind in ("sym_grad", "grad", "value"):
         assert modular(spec, u, kind, region=everywhere) == modular(spec, u, kind)
     assert region_measure(disk, everywhere) == region_measure(disk)
@@ -320,11 +345,8 @@ def test_rigid_stack_entry_is_named(square, ratio):
         lambda u, one: w12_norm_v(PowerLaw(2), u),
         lambda u, one: evaluate_field(u, np.zeros((1, 2))),
         lambda u, one: evaluate_field_gradient(u, np.zeros((1, 2))),
-        lambda u, one: write_field_text(u, os.devnull),
     ],
-    ids=[
-        "residual", "residual_forcing", "jacobian", "w12", "evaluate", "gradient", "write",
-    ],
+    ids=["residual", "residual_forcing", "jacobian", "w12", "evaluate", "gradient"],
 )
 def test_single_field_functions_reject_stacks(square, call):
     stack = random_zero_boundary_field(square, np.random.default_rng(13), count=3)
@@ -563,26 +585,6 @@ def test_evaluate_outside_is_zero_extension(disk):
     u = FemField.from_callable(disk, lambda x, y: np.stack([1.0 + 0 * x, 0 * y]))
     far = np.array([[2.0, 2.0], [-3.0, 0.0]])
     assert np.all(evaluate_field(u, far) == 0.0)
-
-
-def test_field_text_roundtrip(square, tmp_path):
-    rng = np.random.default_rng(4)
-    u = random_zero_boundary_field(square, rng)
-    path = tmp_path / "field.txt"
-    write_field_text(u, path)
-    back = read_field_text(square, path)
-    assert back.zero_boundary
-    assert np.array_equal(back.coeffs, u.coeffs)
-
-
-@pytest.mark.parametrize(
-    "text", ["", "5 2 1\n0 0\n0 0\n", "2 2 1\n0 0\n0 x\n"], ids=["empty", "truncated", "text"]
-)
-def test_malformed_field_file_is_a_domain_error(square, tmp_path, text):
-    path = tmp_path / "field.txt"
-    path.write_text(text)
-    with pytest.raises(DomainError, match="field file is malformed"):
-        read_field_text(square, path)
 
 
 def test_field_shape_validation(square):

@@ -6,9 +6,9 @@ Loading the CLI and listing the suites load no SciPy, and no run loads sympy
 more, and each of those modules is one its run imports; the Korn, index and
 hammer suites never load SciPy; the library imports only the standard library
 and its declared dependencies; no library module takes a private name from
-another; every name a module lists in ``__all__`` exists; and the benchmark
-tracer, which rebinds library functions by module and name, still finds them
-all.
+another; every name a module lists in ``__all__`` exists and is reached from
+outside the tests; and the benchmark tracer, which rebinds library functions by
+module and name, still finds them all.
 """
 
 import ast
@@ -245,3 +245,37 @@ def test_every_exported_name_is_defined(path):
     # a stale __all__ entry fails only on a star-import, so look each one up
     module = importlib.import_module(f"orliczfem.{path.stem}")
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+#: public names that no library module, demo or benchmark script refers to, and why
+UNREACHED_KEEP = {
+    # reads the ``spec`` column back, for contracts re-derived from stored rows
+    ("nfunctions", "from_text"),
+}
+
+
+def _referenced_names(path):
+    """Each name a ``Name``, ``Attribute`` or ``from ... import`` node of ``path`` refers to."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_every_exported_name_is_reached_outside_the_tests():
+    # a public name that only tests refer to is code no run reaches: delete it
+    users = [p for p in (SRC / "orliczfem").glob("*.py") if p.name != "__init__.py"]
+    users += (ROOT / "demos").glob("*.py")
+    users += (p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_"))
+    referenced = {name for path in users for name in _referenced_names(path)}
+    unreached = {
+        (path.stem, name)
+        for path in (SRC / "orliczfem").glob("*.py")
+        if "__all__" in path.read_text()
+        for name in importlib.import_module(f"orliczfem.{path.stem}").__all__
+        if name not in referenced
+    }
+    assert sorted(unreached ^ UNREACHED_KEEP) == []

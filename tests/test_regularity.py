@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from orliczfem import nfunctions
-from orliczfem.fem import FemField, modular, w12_norm_v
+from orliczfem.fem import FemField, modular, quad_cache, w12_norm_v
 from orliczfem.meshing import build_mesh
 from orliczfem.nfunctions import DeltaPower, DomainError, PowerLaw, Truncated
 from orliczfem.regularity import (
@@ -98,8 +98,14 @@ def test_conjugate_forcing_modulars_positive(disk, swirl):
 
 def test_rigid_projection_recovers_rigid_motion(disk):
     u = FemField.from_callable(disk, lambda x, y: np.stack([1.5 - 0.7 * y, -0.25 + 0.7 * x]))
-    a, b, c = rigid_projection(u, lambda x, y: np.ones_like(x, dtype=bool))
+    a, b, c = rigid_projection(u, np.ones(quad_cache(disk).weights.shape, dtype=bool))
     assert (a, b, c) == pytest.approx((1.5, -0.25, 0.7), rel=1e-12)
+
+
+def test_rigid_projection_rejects_a_callable_region(disk):
+    u = FemField.from_callable(disk, lambda x, y: np.stack([1.5 - 0.7 * y, -0.25 + 0.7 * x]))
+    with pytest.raises(TypeError):
+        rigid_projection(u, lambda x, y: x * x + y * y <= 0.25)
 
 
 def test_caccioppoli_rigid_field_zero(disk):
