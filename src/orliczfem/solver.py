@@ -5,6 +5,11 @@ gradient is exactly the assembled residual and its Hessian the assembled
 Jacobian (same quadrature everywhere), so Newton with Armijo backtracking is
 globally convergent and the energy decreases along every accepted step.
 
+Each Newton direction comes from a float32 LU factor of the Jacobian and two
+float64 refinement sweeps (:func:`factorized`); a direction whose residual is
+still above 1e-10 relative, or not finite, is solved again with a float64
+factor.  The residual, the energy and the Armijo test stay in float64.
+
 ``delta_continuation`` solves a warm-started sequence of truncated problems
 with trunc_lo decreasing and trunc_hi increasing, recording the W^{1,2} data
 of the transformed strain per stage; that sequence approximates the
@@ -59,6 +64,12 @@ SOLVER_KEYS = {"newton_tol": float, "max_iters": int, "armijo_c": float}
 #: The Armijo line search halves a rejected step, and gives up below MIN_STEP.
 BACKTRACK = 0.5
 MIN_STEP = 1e-12
+
+#: A Newton direction from the float32 factor takes this many float64
+#: refinement sweeps, and falls back to a float64 factor when its residual
+#: is still above REFINE_TOL relative to the right-hand side.
+REFINE_SWEEPS = 2
+REFINE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -127,17 +138,44 @@ class ContinuationError(RuntimeError):
 
 
 def factorized(matrix):
-    """Solve callable of the sparse LU factorisation of an SPD matrix (CSC), in its given order.
+    """Solve callable of a float32 sparse LU factor of an SPD matrix (CSC), refined in float64.
 
     The matrix comes already in a fill-reducing order (the free-dof Jacobian
     of :func:`~orliczfem.fem.assemble_jacobian` is in the minimum-degree order
     its mesh fixes once), so the columns are factored as given.  Diagonal
     pivots keep the factor symmetric in structure, which is valid, and pivots
     stably, because every matrix factored here is symmetric positive definite.
+
+    The factor is of ``matrix`` cast to float32.  The callable solves with it
+    once, then takes ``REFINE_SWEEPS`` refinement sweeps x += solve32(b - A x),
+    each residual in float64 against ``matrix``.  When the final residual
+    exceeds ``REFINE_TOL``·|b| or is not finite (the cast overflowed in A or
+    b, b underflowed, or A is too ill-conditioned for a float32 factor), or
+    the float32 factorisation fails, it solves with a float64 factor of
+    ``matrix`` instead, as plain LU would.
     """
     from scipy.sparse.linalg import splu
 
-    return splu(matrix, permc_spec="NATURAL", options={"SymmetricMode": True}).solve
+    def factor(a):
+        return splu(a, permc_spec="NATURAL", options={"SymmetricMode": True}).solve
+
+    try:
+        with np.errstate(all="ignore"):
+            solve32 = factor(matrix.astype(np.float32))
+    except RuntimeError:  # a pivot the cast made exactly zero or infinite
+        return factor(matrix)
+
+    def solve_refined(b):
+        with np.errstate(all="ignore"):
+            x = solve32(b.astype(np.float32)).astype(np.float64)
+            for _ in range(REFINE_SWEEPS):
+                x += solve32((b - matrix @ x).astype(np.float32))
+            refined = np.linalg.norm(b - matrix @ x) <= REFINE_TOL * np.linalg.norm(b)
+        if refined:  # False for a NaN residual
+            return x
+        return factor(matrix)(b)
+
+    return solve_refined
 
 
 def energy(spec: NFunction, field: FemField, load: np.ndarray):

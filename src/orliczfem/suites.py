@@ -149,6 +149,16 @@ def _rel_step(previous: float, current: float) -> float:
     return abs(current - previous) / previous
 
 
+def _positive_finite(ratios) -> tuple[bool, str]:
+    """Whether every compared ratio is positive and finite, and a detail note when not.
+
+    A zero or infinite ratio (a solution or forcing that vanished or blew up)
+    makes a stability or spread comparison vacuous, so it fails the contract.
+    """
+    ok = all(0.0 < r < math.inf for r in ratios)
+    return ok, "" if ok else "; ratios not all positive and finite"
+
+
 def _specs(options: dict) -> list:
     """The one spec of the ``[spec]`` section, or the default roster without it."""
     if "spec" in options:
@@ -593,20 +603,23 @@ def run_regularity_sweep(options: dict, seed: int, jobs: int) -> SuiteResult:
                 stage_seq = [r.ratio for r in stage_rows]
         monotone = all(b <= a * 1.02 for a, b in zip(finals, finals[1:]))
         last_step = _rel_step(finals[-2], finals[-1])
-        ok_h = monotone or last_step <= REG_H_STEP
+        positive, note = _positive_finite(finals)
         contracts.append(
             ContractCheck(
                 f"regularity_h_stability_p{p:g}",
-                ok_h,
-                f"ratios over h: {[f'{v:.4g}' for v in finals]} (last step {last_step:.1%})",
+                positive and (monotone or last_step <= REG_H_STEP),
+                f"ratios over h: {[f'{v:.4g}' for v in finals]} (last step {last_step:.1%})"
+                + note,
             )
         )
         stage_step = _rel_step(stage_seq[-2], stage_seq[-1])
+        positive, note = _positive_finite(stage_seq[-2:])
         contracts.append(
             ContractCheck(
                 f"regularity_stage_stability_p{p:g}",
-                stage_step <= REG_STAGE_STEP,
-                f"last two stage ratios move {stage_step:.2%} (need <= {REG_STAGE_STEP:.0%})",
+                positive and stage_step <= REG_STAGE_STEP,
+                f"last two stage ratios move {stage_step:.2%} (need <= {REG_STAGE_STEP:.0%})"
+                + note,
             )
         )
 
@@ -616,7 +629,8 @@ def run_regularity_sweep(options: dict, seed: int, jobs: int) -> SuiteResult:
         if cacc.size == 0:  # every ball below mesh resolution
             continue
         cacc_med = float(np.median(cacc))
-        ok_env = bool(np.all(np.isfinite(cacc))) and cacc.max() <= CACC_SPREAD * cacc_med
+        positive, note = _positive_finite(cacc)
+        ok_env = positive and cacc.max() <= CACC_SPREAD * cacc_med
         per_h_max = [max((r.ratio for r in cacc_rows if r.h == h), default=None) for h in h_sorted]
         per_h_max = [v for v in per_h_max if v is not None]
         ok_stab = (
@@ -627,7 +641,7 @@ def run_regularity_sweep(options: dict, seed: int, jobs: int) -> SuiteResult:
                 f"caccioppoli_envelope_p{p:g}",
                 ok_env and ok_stab,
                 f"max/median {cacc.max() / cacc_med:.2f}, per-h maxima "
-                f"{[f'{v:.3g}' for v in per_h_max]}",
+                f"{[f'{v:.3g}' for v in per_h_max]}" + note,
             )
         )
 

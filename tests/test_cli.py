@@ -358,6 +358,34 @@ def test_overflowing_forcing_exit_3_names_stage_and_iteration(tmp_path, capsys):
     assert "non-finite residual at Newton iteration 0" in err
 
 
+SMALL_SWEEP = (
+    "[experiment]\nkind = regularity_sweep\nseed = 5\n\n[sweep]\np_values = 1.3 3.0\n\n"
+    "[mesh]\nh = 0.25 0.125\nlattice_n = 16\n"
+)
+
+
+def test_forcing_beyond_the_solvable_range_stays_a_config_error(tmp_path, capsys):
+    # the regularity report's right-hand side overflows before any solve
+    cfg = _write(tmp_path, SMALL_SWEEP + "\n[forcing]\namplitude = 1e150\n")
+    with np.errstate(all="ignore"):
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "non-finite regularity report entry nan" in capsys.readouterr().err
+
+
+def test_contracts_fail_on_ratios_that_are_not_positive_and_finite(tmp_path):
+    # at amplitude 1e40 every stage forcing truncates to zero, so each solve
+    # ends at u = 0 and every ratio is 0 or inf: no contract may hold on that
+    cfg = _write(tmp_path, SMALL_SWEEP + "\n[forcing]\namplitude = 1e40\n")
+    with np.errstate(all="ignore"):
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 1
+    contracts = json.loads((tmp_path / "o" / "summary.json").read_text())["contracts"]
+    assert len(contracts) == 8 and not any(c["passed"] for c in contracts)
+    families = ("regularity_h_stability", "regularity_stage_stability", "caccioppoli_envelope")
+    compared = [c for c in contracts if c["name"].startswith(families)]
+    assert len(compared) == 6
+    assert all(c["detail"].endswith("ratios not all positive and finite") for c in compared)
+
+
 @pytest.mark.parametrize("where", ["taken", "taken/sub"])
 def test_unusable_output_directory_exit_2_before_the_suite_runs(
     tmp_path, capsys, monkeypatch, where

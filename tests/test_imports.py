@@ -153,7 +153,7 @@ sys.path.insert(0, {str(ROOT / "perfbench")!r})
 import numpy as np
 import tracer
 spans = tracer.Tracer()
-from orliczfem import fem, meshing, nfunctions, truncation
+from orliczfem import fem, meshing, nfunctions, solver, truncation
 spec = nfunctions.Truncated(nfunctions.PowerLaw(1.5), 0.1, 10.0)
 conjugate = spec.conjugate_spec()
 tracer.install(spans)
@@ -166,7 +166,8 @@ rough = lambda x, y: (1 - x * x - y * y) ** 2 * np.stack([np.sin(6 * x), np.cos(
 f = fem.FemField.from_callable(mesh, rough, zero_boundary=True)
 for hi in (1.0, 2.0):
     truncation.f_truncation_for_solver(f, hi, nfunctions.PowerLaw(1.3), lattice_n=16)
-print(json.dumps(dict(spans.counts, spec_points=spec_points)))
+_, trace = solver.solve(nfunctions.Truncated(nfunctions.PowerLaw(3.0), 0.1, 10.0), f)
+print(json.dumps(dict(spans.counts, spec_points=spec_points, newton_iters=trace.iterations)))
 """
 
 
@@ -179,6 +180,11 @@ def test_benchmark_tracer_installs_on_the_library():
     # six outermost evaluations of 7 points each; the base and inverse calls
     # nested inside Truncated and conjugate evaluators count nothing
     assert counts["spec_points"] == 42
+    # one factorisation per Newton iteration: the refinement sweeps and any
+    # float64 fallback stay inside the solve callable `factorized` returns
+    assert counts["newton_iters"] >= 2
+    assert counts["solver.factorizations"] == counts["newton_iters"]
+    assert counts["solver.newton_iters"] == counts["newton_iters"]
 
 
 def _library_imports(path):

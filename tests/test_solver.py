@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import sympy
 from scipy.sparse import linalg as splinalg
 from scipy.sparse.linalg import splu
@@ -304,6 +305,65 @@ def test_factorized_fill_matches_minimum_degree(monkeypatch, h):
     )
     (given,) = factors
     assert given.L.nnz + given.U.nnz == reference.L.nnz + reference.U.nnz
+
+
+def _solve64(matrix, b):
+    """The plain float64 LU solve that ``factorized`` falls back to."""
+    return splu(matrix, permc_spec="NATURAL", options={"SymmetricMode": True}).solve(b)
+
+
+@pytest.fixture(scope="module")
+def fine_jacobians():
+    # p = 1.3 truncated at (1e-6, 1e6) is the worst-scaled Jacobian the sweep factors
+    mesh = build_mesh("unit_disk", 1.0 / 16.0)
+    u = random_zero_boundary_field(mesh, np.random.default_rng(5))
+    return {p: assemble_jacobian(Truncated(PowerLaw(p), 1e-6, 1e6), u) for p in (1.3, 3.0)}
+
+
+@pytest.mark.parametrize("p", [1.3, 3.0])
+def test_factorized_refines_a_float32_factor_to_the_float64_solve(monkeypatch, fine_jacobians, p):
+    jac = fine_jacobians[p]
+    b = np.random.default_rng(6).standard_normal(jac.shape[0])
+    factored = []
+
+    def splu_recorded(matrix, **kwargs):
+        factored.append(matrix.dtype)
+        return splu(matrix, **kwargs)
+
+    monkeypatch.setattr("scipy.sparse.linalg.splu", splu_recorded)
+    x = solver.factorized(jac)(b)
+    assert factored == [np.float32]  # one single-precision factor, no fallback
+    reference = _solve64(jac, b)
+    assert np.linalg.norm(x - reference) <= 1e-12 * np.linalg.norm(reference)
+
+
+def _hazard(fine_jacobians, name):
+    """(matrix, right-hand side) of a case a float32 factor cannot solve to 1e-10."""
+    jac = fine_jacobians[3.0]
+    b = np.random.default_rng(8).standard_normal(jac.shape[0])
+    if name == "matrix_overflow":  # the cast makes the factor exactly singular
+        return jac * 1e40, b
+    if name == "diagonal_overflow":  # one diagonal entry casts to inf, the factor goes through
+        scale = np.ones(jac.shape[0])
+        scale[100] = 1e20
+        return (sp.diags(scale) @ jac @ sp.diags(scale)).tocsc(), b
+    if name == "ill_conditioned":  # SPD with eigenvalues from 1 down to 1e-12
+        q, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((60, 60)))
+        a = (q * np.logspace(0.0, -12.0, 60)) @ q.T
+        assert 1e11 < np.linalg.cond(a) < 1e13
+        return sp.csc_matrix(0.5 * (a + a.T)), b[:60]
+    return jac, b * {"rhs_overflow": 1e200, "rhs_underflow": 1e-45}[name]
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["matrix_overflow", "diagonal_overflow", "rhs_overflow", "rhs_underflow", "ill_conditioned"],
+)
+def test_factorized_falls_back_to_the_float64_solve(fine_jacobians, name):
+    matrix, b = _hazard(fine_jacobians, name)
+    with np.errstate(all="raise"):  # the overflowing casts stay silent
+        x = solver.factorized(matrix)(b)
+    assert np.array_equal(x, _solve64(matrix, b))
 
 
 # ---------------------------------------------------------------------------
