@@ -243,16 +243,21 @@ def _minimum_degree_order(indices: np.ndarray, indptr: np.ndarray) -> np.ndarray
     The ordering reads the structure only, so SuperLU computes it here on a
     strictly diagonally dominant matrix of that structure: -1 off the
     diagonal and the column count on it, which keeps every pivot diagonal.
+    The order is read off an incomplete factor that drops all it may
+    (``drop_tol`` 1e300, ``fill_factor`` 1): the same order as a full
+    factor's, at a fraction of its cost on the larger meshes.
     """
     from scipy import sparse
-    from scipy.sparse.linalg import splu
+    from scipy.sparse.linalg import spilu
 
     n = len(indptr) - 1
     counts = np.diff(indptr)
     cols = np.repeat(np.arange(n), counts)
     data = np.where(indices == cols, counts[cols].astype(float), -1.0)
-    lu = splu(
+    lu = spilu(
         sparse.csc_matrix((data, indices, indptr), shape=(n, n)),
+        drop_tol=1e300,
+        fill_factor=1,
         permc_spec="MMD_AT_PLUS_A",
         options={"SymmetricMode": True},
     )

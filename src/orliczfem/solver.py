@@ -8,7 +8,11 @@ globally convergent and the energy decreases along every accepted step.
 Each Newton direction comes from a float32 LU factor of the Jacobian and two
 float64 refinement sweeps (:func:`factorized`); a direction whose residual is
 still above 1e-10 relative, or not finite, is solved again with a float64
-factor.  The residual, the energy and the Armijo test stay in float64.
+factor.  Once a step has cut the residual ten-fold, the next direction is
+first sought by CG on the new Jacobian, preconditioned by the last float32
+factor, to the same 1e-10; the Jacobian is factored only when CG falls short.
+Either way the direction is the Jacobian's Newton direction to that tolerance.
+The residual, the energy and the Armijo test stay in float64.
 
 ``delta_continuation`` solves a warm-started sequence of truncated problems
 with trunc_lo decreasing and trunc_hi increasing, recording the W^{1,2} data
@@ -71,6 +75,18 @@ MIN_STEP = 1e-12
 REFINE_SWEEPS = 2
 REFINE_TOL = 1e-10
 
+#: After a Newton step that cut the residual to CONTRACTION times the previous
+#: one or less, the next direction is first sought by CG on the new Jacobian,
+#: preconditioned by the last float32 factor; CG that has not reached
+#: REFINE_TOL within CG_MAX_ITERS iterations gives way to a fresh factor.
+CONTRACTION = 0.1
+CG_MAX_ITERS = 20
+
+#: The Armijo test also accepts a step whose predicted decrease is below the
+#: energy's rounding level, ARMIJO_ROUNDING·|J|, when the trial energy rises
+#: by no more than that: energies that close differ in their last bits only.
+ARMIJO_ROUNDING = 8.0 * np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class SolveConfig:
@@ -95,12 +111,17 @@ class SolveConfig:
 
 
 class TraceRow(NamedTuple):
-    """One Newton iterate's energy and residual norm, and the Armijo step to it (0 at first)."""
+    """One Newton iterate's energy and residual norm, and the Armijo step to it (0 at first).
+
+    ``factored`` is 1 when the direction of that step came from a fresh factor
+    of the Jacobian, and 0 when CG with an earlier factor gave it (or at first).
+    """
 
     iter: int
     energy: float
     residual: float
     step: float
+    factored: int
 
 
 @dataclass
@@ -109,8 +130,10 @@ class SolveTrace:
 
     rows: list = dataclass_field(default_factory=list)  # of TraceRow
 
-    def append(self, iteration, energy_value, residual, step):
-        row = TraceRow(int(iteration), float(energy_value), float(residual), float(step))
+    def append(self, iteration, energy_value, residual, step, factored):
+        row = TraceRow(
+            int(iteration), float(energy_value), float(residual), float(step), int(factored)
+        )
         self.rows.append(row)
 
     @property
@@ -152,7 +175,14 @@ def factorized(matrix):
     exceeds ``REFINE_TOL``·|b| or is not finite (the cast overflowed in A or
     b, b underflowed, or A is too ill-conditioned for a float32 factor), or
     the float32 factorisation fails, it solves with a float64 factor of
-    ``matrix`` instead, as plain LU would.
+    ``matrix`` instead, as plain LU would, from then on.
+
+    Called as ``solve(b, other)`` with another SPD matrix of the same order,
+    the callable solves ``other`` x = b by CG with float64 products, one
+    float32 solve per iteration as the preconditioner, and returns x once
+    |b - other x| <= ``REFINE_TOL``·|b|.  It returns None when CG gets no
+    such x within ``CG_MAX_ITERS`` iterations, and always once the float64
+    factor has taken over: a float64 factor is not reused.
     """
     from scipy.sparse.linalg import splu
 
@@ -163,19 +193,51 @@ def factorized(matrix):
         with np.errstate(all="ignore"):
             solve32 = factor(matrix.astype(np.float32))
     except RuntimeError:  # a pivot the cast made exactly zero or infinite
-        return factor(matrix)
+        solve32 = None
 
-    def solve_refined(b):
-        with np.errstate(all="ignore"):
-            x = solve32(b.astype(np.float32)).astype(np.float64)
-            for _ in range(REFINE_SWEEPS):
-                x += solve32((b - matrix @ x).astype(np.float32))
-            refined = np.linalg.norm(b - matrix @ x) <= REFINE_TOL * np.linalg.norm(b)
-        if refined:  # False for a NaN residual
-            return x
-        return factor(matrix)(b)
+    def precondition(r):
+        return solve32(r.astype(np.float32)).astype(np.float64)
 
-    return solve_refined
+    def solve(b, other=None):
+        nonlocal solve32
+        if solve32 is not None:
+            with np.errstate(all="ignore"):
+                if other is not None:
+                    return _preconditioned_cg(other, b, precondition)
+                x = precondition(b)
+                for _ in range(REFINE_SWEEPS):
+                    x += precondition(b - matrix @ x)
+                if _solves(matrix, x, b):
+                    return x
+            solve32 = None  # the float32 factor failed this matrix
+        return None if other is not None else factor(matrix)(b)
+
+    return solve
+
+
+def _solves(matrix, x, b) -> bool:
+    """|b - matrix x| <= REFINE_TOL·|b|; False for a residual that is not finite."""
+    return bool(np.linalg.norm(b - matrix @ x) <= REFINE_TOL * np.linalg.norm(b))
+
+
+def _preconditioned_cg(matrix, b, precondition):
+    """CG's solution of matrix x = b to REFINE_TOL (checked on the true residual), or None."""
+    tol = REFINE_TOL * np.linalg.norm(b)
+    x = np.zeros_like(b)
+    r = b.copy()
+    p = z = precondition(r)
+    rz = r @ z
+    for _ in range(CG_MAX_ITERS):
+        q = matrix @ p
+        alpha = rz / (p @ q)
+        x += alpha * p
+        r -= alpha * q
+        if np.linalg.norm(r) <= tol:
+            return x if _solves(matrix, x, b) else None
+        z = precondition(r)
+        rz, rz_previous = r @ z, rz
+        p = z + (rz / rz_previous) * p
+    return None
 
 
 def energy(spec: NFunction, field: FemField, load: np.ndarray):
@@ -206,6 +268,12 @@ def solve(
     order the Jacobian is assembled and factored in (see :func:`factorized`).
     Each iterate's strain is evaluated once, by the energy of the accepted
     line-search trial, and the load once per solve.
+
+    Every iteration assembles its Jacobian.  After a step that cut the
+    residual to ``CONTRACTION`` times the previous one or less, the direction
+    is first sought by CG on that Jacobian with the last factor of this solve
+    (see :func:`factorized`); otherwise, or when CG falls short, the last
+    factor is dropped and the Jacobian factored.
     """
     cfg = cfg or SolveConfig()
     if not spec.has_quadratic_growth():
@@ -224,11 +292,12 @@ def solve(
     u = initial.with_zero_boundary()
     current, strain = energy(spec, u, load)
     trace = SolveTrace()
-    step = 0.0
+    step, factored = 0.0, 0
+    lagged, previous = None, math.inf  # the last factor's solve, the last residual
     for it in range(cfg.max_iters + 1):
         residual = assemble_residual(spec, u, load, strain)[free]
         res_norm = float(np.linalg.norm(residual))
-        trace.append(it, current, res_norm, step)
+        trace.append(it, current, res_norm, step, factored)
         if res_norm <= cfg.newton_tol:
             return u, trace
         if not math.isfinite(res_norm):
@@ -236,7 +305,16 @@ def solve(
         if it == cfg.max_iters:
             break
 
-        direction = factorized(assemble_jacobian(spec, u, strain))(-residual)
+        jacobian = assemble_jacobian(spec, u, strain)
+        direction = None
+        if lagged is not None and res_norm <= CONTRACTION * previous:
+            direction = lagged(-residual, jacobian)
+        factored = int(direction is None)
+        if factored:
+            lagged = None  # release the last factor before the next is made
+            lagged = factorized(jacobian)
+            direction = lagged(-residual)
+        previous = res_norm
         slope = float(residual @ direction)
         if not (slope < 0.0) or not np.isfinite(slope):
             raise RuntimeError(
@@ -252,7 +330,11 @@ def solve(
         while True:
             candidate = FemField(mesh, u.coeffs + step * increment, zero_boundary=True)
             trial, trial_strain = energy(spec, candidate, load)
-            if trial <= current + cfg.armijo_c * step * slope:
+            decrease = cfg.armijo_c * step * slope
+            rounding = ARMIJO_ROUNDING * abs(current)
+            if trial <= current + decrease or (
+                -decrease <= rounding and trial - current <= rounding
+            ):
                 break
             step *= BACKTRACK
             if step < MIN_STEP:

@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 import sympy
 from scipy.sparse import linalg as splinalg
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import spilu, splu
 
 from orliczfem import fem, solver
 from orliczfem.fem import (
@@ -85,6 +85,38 @@ def test_energy_monotone_along_trace(disk, swirl):
     assert energies[-1] <= 0.0  # J(u) <= J(0) = 0
 
 
+def _energy_rising_by(ulps):
+    """``energy`` whose evaluations after the first report the first value plus ``ulps`` ulps."""
+    first = []
+
+    def rising(spec, field, load):
+        value, strain = energy(spec, field, load)
+        if not first:
+            first.append(value)
+            return value, strain
+        return first[0] + ulps * np.spacing(abs(first[0])), strain
+
+    return rising
+
+
+@pytest.mark.parametrize("ulps", [1, 100])
+def test_armijo_accepts_a_rise_at_rounding_level_only(disk, swirl, monkeypatch, ulps):
+    # from an iterate at residual 2e-9 the Newton step's predicted decrease
+    # (~1e-20) is far below the energy's last bit (~3e-18), so rounding alone
+    # decides the sign of the trial's change: one ulp up is accepted, a
+    # hundred are not, and the search stalls as before
+    spec = Truncated(PowerLaw(3), 0.01, 100.0)
+    near, trace = solve(spec, swirl, SolveConfig(newton_tol=1e-8))
+    assert 1e-9 < trace.rows[-1].residual <= 1e-8
+    monkeypatch.setattr(solver, "energy", _energy_rising_by(ulps))
+    if ulps == 1:
+        _, trace = solve(spec, swirl, initial=near)
+        assert [row.step for row in trace.rows] == [0.0, 1.0]
+    else:
+        with pytest.raises(NonConvergenceError, match="line search stalled at iteration 0"):
+            solve(spec, swirl, initial=near)
+
+
 def test_galerkin_orthogonality_at_solution(disk, swirl):
     spec = Truncated(PowerLaw(3), 0.01, 100.0)
     cfg = SolveConfig(newton_tol=1e-10)
@@ -130,11 +162,11 @@ def test_trace_csv(disk, swirl, tmp_path):
     path = tmp_path / "trace.csv"
     trace.to_csv(path)
     lines = path.read_text().splitlines()
-    assert lines[0] == "iter,energy,residual,step"
+    assert lines[0] == "iter,energy,residual,step,factored"
     assert len(lines) == len(trace.rows) + 1
     assert all(isinstance(row, TraceRow) for row in trace.rows)
     first, last = trace.rows[0], trace.rows[-1]
-    assert (first.iter, first.step) == (0, 0.0)
+    assert (first.iter, first.step, first.factored) == (0, 0.0, 0)
     assert last.iter == trace.iterations and last.residual <= SolveConfig().newton_tol
     assert last[3] == last.step  # the rows still index as tuples
 
@@ -307,6 +339,27 @@ def test_factorized_fill_matches_minimum_degree(monkeypatch, h):
     assert given.L.nnz + given.U.nnz == reference.L.nnz + reference.U.nnz
 
 
+@pytest.mark.parametrize("domain", ["unit_disk", "unit_square"])
+@pytest.mark.parametrize(
+    "h", [0.25, 0.125, 1.0 / 16.0, 0.04], ids=["h1/4", "h1/8", "h1/16", "h1/25"]
+)
+def test_minimum_degree_order_matches_a_full_factor(monkeypatch, domain, h):
+    # the mesh's order comes from an incomplete factor of the structure's
+    # stand-in matrix; a full factor of that matrix orders its columns alike
+    orders = []
+
+    def spilu_checked(matrix, **kwargs):
+        incomplete = spilu(matrix, **kwargs)
+        options = {key: kwargs[key] for key in ("permc_spec", "options")}
+        orders.append((incomplete.perm_c, splu(matrix, **options).perm_c))
+        return incomplete
+
+    monkeypatch.setattr("scipy.sparse.linalg.spilu", spilu_checked)
+    quad_cache(build_mesh(domain, h)).free_pattern()
+    ((incomplete, full),) = orders
+    assert np.array_equal(incomplete, full)
+
+
 def _solve64(matrix, b):
     """The plain float64 LU solve that ``factorized`` falls back to."""
     return splu(matrix, permc_spec="NATURAL", options={"SymmetricMode": True}).solve(b)
@@ -364,6 +417,129 @@ def test_factorized_falls_back_to_the_float64_solve(fine_jacobians, name):
     with np.errstate(all="raise"):  # the overflowing casts stay silent
         x = solver.factorized(matrix)(b)
     assert np.array_equal(x, _solve64(matrix, b))
+
+
+def _splu_recording(factored):
+    """``splu`` that appends the dtype of each matrix it factors to ``factored``."""
+
+    def recording(matrix, **kwargs):
+        factored.append(matrix.dtype)
+        return splu(matrix, **kwargs)
+
+    return recording
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["matrix_overflow", "diagonal_overflow", "rhs_overflow", "rhs_underflow", "ill_conditioned"],
+)
+def test_a_float64_factor_is_never_reused(monkeypatch, fine_jacobians, name):
+    matrix, b = _hazard(fine_jacobians, name)
+    solve_with = solver.factorized(matrix)
+    with np.errstate(all="raise"):
+        solve_with(b)  # the float64 factor takes over
+    factored = []
+    monkeypatch.setattr("scipy.sparse.linalg.splu", _splu_recording(factored))
+    # a right-hand side CG with the float32 factor would solve (the rhs cases)
+    assert solve_with(matrix @ np.ones(matrix.shape[0]), matrix) is None
+    assert factored == []
+
+
+@pytest.fixture(scope="module")
+def newton_jacobians():
+    """Free-dof residuals and Jacobians of a Newton solve on the h = 1/16 disk, and its trace."""
+    mesh = build_mesh("unit_disk", 1.0 / 16.0)
+    free = quad_cache(mesh).free_pattern().free_dofs
+    recorded = {"residual": [], "jacobian": []}
+
+    def recording(name, func):
+        def wrapped(*args):
+            recorded[name].append(func(*args))
+            return recorded[name][-1]
+
+        return wrapped
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "assemble_residual", recording("residual", assemble_residual))
+        patch.setattr(solver, "assemble_jacobian", recording("jacobian", assemble_jacobian))
+        _, trace = solve(Truncated(PowerLaw(3.0), 1e-3, 1e3), default_disk_forcing(mesh, 30.0))
+    residuals = [r[free] for r in recorded["residual"]]
+    return residuals, recorded["jacobian"], trace
+
+
+def test_a_reused_factor_gives_the_fresh_newton_direction(newton_jacobians):
+    residuals, jacobians, trace = newton_jacobians
+    rows = trace.rows
+    contracted = [
+        k
+        for k in range(1, len(jacobians))
+        if rows[k].residual <= solver.CONTRACTION * rows[k - 1].residual
+    ]
+    assert len(contracted) >= 3
+    for k in contracted:
+        b = -residuals[k]
+        x = solver.factorized(jacobians[k - 1])(b, jacobians[k])
+        fresh = solver.factorized(jacobians[k])(b)
+        tol = solver.REFINE_TOL * np.linalg.norm(b)
+        assert np.linalg.norm(b - jacobians[k] @ x) <= tol
+        assert np.linalg.norm(jacobians[k] @ (x - fresh)) <= tol
+    # solve took each of those directions from an earlier factor
+    assert [row.factored for row in trace.rows[1:]] == [
+        int(k - 1 not in contracted) for k in range(1, len(trace.rows))
+    ]
+
+
+def test_cg_with_an_unrelated_factor_gives_up_within_its_cap(monkeypatch, fine_jacobians):
+    b = np.random.default_rng(6).standard_normal(fine_jacobians[1.3].shape[0])
+    solve_with = solver.factorized(fine_jacobians[3.0])
+    products = []
+    cg = solver._preconditioned_cg
+
+    def counted(matrix, rhs, precondition):
+        def product(r):
+            products.append(1)
+            return precondition(r)
+
+        return cg(matrix, rhs, product)
+
+    monkeypatch.setattr(solver, "_preconditioned_cg", counted)
+    assert solve_with(b, fine_jacobians[1.3]) is None
+    assert len(products) == solver.CG_MAX_ITERS + 1  # one before the first iteration
+
+
+def test_solve_factors_when_cg_falls_short(disk, swirl, monkeypatch):
+    # one CG iteration cannot reach 1e-10 with a float32 preconditioner, so
+    # every direction comes from a fresh factor, and the iterates are alike
+    spec = Truncated(PowerLaw(3), 0.01, 100.0)
+    _, reusing = solve(spec, swirl)
+    factored = []
+    monkeypatch.setattr(solver, "CG_MAX_ITERS", 1)
+    monkeypatch.setattr("scipy.sparse.linalg.splu", _splu_recording(factored))
+    _, trace = solve(spec, swirl)
+    assert 0 in [row.factored for row in reusing.rows[1:]]
+    assert [row.factored for row in trace.rows[1:]] == [1] * trace.iterations
+    assert len(factored) == trace.iterations
+    assert [row.step for row in trace.rows] == [row.step for row in reusing.rows]
+
+
+@pytest.mark.parametrize("p", [1.3, 3.0])
+def test_continuation_takes_the_same_path_with_and_without_reuse(monkeypatch, p):
+    mesh = build_mesh("unit_disk", 0.25)
+    f = default_disk_forcing(mesh)
+    reusing = delta_continuation(PowerLaw(p), f)
+    monkeypatch.setattr(solver, "CONTRACTION", 0.0)  # no residual is ever that small
+    factoring = delta_continuation(PowerLaw(p), f)
+    scale = reusing[0].trace.rows[0].residual
+    reused = 0
+    for a, b in zip(reusing, factoring, strict=True):
+        assert [row.step for row in a.trace.rows] == [row.step for row in b.trace.rows]
+        for x, y in zip(a.trace.rows, b.trace.rows):
+            assert abs(x.residual - y.residual) <= 1e-12 * scale
+        # no factor is reused across stages
+        assert a.trace.iterations == 0 or a.trace.rows[1].factored == 1
+        assert all(row.factored for row in b.trace.rows[1:])
+        reused += sum(1 - row.factored for row in a.trace.rows[1:])
+    assert reused >= 3
 
 
 # ---------------------------------------------------------------------------
