@@ -40,6 +40,7 @@ __all__ = [
     "local_load",
     "assemble_residual",
     "assemble_jacobian",
+    "linear_operator",
     "w12_norm_v",
     "random_zero_boundary_field",
     "locate_points",
@@ -571,25 +572,24 @@ def assemble_residual(
     return np.bincount(cache.vector_dofs.ravel(), weights=r_loc.ravel(), minlength=cache.n_vector)
 
 
-def assemble_jacobian(spec: NFunction, field: FemField, strain=None):
+def assemble_jacobian(spec: NFunction, field: FemField, strain=None, coefficients=None):
     """J_ij = int da_map(eps u)[eps psi_j] : eps psi_i over the free dofs, a symmetric
     ``scipy.sparse.csc_matrix``.
 
     At each quadrature point DA = c1 I + (c2 - c1) n n^T (see :mod:`radial`),
     so with the point's strain table B and b = B^T n the local matrix is
     sum_q w (c1 B^T B + (c2 - c1) b b^T): two batched matmuls.  ``strain`` is
-    as for :func:`assemble_residual`.
+    as for :func:`assemble_residual`, and ``coefficients`` the (c1, c2) of
+    :func:`radial.coefficients` at its norm when the caller has them already.
 
     Row and column k belong to vector dof ``free_dofs[k]`` of the mesh's
     :meth:`QuadCache.free_pattern`, so the matrix comes in its fill-reducing
     order; rows and columns of boundary dofs are not assembled.
     """
-    from scipy import sparse
-
     _single(field, "assemble_jacobian")
     cache = quad_cache(field.mesh)
     E, t = strain_and_norm(field) if strain is None else strain
-    c1, c2 = radial.coefficients(spec, t)
+    c1, c2 = radial.coefficients(spec, t) if coefficients is None else coefficients
     nc = len(E)
     w = cache.weights
     B = cache.strain_B  # (nc, 6q, 3, 12)
@@ -597,6 +597,29 @@ def assemble_jacobian(spec: NFunction, field: FemField, strain=None):
     wc1B = ((w * c1)[..., None, None] * B).reshape(nc, 18, 12)
     j_loc = B.reshape(nc, 18, 12).transpose(0, 2, 1) @ wc1B
     j_loc += b.transpose(0, 2, 1) @ ((w * (c2 - c1))[..., None] * b)
+    return _free_matrix(cache, j_loc)
+
+
+def linear_operator(mesh: Mesh):
+    """K_ij = int eps psi_j : eps psi_i over the free dofs, in the order and
+    format of :func:`assemble_jacobian`.
+
+    K is the Jacobian at unit coefficients c1 = c2 = 1, that of phi(t) = t^2/2
+    at any field.  Where a spec's (c1, c2) equal one constant c at every
+    quadrature point, as in the quadratic part of a truncated spec, its
+    Jacobian is c K and its residual c K u - F for the load F, so the Newton
+    step there is K^{-1} F / c - u.
+    """
+    cache = quad_cache(mesh)
+    B = cache.strain_B.reshape(mesh.n_cells, 18, 12)
+    wB = (cache.weights[..., None, None] * cache.strain_B).reshape(mesh.n_cells, 18, 12)
+    return _free_matrix(cache, B.transpose(0, 2, 1) @ wB)
+
+
+def _free_matrix(cache: QuadCache, j_loc: np.ndarray):
+    """The free-dof CSC matrix of the (nc, 12, 12) local matrices ``j_loc``."""
+    from scipy import sparse
+
     pattern = cache.free_pattern()
     nnz, n = len(pattern.indices), len(pattern.free_dofs)
     data = np.bincount(pattern.slots, weights=j_loc.ravel(), minlength=nnz + 1)

@@ -5,14 +5,24 @@ gradient is exactly the assembled residual and its Hessian the assembled
 Jacobian (same quadrature everywhere), so Newton with Armijo backtracking is
 globally convergent and the energy decreases along every accepted step.
 
-Each Newton direction comes from a float32 LU factor of the Jacobian and two
-float64 refinement sweeps (:func:`factorized`); a direction whose residual is
-still above 1e-10 relative, or not finite, is solved again with a float64
-factor.  Once a step has cut the residual ten-fold, the next direction is
-first sought by CG on the new Jacobian, preconditioned by the last float32
-factor, to the same 1e-10; the Jacobian is factored only when CG falls short.
-Either way the direction is the Jacobian's Newton direction to that tolerance.
-The residual, the energy and the Armijo test stay in float64.
+A Newton direction comes from one of three sources, tried in this order:
+
+- an *operator step*: where the radial coefficients (c1, c2) are one constant
+  c at every quadrature point (the quadratic part of the truncated spec, as at
+  u = 0), the Jacobian is c K for the mesh's linear operator K
+  (:func:`~orliczfem.fem.linear_operator`), and the direction is z/c - u with
+  z = K^{-1} F for the load F, computed once per forcing;
+- once a step has cut the residual ten-fold, CG on the new Jacobian,
+  preconditioned by the last float32 factor;
+- a float32 LU factor of the Jacobian and two float64 refinement sweeps
+  (:func:`factorized`); a direction whose residual is still above 1e-10
+  relative, or not finite, is solved again with a float64 factor.
+
+An operator step or a CG direction is taken only when its residual against
+the assembled Jacobian is within 1e-10 relative, and a factored direction is
+refined to that or solved in float64, so every direction is the Jacobian's
+Newton direction to that tolerance.  The residual, the energy and the Armijo
+test stay in float64.
 
 ``delta_continuation`` solves a warm-started sequence of truncated problems
 with trunc_lo decreasing and trunc_hi increasing, recording the W^{1,2} data
@@ -23,6 +33,7 @@ untruncated degenerate/singular problem.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field as dataclass_field
 from typing import NamedTuple
 
@@ -34,6 +45,7 @@ from .fem import (
     assemble_jacobian,
     assemble_residual,
     integral,
+    linear_operator,
     local_load,
     quad_cache,
     same_mesh,
@@ -52,6 +64,7 @@ __all__ = [
     "ContinuationError",
     "energy",
     "solve",
+    "operator_solution",
     "delta_continuation",
     "DEFAULT_SCHEDULE",
     "SOLVER_KEYS",
@@ -113,8 +126,11 @@ class SolveConfig:
 class TraceRow(NamedTuple):
     """One Newton iterate's energy and residual norm, and the Armijo step to it (0 at first).
 
-    ``factored`` is 1 when the direction of that step came from a fresh factor
-    of the Jacobian, and 0 when CG with an earlier factor gave it (or at first).
+    ``factored`` counts the calls of :func:`factorized` the direction of that
+    step took: 1 for a fresh factor of the Jacobian, or for an operator step
+    that computed its forcing's K^{-1} F; 0 for CG with an earlier factor, for
+    an operator step with K^{-1} F at hand, and at first.  An operator step
+    that computed K^{-1} F but failed its check and then factored counts 2.
     """
 
     iter: int
@@ -183,6 +199,9 @@ def factorized(matrix):
     |b - other x| <= ``REFINE_TOL``·|b|.  It returns None when CG gets no
     such x within ``CG_MAX_ITERS`` iterations, and always once the float64
     factor has taken over: a float64 factor is not reused.
+
+    :func:`solve` calls it on a Newton Jacobian, and once per forcing on the
+    mesh's linear operator K, whose factor it drops after that one solve.
     """
     from scipy.sparse.linalg import splu
 
@@ -240,6 +259,43 @@ def _preconditioned_cg(matrix, b, precondition):
     return None
 
 
+def _constant(c1, c2):
+    """The one value c of (c1, c2) at every point, to REFINE_TOL relative, or None."""
+    lo = min(c1.min(), c2.min())
+    hi = max(c1.max(), c2.max())
+    if lo > 0.0 and hi / lo - 1.0 <= REFINE_TOL:
+        return 0.5 * (lo + hi)
+    return None
+
+
+#: Serialises the first computations of operator_solution, so that threads
+#: sharing a forcing compute its K^{-1} F once.
+_OPERATOR_LOCK = threading.Lock()
+
+
+def operator_solution(f: FemField):
+    """(z, computed): z = K^{-1} F for the forcing ``f``, and 1 when this call
+    factored K, 0 when z was at hand.
+
+    K is the linear operator of f's mesh (:func:`~orliczfem.fem.linear_operator`)
+    and F the free-dof load of ``f``; z is over the free dofs in K's order.
+    z is memoised on ``f``, as its lattice samples are, and computed again
+    when ``f.coeffs`` changed.  It is computed with one :func:`factorized`
+    call whose factor is dropped at once, so no factor of K outlives it.
+    """
+    with _OPERATOR_LOCK:
+        memo = getattr(f, "_operator_solution", None)
+        if memo is not None and np.array_equal(memo[0], f.coeffs):
+            return memo[1], 0
+        cache = quad_cache(f.mesh)
+        load = np.bincount(
+            cache.vector_dofs.ravel(), weights=local_load(f).ravel(), minlength=cache.n_vector
+        )
+        z = factorized(linear_operator(f.mesh))(load[cache.free_pattern().free_dofs])
+        f._operator_solution = (f.coeffs.copy(), z)
+        return z, 1
+
+
 def energy(spec: NFunction, field: FemField, load: np.ndarray):
     """J(u) = int phi(|eps u|) - int f . u with the assembly quadrature, and the strain.
 
@@ -269,11 +325,16 @@ def solve(
     Each iterate's strain is evaluated once, by the energy of the accepted
     line-search trial, and the load once per solve.
 
-    Every iteration assembles its Jacobian.  After a step that cut the
-    residual to ``CONTRACTION`` times the previous one or less, the direction
-    is first sought by CG on that Jacobian with the last factor of this solve
-    (see :func:`factorized`); otherwise, or when CG falls short, the last
-    factor is dropped and the Jacobian factored.
+    Every iteration evaluates its radial coefficients (c1, c2) once and
+    assembles its Jacobian from them.  When max(c1, c2)/min(c1, c2) - 1 <=
+    ``REFINE_TOL`` over all quadrature points, the direction is first the
+    operator step z/c - u, with z = K^{-1} F memoised on the forcing (see
+    :func:`operator_solution`); it is taken when |J d + r| <= ``REFINE_TOL``
+    |r|.  Otherwise, after a step that cut the residual to ``CONTRACTION``
+    times the previous one or less, the direction is sought by CG on that
+    Jacobian with the last factor of this solve (see :func:`factorized`);
+    otherwise, or when CG falls short, the last factor is dropped and the
+    Jacobian factored.  An operator step leaves the last factor as it was.
     """
     cfg = cfg or SolveConfig()
     if not spec.has_quadratic_growth():
@@ -305,15 +366,22 @@ def solve(
         if it == cfg.max_iters:
             break
 
-        jacobian = assemble_jacobian(spec, u, strain)
-        direction = None
-        if lagged is not None and res_norm <= CONTRACTION * previous:
+        coefficients = radial.coefficients(spec, strain[1])
+        jacobian = assemble_jacobian(spec, u, strain, coefficients)
+        direction, factored = None, 0
+        scale = _constant(*coefficients)
+        if scale is not None:
+            z, factored = operator_solution(f)
+            operator_step = z / scale - u.coeffs.ravel()[free]
+            if _solves(jacobian, operator_step, -residual):
+                direction = operator_step
+        if direction is None and lagged is not None and res_norm <= CONTRACTION * previous:
             direction = lagged(-residual, jacobian)
-        factored = int(direction is None)
-        if factored:
+        if direction is None:
             lagged = None  # release the last factor before the next is made
             lagged = factorized(jacobian)
             direction = lagged(-residual)
+            factored += 1
         previous = res_norm
         slope = float(residual @ direction)
         if not (slope < 0.0) or not np.isfinite(slope):

@@ -9,7 +9,7 @@ import sympy
 from scipy.sparse import linalg as splinalg
 from scipy.sparse.linalg import spilu, splu
 
-from orliczfem import fem, solver
+from orliczfem import fem, radial, solver
 from orliczfem.fem import (
     FemField,
     assemble_jacobian,
@@ -31,6 +31,7 @@ from orliczfem.meshing import build_mesh
 from orliczfem.nfunctions import DomainError, PowerLaw, Truncated
 from orliczfem.regularity import default_disk_forcing
 from orliczfem.solver import (
+    DEFAULT_SCHEDULE,
     ContinuationError,
     NonConvergenceError,
     SolveConfig,
@@ -450,7 +451,7 @@ def newton_jacobians():
     """Free-dof residuals and Jacobians of a Newton solve on the h = 1/16 disk, and its trace."""
     mesh = build_mesh("unit_disk", 1.0 / 16.0)
     free = quad_cache(mesh).free_pattern().free_dofs
-    recorded = {"residual": [], "jacobian": []}
+    recorded = {"residual": [], "jacobian": [], "operator": []}
 
     def recording(name, func):
         def wrapped(*args):
@@ -462,13 +463,14 @@ def newton_jacobians():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver, "assemble_residual", recording("residual", assemble_residual))
         patch.setattr(solver, "assemble_jacobian", recording("jacobian", assemble_jacobian))
+        patch.setattr(solver, "linear_operator", recording("operator", fem.linear_operator))
         _, trace = solve(Truncated(PowerLaw(3.0), 1e-3, 1e3), default_disk_forcing(mesh, 30.0))
     residuals = [r[free] for r in recorded["residual"]]
-    return residuals, recorded["jacobian"], trace
+    return residuals, recorded["jacobian"], recorded["operator"], trace
 
 
 def test_a_reused_factor_gives_the_fresh_newton_direction(newton_jacobians):
-    residuals, jacobians, trace = newton_jacobians
+    residuals, jacobians, operators, trace = newton_jacobians
     rows = trace.rows
     contracted = [
         k
@@ -483,9 +485,13 @@ def test_a_reused_factor_gives_the_fresh_newton_direction(newton_jacobians):
         tol = solver.REFINE_TOL * np.linalg.norm(b)
         assert np.linalg.norm(b - jacobians[k] @ x) <= tol
         assert np.linalg.norm(jacobians[k] @ (x - fresh)) <= tol
-    # solve took each of those directions from an earlier factor
-    assert [row.factored for row in trace.rows[1:]] == [
-        int(k - 1 not in contracted) for k in range(1, len(trace.rows))
+    # the first direction, at u = 0, is an operator step that factored K (and
+    # no Jacobian), and leaves no factor to reuse at the second; solve took
+    # each later contracted direction from an earlier factor
+    assert len(operators) == 1
+    assert [row.factored for row in trace.rows[1:3]] == [1, 1]
+    assert [row.factored for row in trace.rows[3:]] == [
+        int(k - 1 not in contracted) for k in range(3, len(trace.rows))
     ]
 
 
@@ -509,37 +515,209 @@ def test_cg_with_an_unrelated_factor_gives_up_within_its_cap(monkeypatch, fine_j
 
 def test_solve_factors_when_cg_falls_short(disk, swirl, monkeypatch):
     # one CG iteration cannot reach 1e-10 with a float32 preconditioner, so
-    # every direction comes from a fresh factor, and the iterates are alike
+    # every direction after the operator step at u = 0 (swirl's K^{-1} F is
+    # memoised by the first solve) comes from a fresh factor, and the
+    # iterates are alike
     spec = Truncated(PowerLaw(3), 0.01, 100.0)
     _, reusing = solve(spec, swirl)
     factored = []
     monkeypatch.setattr(solver, "CG_MAX_ITERS", 1)
     monkeypatch.setattr("scipy.sparse.linalg.splu", _splu_recording(factored))
     _, trace = solve(spec, swirl)
-    assert 0 in [row.factored for row in reusing.rows[1:]]
-    assert [row.factored for row in trace.rows[1:]] == [1] * trace.iterations
-    assert len(factored) == trace.iterations
+    assert 0 in [row.factored for row in reusing.rows[2:]]
+    assert [row.factored for row in trace.rows[1:]] == [0] + [1] * (trace.iterations - 1)
+    assert len(factored) == trace.iterations - 1
     assert [row.step for row in trace.rows] == [row.step for row in reusing.rows]
+
+
+def _recording_sources(monkeypatch):
+    """Per Newton iteration of the solves that follow, in order, the sources that
+    gave or were tried for its direction: "operator" (an operator step was
+    tried) and "cg" (CG with an earlier factor succeeded)."""
+    sources = []
+    assemble, operator, cg = (
+        solver.assemble_jacobian,
+        solver.operator_solution,
+        solver._preconditioned_cg,
+    )
+
+    def assembling(*args):
+        sources.append(set())
+        return assemble(*args)
+
+    def operating(*args):
+        sources[-1].add("operator")
+        return operator(*args)
+
+    def conjugating(*args):
+        x = cg(*args)
+        if x is not None:
+            sources[-1].add("cg")
+        return x
+
+    monkeypatch.setattr(solver, "assemble_jacobian", assembling)
+    monkeypatch.setattr(solver, "operator_solution", operating)
+    monkeypatch.setattr(solver, "_preconditioned_cg", conjugating)
+    return sources
 
 
 @pytest.mark.parametrize("p", [1.3, 3.0])
 def test_continuation_takes_the_same_path_with_and_without_reuse(monkeypatch, p):
     mesh = build_mesh("unit_disk", 0.25)
     f = default_disk_forcing(mesh)
+    sources = _recording_sources(monkeypatch)
     reusing = delta_continuation(PowerLaw(p), f)
+    reusing_sources = sources[:]
     monkeypatch.setattr(solver, "CONTRACTION", 0.0)  # no residual is ever that small
     factoring = delta_continuation(PowerLaw(p), f)
+    factoring_sources = sources[len(reusing_sources) :]
     scale = reusing[0].trace.rows[0].residual
-    reused = 0
     for a, b in zip(reusing, factoring, strict=True):
         assert [row.step for row in a.trace.rows] == [row.step for row in b.trace.rows]
         for x, y in zip(a.trace.rows, b.trace.rows):
             assert abs(x.residual - y.residual) <= 1e-12 * scale
-        # no factor is reused across stages
-        assert a.trace.iterations == 0 or a.trace.rows[1].factored == 1
-        assert all(row.factored for row in b.trace.rows[1:])
-        reused += sum(1 - row.factored for row in a.trace.rows[1:])
-    assert reused >= 3
+    for stages, tried in ((reusing, reusing_sources), (factoring, factoring_sources)):
+        rows = [row for stage in stages for row in stage.trace.rows[1:]]
+        assert len(rows) == len(tried)
+        # a direction that factored nothing is a lagged-CG or an operator step
+        assert all(row.factored or tried_k for row, tried_k in zip(rows, tried))
+        # no factor is reused across stages: no stage's first direction is CG's
+        first = np.cumsum([0] + [stage.trace.iterations for stage in stages[:-1]])
+        for k, stage in zip(first, stages):
+            assert stage.trace.iterations == 0 or "cg" not in tried[k]
+    assert not any("cg" in tried_k for tried_k in factoring_sources)
+    assert sum("cg" in tried_k for tried_k in reusing_sources) >= 3
+    # stage 0 starts at u = 0, so its first direction is an operator step
+    assert "operator" in reusing_sources[0] and reusing[0].trace.rows[1].factored == 1
+    assert "operator" in factoring_sources[0] and factoring[0].trace.rows[1].factored == 0
+
+
+def _constant_coefficient_case(disk, kind):
+    """(spec, u) at which (c1, c2) is one constant at every quadrature point."""
+    rng = np.random.default_rng(24)
+    if kind == "zero":
+        return Truncated(PowerLaw(3), 0.01, 100.0), FemField.zeros(disk)
+    rough = random_zero_boundary_field(disk, rng)
+    if kind == "power2":
+        return PowerLaw(2), rough
+    lo = 0.5  # every strain below trunc_lo, in the quadratic part of the truncation
+    scaled = 0.5 * lo / fem.strain_and_norm(rough)[1].max()
+    return Truncated(PowerLaw(1.5), lo, 10.0), FemField(disk, scaled * rough.coeffs, True)
+
+
+@pytest.mark.parametrize("kind", ["zero", "power2", "below_trunc_lo"])
+def test_an_operator_step_is_the_fresh_newton_direction(disk, swirl, monkeypatch, kind):
+    spec, u = _constant_coefficient_case(disk, kind)
+    f = swirl.copy()  # no memo yet
+    load = local_load(f)
+    free = quad_cache(disk).free_pattern().free_dofs
+    strain = fem.strain_and_norm(u)
+    residual = assemble_residual(spec, u, load, strain)[free]
+    jacobian = assemble_jacobian(spec, u, strain)
+    scale = solver._constant(*radial.coefficients(spec, strain[1]))
+    assert scale is not None
+    z, computed = solver.operator_solution(f)
+    assert computed == 1
+    step = z / scale - u.coeffs.ravel()[free]
+    fresh = solver.factorized(jacobian)(-residual)
+    tol = solver.REFINE_TOL * np.linalg.norm(residual)
+    assert np.linalg.norm(jacobian @ step + residual) <= tol
+    assert np.linalg.norm(jacobian @ (step - fresh)) <= tol
+    # solve takes that step from u: with K^{-1} F memoised it factors nothing
+    calls = []
+    factorized = solver.factorized
+    monkeypatch.setattr(solver, "factorized", lambda m: calls.append(m) or factorized(m))
+    try:
+        _, trace = solve(spec, f, SolveConfig(max_iters=1), initial=u)
+    except NonConvergenceError as exc:
+        trace = exc.trace
+    assert trace.rows[1].factored == 0 and calls == []
+
+
+def test_the_operator_solution_is_computed_once_per_forcing(monkeypatch):
+    mesh = build_mesh("unit_disk", 0.25)
+    f = default_disk_forcing(mesh)
+    cfg = SolveConfig(delta_schedule=DEFAULT_SCHEDULE[:3])
+    operators, factored = [], []
+    linear_operator, factorized = solver.linear_operator, solver.factorized
+
+    def building(m):
+        operators.append(linear_operator(m))
+        return operators[-1]
+
+    def factoring(matrix):
+        factored.append(any(matrix is k for k in operators))
+        return factorized(matrix)
+
+    monkeypatch.setattr(solver, "linear_operator", building)
+    monkeypatch.setattr(solver, "factorized", factoring)
+    stages = [s for p in (1.3, 3.0) for s in delta_continuation(PowerLaw(p), f, cfg)]
+    assert sum(factored) == 1  # at p = 1.3, stage 0; p = 3 takes the memo
+    assert len(factored) == sum(row.factored for s in stages for row in s.trace.rows)
+    assert (stages[0].trace.rows[1].factored, stages[3].trace.rows[1].factored) == (1, 0)
+    z = f._operator_solution[1].copy()
+    f.coeffs *= 2.0  # the memo no longer matches the forcing
+    stages = delta_continuation(PowerLaw(3.0), f, cfg)
+    assert sum(factored) == 2 and stages[0].trace.rows[1].factored == 1
+    assert np.allclose(f._operator_solution[1], 2.0 * z, rtol=1e-9, atol=0.0)
+
+
+def test_a_failing_operator_check_falls_back_to_a_factor(disk, swirl, monkeypatch):
+    spec = Truncated(PowerLaw(3), 0.01, 100.0)
+    _, honest = solve(spec, swirl.copy())
+    operator, factorized = solver.operator_solution, solver.factorized
+    computed, calls = [], []
+
+    def forged(f):  # K^{-1} F off by 1e-6: no operator step passes its check
+        z, fresh = operator(f)
+        computed.append(fresh)
+        return z * (1.0 + 1e-6), fresh
+
+    monkeypatch.setattr(solver, "operator_solution", forged)
+    monkeypatch.setattr(solver, "factorized", lambda m: calls.append(m) or factorized(m))
+    _, trace = solve(spec, swirl.copy())
+    assert computed == [1]  # tried at u = 0 only, where it factored K
+    assert trace.rows[1].factored == 2  # K, then the Jacobian the check fell back to
+    assert len(calls) == sum(row.factored for row in trace.rows)
+    assert [row.step for row in trace.rows] == [row.step for row in honest.rows]
+    scale = honest.rows[0].residual
+    for x, y in zip(trace.rows, honest.rows, strict=True):
+        assert abs(x.residual - y.residual) <= 1e-12 * scale
+
+
+#: Per (p, h) of a reduced continuation (the unit disk, the default schedule,
+#: p = 1.3 then p = 3 on one forcing per h): each stage's Armijo backtracks per
+#: Newton iteration, which give its iterations and steps, and the
+#: factorisations of the whole continuation.
+NEWTON_CENSUS = {
+    (1.3, 0.25): ([(0,), (1, 0), (1, 0, 0), (1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0), (0, 0, 0)], 12),
+    (3.0, 0.25): ([(1, 0, 0, 0, 0), (0, 0, 0), (), (), (), ()], 3),
+    (1.3, 0.125): (
+        [(0,), (1, 0), (1, 0), (1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0)],
+        16,
+    ),
+    (3.0, 0.125): ([(1, 0, 0, 0, 0), (0, 0, 0), (), (), (), ()], 3),
+}
+
+
+def test_newton_census_of_a_reduced_continuation(monkeypatch):
+    # a change that moves the Newton path or adds factorisations fails here
+    calls = []
+    factorized = solver.factorized
+    monkeypatch.setattr(solver, "factorized", lambda m: calls.append(m) or factorized(m))
+    census = {}
+    for h in (0.25, 0.125):
+        f = default_disk_forcing(build_mesh("unit_disk", h))
+        for p in (1.3, 3.0):
+            calls.clear()
+            stages = delta_continuation(PowerLaw(p), f)
+            backtracks = [
+                tuple(round(-math.log2(row.step)) for row in stage.trace.rows[1:])
+                for stage in stages
+            ]
+            census[p, h] = (backtracks, len(calls))
+            assert len(calls) == sum(row.factored for s in stages for row in s.trace.rows)
+    assert census == NEWTON_CENSUS
 
 
 # ---------------------------------------------------------------------------
