@@ -40,7 +40,6 @@ __all__ = [
     "local_load",
     "assemble_residual",
     "assemble_jacobian",
-    "linear_operator",
     "w12_norm_v",
     "random_zero_boundary_field",
     "locate_points",
@@ -294,6 +293,9 @@ class FemField:
     :func:`modular` and the three ratios evaluate a stack in one call and
     return a leading F axis; assembly, the transform norm and point evaluation
     take single fields only.
+
+    A field keeps the coefficient array it is given, without a copy, and makes
+    it read-only: what is memoised on a field stays valid.
     """
 
     def __init__(self, mesh: Mesh, coeffs: np.ndarray, zero_boundary: bool = False):
@@ -305,6 +307,7 @@ class FemField:
             )
         if zero_boundary and np.any(coeffs[..., cache.boundary_scalar, :] != 0.0):
             raise DomainError("zero_boundary field has nonzero boundary coefficients")
+        coeffs.flags.writeable = False
         self.mesh = mesh
         self.coeffs = coeffs
         self.zero_boundary = zero_boundary
@@ -335,9 +338,6 @@ class FemField:
         coeffs = self.coeffs.copy()
         coeffs[..., cache.boundary_scalar, :] = 0.0
         return FemField(self.mesh, coeffs, zero_boundary=True)
-
-    def copy(self) -> "FemField":
-        return FemField(self.mesh, self.coeffs.copy(), self.zero_boundary)
 
 
 def random_zero_boundary_field(
@@ -581,11 +581,15 @@ def assemble_jacobian(spec: NFunction, field: FemField, strain=None, coefficient
     sum_q w (c1 B^T B + (c2 - c1) b b^T): two batched matmuls.  ``strain`` is
     as for :func:`assemble_residual`, and ``coefficients`` the (c1, c2) of
     :func:`radial.coefficients` at its norm when the caller has them already.
+    For phi(t) = t^2/2 (``PowerLaw(2.0)``) c1 = c2 = 1, and the matrix is the
+    mesh's linear operator K_ij = int eps psi_j : eps psi_i at any field.
 
     Row and column k belong to vector dof ``free_dofs[k]`` of the mesh's
     :meth:`QuadCache.free_pattern`, so the matrix comes in its fill-reducing
     order; rows and columns of boundary dofs are not assembled.
     """
+    from scipy import sparse
+
     _single(field, "assemble_jacobian")
     cache = quad_cache(field.mesh)
     E, t = strain_and_norm(field) if strain is None else strain
@@ -597,29 +601,6 @@ def assemble_jacobian(spec: NFunction, field: FemField, strain=None, coefficient
     wc1B = ((w * c1)[..., None, None] * B).reshape(nc, 18, 12)
     j_loc = B.reshape(nc, 18, 12).transpose(0, 2, 1) @ wc1B
     j_loc += b.transpose(0, 2, 1) @ ((w * (c2 - c1))[..., None] * b)
-    return _free_matrix(cache, j_loc)
-
-
-def linear_operator(mesh: Mesh):
-    """K_ij = int eps psi_j : eps psi_i over the free dofs, in the order and
-    format of :func:`assemble_jacobian`.
-
-    K is the Jacobian at unit coefficients c1 = c2 = 1, that of phi(t) = t^2/2
-    at any field.  Where a spec's (c1, c2) equal one constant c at every
-    quadrature point, as in the quadratic part of a truncated spec, its
-    Jacobian is c K and its residual c K u - F for the load F, so the Newton
-    step there is K^{-1} F / c - u.
-    """
-    cache = quad_cache(mesh)
-    B = cache.strain_B.reshape(mesh.n_cells, 18, 12)
-    wB = (cache.weights[..., None, None] * cache.strain_B).reshape(mesh.n_cells, 18, 12)
-    return _free_matrix(cache, B.transpose(0, 2, 1) @ wB)
-
-
-def _free_matrix(cache: QuadCache, j_loc: np.ndarray):
-    """The free-dof CSC matrix of the (nc, 12, 12) local matrices ``j_loc``."""
-    from scipy import sparse
-
     pattern = cache.free_pattern()
     nnz, n = len(pattern.indices), len(pattern.free_dofs)
     data = np.bincount(pattern.slots, weights=j_loc.ravel(), minlength=nnz + 1)

@@ -131,8 +131,8 @@ def invert_increasing(func, s):
 
 
 def _piecewise(t, pairs):
-    """Evaluate branch functions only on their own mask (no spurious warnings)."""
-    out = np.empty_like(t)
+    """Evaluate branch functions only on their own mask (no spurious warnings); NaN on no mask."""
+    out = np.full_like(t, np.nan)
     for mask, func in pairs:
         if np.any(mask):
             out[mask] = func(t[mask])

@@ -9,10 +9,9 @@ A Newton direction comes from one of three sources, tried in this order:
 
 - an *operator step*: where the radial coefficients (c1, c2) are one constant
   c at every quadrature point (the quadratic part of the truncated spec, as at
-  u = 0), the Jacobian is c K for the mesh's linear operator K
-  (:func:`~orliczfem.fem.linear_operator`), and the direction is z/c - u with
-  z = K^{-1} F for the load F, computed once per forcing;
-- once a step has cut the residual ten-fold, CG on the new Jacobian,
+  u = 0), the Jacobian is c K for K the Jacobian of phi(t) = t^2/2, and the
+  direction is z/c - u with z = K^{-1} F for the load F, once per forcing;
+- once a step has cut the residual ten-fold, SciPy's CG on the new Jacobian,
   preconditioned by the last float32 factor;
 - a float32 LU factor of the Jacobian and two float64 refinement sweeps
   (:func:`factorized`); a direction whose residual is still above 1e-10
@@ -45,14 +44,13 @@ from .fem import (
     assemble_jacobian,
     assemble_residual,
     integral,
-    linear_operator,
     local_load,
     quad_cache,
     same_mesh,
     strain_and_norm,
     w12_norm_v,
 )
-from .nfunctions import DomainError, NFunction
+from .nfunctions import DomainError, NFunction, PowerLaw
 from .tableio import write_csv
 
 __all__ = [
@@ -194,14 +192,14 @@ def factorized(matrix):
     ``matrix`` instead, as plain LU would, from then on.
 
     Called as ``solve(b, other)`` with another SPD matrix of the same order,
-    the callable solves ``other`` x = b by CG with float64 products, one
-    float32 solve per iteration as the preconditioner, and returns x once
+    the callable solves ``other`` x = b by SciPy's CG with float64 products,
+    one float32 solve per iteration as the preconditioner, and returns x once
     |b - other x| <= ``REFINE_TOL``·|b|.  It returns None when CG gets no
     such x within ``CG_MAX_ITERS`` iterations, and always once the float64
     factor has taken over: a float64 factor is not reused.
 
-    :func:`solve` calls it on a Newton Jacobian, and once per forcing on the
-    mesh's linear operator K, whose factor it drops after that one solve.
+    :func:`solve` calls it on a Newton Jacobian, and :func:`operator_solution`
+    once per forcing on K, whose factor it drops after that one solve.
     """
     from scipy.sparse.linalg import splu
 
@@ -240,23 +238,13 @@ def _solves(matrix, x, b) -> bool:
 
 
 def _preconditioned_cg(matrix, b, precondition):
-    """CG's solution of matrix x = b to REFINE_TOL (checked on the true residual), or None."""
-    tol = REFINE_TOL * np.linalg.norm(b)
-    x = np.zeros_like(b)
-    r = b.copy()
-    p = z = precondition(r)
-    rz = r @ z
-    for _ in range(CG_MAX_ITERS):
-        q = matrix @ p
-        alpha = rz / (p @ q)
-        x += alpha * p
-        r -= alpha * q
-        if np.linalg.norm(r) <= tol:
-            return x if _solves(matrix, x, b) else None
-        z = precondition(r)
-        rz, rz_previous = r @ z, rz
-        p = z + (rz / rz_previous) * p
-    return None
+    """SciPy's CG solution of matrix x = b to REFINE_TOL (checked on the true residual), or None."""
+    from scipy.sparse.linalg import LinearOperator, cg
+
+    M = LinearOperator(matrix.shape, matvec=precondition, dtype=np.float64)
+    # SciPy tests the residual before each iteration, so one more tests the last update
+    x, info = cg(matrix, b, rtol=REFINE_TOL, atol=0.0, maxiter=CG_MAX_ITERS + 1, M=M)
+    return x if info == 0 and _solves(matrix, x, b) else None
 
 
 def _constant(c1, c2):
@@ -277,23 +265,23 @@ def operator_solution(f: FemField):
     """(z, computed): z = K^{-1} F for the forcing ``f``, and 1 when this call
     factored K, 0 when z was at hand.
 
-    K is the linear operator of f's mesh (:func:`~orliczfem.fem.linear_operator`)
-    and F the free-dof load of ``f``; z is over the free dofs in K's order.
-    z is memoised on ``f``, as its lattice samples are, and computed again
-    when ``f.coeffs`` changed.  It is computed with one :func:`factorized`
-    call whose factor is dropped at once, so no factor of K outlives it.
+    K and F are the Jacobian and minus the residual of phi(t) = t^2/2 at
+    u = 0 on f's mesh, over the free dofs in K's order, so z is that energy's
+    first Newton direction.  z is memoised on ``f``, as its lattice samples
+    are; a field's coefficients are read-only.  It is computed with one
+    :func:`factorized` call whose factor is dropped at once, so no factor of K
+    outlives it.
     """
     with _OPERATOR_LOCK:
-        memo = getattr(f, "_operator_solution", None)
-        if memo is not None and np.array_equal(memo[0], f.coeffs):
-            return memo[1], 0
-        cache = quad_cache(f.mesh)
-        load = np.bincount(
-            cache.vector_dofs.ravel(), weights=local_load(f).ravel(), minlength=cache.n_vector
-        )
-        z = factorized(linear_operator(f.mesh))(load[cache.free_pattern().free_dofs])
-        f._operator_solution = (f.coeffs.copy(), z)
-        return z, 1
+        z = getattr(f, "_operator_solution", None)
+        if z is not None:
+            return z, 0
+        quadratic, zero = PowerLaw(2.0), FemField.zeros(f.mesh)
+        strain = strain_and_norm(zero)
+        free = quad_cache(f.mesh).free_pattern().free_dofs
+        load = -assemble_residual(quadratic, zero, local_load(f), strain)[free]
+        f._operator_solution = factorized(assemble_jacobian(quadratic, zero, strain))(load)
+        return f._operator_solution, 1
 
 
 def energy(spec: NFunction, field: FemField, load: np.ndarray):
@@ -468,5 +456,5 @@ def delta_continuation(
         else:
             cauchy = math.sqrt(integral(f.mesh, radial.sq_norm(v_now - prev_v)))
         prev_v = v_now
-        stages.append(StageResult(lo, hi, u.copy(), l2_part, semi_part, cauchy, trace))
+        stages.append(StageResult(lo, hi, u, l2_part, semi_part, cauchy, trace))
     return stages

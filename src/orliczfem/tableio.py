@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 
@@ -19,17 +20,11 @@ def fmt_value(value) -> str:
     return str(value)
 
 
-def _quote(text: str) -> str:
-    if "," in text or '"' in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def write_csv(path, header, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(_quote(h) for h in header) + "\n")
-        for row in rows:
-            fh.write(",".join(_quote(fmt_value(v)) for v in row) + "\n")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([fmt_value(v) for v in row] for row in rows)
 
 
 def _jsonify(obj):

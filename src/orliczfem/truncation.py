@@ -201,9 +201,12 @@ def bad_set(maximal: np.ndarray, lam: float) -> np.ndarray:
     """{M(grad v) > BAD_SET_LEVEL * lam} from ``maximal`` = M(grad v), with the rim kept good.
 
     M(grad v) does not depend on the level, so a level sweep computes it once
-    and thresholds it here per level.
+    and thresholds it here per level.  A maximal function that is not finite
+    everywhere (the sampled gradient overflowed) is a :class:`DomainError`.
     """
     _check_level(lam)
+    if not np.all(np.isfinite(maximal)):
+        raise DomainError("the maximal function of the gradient is not finite (it overflowed)")
     bad = maximal > BAD_SET_LEVEL * lam
     # the zero extension keeps the rim exact
     bad[0, :] = bad[-1, :] = bad[:, 0] = bad[:, -1] = False
@@ -273,18 +276,15 @@ def discrete_lipschitz(gf: GridFunction) -> float:
     return max(dx, dy) / gf.spacing
 
 
-def grid_modular(spec: NFunction, gf: GridFunction, of: str = "value", mask=None) -> float:
-    """Lattice quadrature of phi(|v|) or phi(|grad v|), optionally mask-restricted."""
+def grid_modular(spec: NFunction, gf: GridFunction, of: str = "value") -> float:
+    """Lattice quadrature of phi(|v|) or phi(|grad v|)."""
     if of == "value":
         mag = np.abs(gf.values)
     elif of == "grad":
         mag = gradient_magnitude(gf)
     else:
         raise DomainError(f"grid modular kind must be 'value' or 'grad', got {of!r}")
-    vals = spec.phi(mag)
-    if mask is not None:
-        vals = vals * mask
-    return float(vals.sum() * gf.spacing**2)
+    return float(spec.phi(mag).sum() * gf.spacing**2)
 
 
 class TruncationLevel(NamedTuple):
@@ -296,7 +296,6 @@ class TruncationLevel(NamedTuple):
     value_ratio: float  # modular of T_lam v over modular of v
     grad_ratio: float  # modular of grad T_lam v over modular of grad v
     diff_modular: float  # modular of grad(v - T_lam v)
-    diff_ratio: float  # diff_modular over the modular of grad v restricted to the bad set
 
 
 def _ratio(num: float, den: float) -> float:
@@ -317,7 +316,6 @@ def truncation_modular_bounds(spec: NFunction, gf: GridFunction, levels) -> list
         bad = bad_set(maximal, lam)
         trunc = lipschitz_truncate(gf, bad, lam)
         diff = GridFunction(gf.values - trunc.values, gf.origin, gf.spacing)
-        diff_mod = grid_modular(spec, diff, "grad")
         records.append(
             TruncationLevel(
                 lam,
@@ -325,8 +323,7 @@ def truncation_modular_bounds(spec: NFunction, gf: GridFunction, levels) -> list
                 trunc,
                 _ratio(grid_modular(spec, trunc, "value"), den_v),
                 _ratio(grid_modular(spec, trunc, "grad"), den_g),
-                diff_mod,
-                _ratio(diff_mod, grid_modular(spec, gf, "grad", mask=bad)),
+                grid_modular(spec, diff, "grad"),
             )
         )
     return records
@@ -336,7 +333,6 @@ def truncation_modular_bounds(spec: NFunction, gf: GridFunction, levels) -> list
 class _ForcingSample:
     """A forcing sampled on a lattice: the part of its truncation that no level changes."""
 
-    coeffs: np.ndarray  # copy of the forcing's coefficients when it was sampled
     comps: list  # the two components as lattice functions
     joint: np.ndarray  # their joint gradient magnitude
 
@@ -347,18 +343,16 @@ class _ForcingSample:
 
 
 def _forcing_sample(f: FemField, lattice_n: int) -> _ForcingSample:
-    """The sample of ``f`` on its mesh's n x n lattice, memoised on ``f`` and redone if
-    ``f.coeffs`` changed.
+    """The sample of ``f`` on its mesh's n x n lattice, memoised on ``f`` (whose
+    coefficients are read-only).
 
     The lattice is the square over the longer side of the nodes' bounding box,
     padded by 1e-9 of it.  Concurrent first uses compute the same
     deterministic sample, and either copy serves.
     """
-    samples = getattr(f, "_lattice_samples", None)
-    if samples is None:
-        samples = f._lattice_samples = {}
+    samples = vars(f).setdefault("_lattice_samples", {})
     sample = samples.get(lattice_n)
-    if sample is None or not np.array_equal(sample.coeffs, f.coeffs):
+    if sample is None:
         lo = f.mesh.nodes.min(axis=0)
         side = max(f.mesh.nodes.max(axis=0) - lo)
         pad = 1e-9 * side
@@ -370,7 +364,7 @@ def _forcing_sample(f: FemField, lattice_n: int) -> _ForcingSample:
             for c in (0, 1)
         ]
         joint = np.sqrt(sum(gradient_magnitude(g) ** 2 for g in comps))
-        sample = _ForcingSample(f.coeffs.copy(), comps, joint)
+        sample = _ForcingSample(comps, joint)
         samples[lattice_n] = sample
     return sample
 

@@ -1,5 +1,6 @@
 """CLI contract: config parsing, exit codes, outputs, determinism."""
 
+import csv
 import filecmp
 import json
 import re
@@ -12,6 +13,7 @@ from orliczfem import suites
 from orliczfem.cli import main, parse_config
 from orliczfem.nfunctions import DomainError, from_mapping
 from orliczfem.suites import DEFAULT_SPEC_ROSTER, SUITES, ContractCheck, SuiteResult, run_suite
+from orliczfem.tableio import fmt_value, write_csv
 
 MINIMAL = "[experiment]\nkind = indices_suite\nseed = 1\n\n[spec]\nvariant = power\np = 2.0\n"
 
@@ -31,6 +33,18 @@ def test_minimal_config_runs_clean(tmp_path, capsys):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["suite"] == "indices_suite"
     assert summary["passed"] is True
+
+
+def test_csv_cells_read_back_through_the_csv_module(tmp_path):
+    # a cell holding the delimiter, a quote or a line break is quoted
+    header = ("name", "detail", "value")
+    rows = [("a,b", 'say "hi"', 0.1), ("two\nlines", "", None), ("plain", "x", True)]
+    path = tmp_path / "t.csv"
+    write_csv(path, header, rows)
+    with open(path, newline="") as fh:
+        cells = list(csv.reader(fh))
+    assert cells == [list(header)] + [[fmt_value(v) for v in row] for row in rows]
+    assert path.read_bytes().startswith(b"name,detail,value\n")
 
 
 def test_malformed_key_exit_2_names_key(tmp_path, capsys):
@@ -353,13 +367,14 @@ def test_zero_or_non_finite_amplitude_exit_2_names_the_key(tmp_path, capsys, amp
     assert not (tmp_path / "o").exists()
 
 
-def test_overflowing_forcing_exit_3_names_stage_and_iteration(tmp_path, capsys):
+def test_overflowing_forcing_exit_2_names_its_maximal_function(tmp_path, capsys):
+    # the forcing's lattice gradient overflows, so its truncation has no bad set
     cfg = _write(tmp_path, REDUCED_SWEEP + "\n[forcing]\namplitude = 1e300\n")
-    with np.errstate(all="ignore"):  # the forcing's truncation overflows too
-        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 3
+    with np.errstate(all="ignore"):
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert "Newton iteration 0, residual inf; stage 0 (trunc_lo=" in err
-    assert "non-finite residual at Newton iteration 0" in err
+    assert "error: the maximal function of the gradient is not finite" in err
+    assert not (tmp_path / "o").exists()
 
 
 SMALL_SWEEP = (

@@ -330,8 +330,9 @@ def test_stacked_draw_is_successive_single_draws(square):
 
 @pytest.mark.parametrize("ratio", [korn_ratio, korn_ratio_meanfree, poincare_ratio])
 def test_rigid_stack_entry_is_named(square, ratio):
-    stack = random_zero_boundary_field(square, np.random.default_rng(12), count=4)
-    stack.coeffs[2] = 0.0
+    coeffs = random_zero_boundary_field(square, np.random.default_rng(12), count=4).coeffs.copy()
+    coeffs[2] = 0.0
+    stack = FemField(square, coeffs, zero_boundary=True)
     with pytest.raises(DomainError, match=r"stack entry 2\b"):
         ratio(PowerLaw(2), stack)
 
@@ -380,8 +381,9 @@ def _straddling_case(mesh, p):
     """(truncated spec, field): the field is zero on the left half, so the cells
     there have zero strain (the t = 0 limit), and the levels put strains below
     lo and above hi."""
-    u = random_zero_boundary_field(mesh, np.random.default_rng(17))
-    u.coeffs[quad_cache(mesh).dof_coords[:, 0] < 0.0] = 0.0
+    coeffs = random_zero_boundary_field(mesh, np.random.default_rng(17)).coeffs.copy()
+    coeffs[quad_cache(mesh).dof_coords[:, 0] < 0.0] = 0.0
+    u = FemField(mesh, coeffs, zero_boundary=True)
     E = strain_mandel(u)
     t = np.sqrt(np.sum(E * E, axis=-1))
     lo, hi = np.quantile(t[t > 0.0], [0.25, 0.75])
@@ -595,3 +597,40 @@ def test_field_shape_validation(square):
     for bad in (np.ones((cache.n_scalar, 2)), np.ones((4, cache.n_scalar, 2))):
         with pytest.raises(DomainError):
             FemField(square, bad, zero_boundary=True)
+
+
+def _swirl(x, y):
+    return np.stack([-y, x])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda m: FemField(m, np.ones((quad_cache(m).n_scalar, 2))),
+        lambda m: FemField(m, np.ones((3, quad_cache(m).n_scalar, 2))),
+        FemField.zeros,
+        lambda m: FemField.from_callable(m, _swirl),
+        lambda m: FemField.from_callable(m, _swirl, zero_boundary=True),
+        lambda m: random_zero_boundary_field(m, np.random.default_rng(3)),
+        lambda m: random_zero_boundary_field(m, np.random.default_rng(3), count=2),
+        lambda m: FemField.from_callable(m, _swirl).with_zero_boundary(),
+    ],
+    ids=[
+        "constructor", "constructor_stack", "zeros", "from_callable",
+        "from_callable_zero_boundary", "random", "random_stack", "with_zero_boundary",
+    ],
+)
+def test_writing_into_a_fields_coefficients_raises(square, build):
+    # what is memoised on a field (a forcing's lattice sample and K^{-1} F)
+    # stays valid because its coefficients cannot change
+    u = build(square)
+    with pytest.raises(ValueError, match="read-only"):
+        u.coeffs[..., 0, :] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        u.coeffs *= 2.0
+
+
+def test_a_field_keeps_the_array_it_is_given(square):
+    coeffs = np.ones((quad_cache(square).n_scalar, 2))
+    u = FemField(square, coeffs)
+    assert u.coeffs is coeffs and not coeffs.flags.writeable

@@ -94,6 +94,15 @@ def test_truncated_d_phi_keeps_nan(lo, hi):
     assert math.isnan(out[1]) and out[0] == spec.d_phi(1.0) and out[2] == 0.0
 
 
+def test_branched_phi_of_nan_is_nan():
+    # no branch claims a NaN; after a finite call of the same size, a result
+    # array left uninitialised there would hold that call's values
+    spec = DeltaPower(3.0, 1.0)
+    for _ in range(3):
+        assert np.isfinite(spec.phi(np.linspace(0.0, 10.0, 4096))).all()
+        assert np.isnan(spec.phi(np.full(4096, math.nan))).all()
+
+
 @pytest.mark.parametrize("base", [PowerLaw(3), PowerLaw(1.5)])
 def test_truncated_d_phi_at_zero_without_lower_truncation(base):
     assert Truncated(base, 0.0, 10.0).d_phi(0.0) == 0.0

@@ -451,20 +451,24 @@ def newton_jacobians():
     """Free-dof residuals and Jacobians of a Newton solve on the h = 1/16 disk, and its trace."""
     mesh = build_mesh("unit_disk", 1.0 / 16.0)
     free = quad_cache(mesh).free_pattern().free_dofs
+    spec = Truncated(PowerLaw(3.0), 1e-3, 1e3)
     recorded = {"residual": [], "jacobian": [], "operator": []}
 
     def recording(name, func):
         def wrapped(*args):
-            recorded[name].append(func(*args))
-            return recorded[name][-1]
+            out = func(*args)
+            if args[0] is spec:
+                recorded[name].append(out)
+            elif name == "jacobian":  # K, assembled by operator_solution for t^2/2
+                recorded["operator"].append(out)
+            return out
 
         return wrapped
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver, "assemble_residual", recording("residual", assemble_residual))
         patch.setattr(solver, "assemble_jacobian", recording("jacobian", assemble_jacobian))
-        patch.setattr(solver, "linear_operator", recording("operator", fem.linear_operator))
-        _, trace = solve(Truncated(PowerLaw(3.0), 1e-3, 1e3), default_disk_forcing(mesh, 30.0))
+        _, trace = solve(spec, default_disk_forcing(mesh, 30.0))
     residuals = [r[free] for r in recorded["residual"]]
     return residuals, recorded["jacobian"], recorded["operator"], trace
 
@@ -510,7 +514,7 @@ def test_cg_with_an_unrelated_factor_gives_up_within_its_cap(monkeypatch, fine_j
 
     monkeypatch.setattr(solver, "_preconditioned_cg", counted)
     assert solve_with(b, fine_jacobians[1.3]) is None
-    assert len(products) == solver.CG_MAX_ITERS + 1  # one before the first iteration
+    assert len(products) == solver.CG_MAX_ITERS + 1  # one per SciPy CG iteration
 
 
 def test_solve_factors_when_cg_falls_short(disk, swirl, monkeypatch):
@@ -530,6 +534,13 @@ def test_solve_factors_when_cg_falls_short(disk, swirl, monkeypatch):
     assert [row.step for row in trace.rows] == [row.step for row in reusing.rows]
 
 
+def _newton_spec(spec) -> bool:
+    """Whether a Jacobian of ``spec`` is a Newton iterate's, and not K, which
+    operator_solution assembles for PowerLaw(2.0): the continuations here
+    solve truncated specs only."""
+    return isinstance(spec, Truncated)
+
+
 def _recording_sources(monkeypatch):
     """Per Newton iteration of the solves that follow, in order, the sources that
     gave or were tried for its direction: "operator" (an operator step was
@@ -541,9 +552,10 @@ def _recording_sources(monkeypatch):
         solver._preconditioned_cg,
     )
 
-    def assembling(*args):
-        sources.append(set())
-        return assemble(*args)
+    def assembling(spec, *args):
+        if _newton_spec(spec):
+            sources.append(set())
+        return assemble(spec, *args)
 
     def operating(*args):
         sources[-1].add("operator")
@@ -608,7 +620,7 @@ def _constant_coefficient_case(disk, kind):
 @pytest.mark.parametrize("kind", ["zero", "power2", "below_trunc_lo"])
 def test_an_operator_step_is_the_fresh_newton_direction(disk, swirl, monkeypatch, kind):
     spec, u = _constant_coefficient_case(disk, kind)
-    f = swirl.copy()  # no memo yet
+    f = FemField(disk, swirl.coeffs, zero_boundary=True)  # no memo yet
     load = local_load(f)
     free = quad_cache(disk).free_pattern().free_dofs
     strain = fem.strain_and_norm(u)
@@ -639,32 +651,38 @@ def test_the_operator_solution_is_computed_once_per_forcing(monkeypatch):
     f = default_disk_forcing(mesh)
     cfg = SolveConfig(delta_schedule=DEFAULT_SCHEDULE[:3])
     operators, factored = [], []
-    linear_operator, factorized = solver.linear_operator, solver.factorized
+    assemble, factorized = solver.assemble_jacobian, solver.factorized
 
-    def building(m):
-        operators.append(linear_operator(m))
-        return operators[-1]
+    def assembling(spec, *args):
+        matrix = assemble(spec, *args)
+        if not _newton_spec(spec):
+            operators.append(matrix)
+        return matrix
 
     def factoring(matrix):
         factored.append(any(matrix is k for k in operators))
         return factorized(matrix)
 
-    monkeypatch.setattr(solver, "linear_operator", building)
+    monkeypatch.setattr(solver, "assemble_jacobian", assembling)
     monkeypatch.setattr(solver, "factorized", factoring)
     stages = [s for p in (1.3, 3.0) for s in delta_continuation(PowerLaw(p), f, cfg)]
-    assert sum(factored) == 1  # at p = 1.3, stage 0; p = 3 takes the memo
+    assert len(operators) == 1 and sum(factored) == 1  # at p = 1.3, stage 0; p = 3 takes the memo
     assert len(factored) == sum(row.factored for s in stages for row in s.trace.rows)
     assert (stages[0].trace.rows[1].factored, stages[3].trace.rows[1].factored) == (1, 0)
-    z = f._operator_solution[1].copy()
-    f.coeffs *= 2.0  # the memo no longer matches the forcing
-    stages = delta_continuation(PowerLaw(3.0), f, cfg)
+    with pytest.raises(ValueError, match="read-only"):
+        f.coeffs *= 2.0  # so the memo cannot go stale
+    # a forcing with other coefficients is another field, with its own K^{-1} F
+    z = f._operator_solution
+    doubled = FemField(mesh, 2.0 * f.coeffs, zero_boundary=True)
+    stages = delta_continuation(PowerLaw(3.0), doubled, cfg)
     assert sum(factored) == 2 and stages[0].trace.rows[1].factored == 1
-    assert np.allclose(f._operator_solution[1], 2.0 * z, rtol=1e-9, atol=0.0)
+    assert f._operator_solution is z
+    assert np.allclose(doubled._operator_solution, 2.0 * z, rtol=1e-9, atol=0.0)
 
 
 def test_a_failing_operator_check_falls_back_to_a_factor(disk, swirl, monkeypatch):
     spec = Truncated(PowerLaw(3), 0.01, 100.0)
-    _, honest = solve(spec, swirl.copy())
+    _, honest = solve(spec, FemField(disk, swirl.coeffs, zero_boundary=True))
     operator, factorized = solver.operator_solution, solver.factorized
     computed, calls = [], []
 
@@ -675,7 +693,7 @@ def test_a_failing_operator_check_falls_back_to_a_factor(disk, swirl, monkeypatc
 
     monkeypatch.setattr(solver, "operator_solution", forged)
     monkeypatch.setattr(solver, "factorized", lambda m: calls.append(m) or factorized(m))
-    _, trace = solve(spec, swirl.copy())
+    _, trace = solve(spec, FemField(disk, swirl.coeffs, zero_boundary=True))
     assert computed == [1]  # tried at u = 0 only, where it factored K
     assert trace.rows[1].factored == 2  # K, then the Jacobian the check fell back to
     assert len(calls) == sum(row.factored for row in trace.rows)
