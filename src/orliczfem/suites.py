@@ -1,10 +1,11 @@
 """The six experiment suites and their pass/fail contracts.
 
-Each suite turns one family of estimates into rows (written as CSV by the CLI)
-plus a list of contract checks.  The contracts encode the measurable form of
-each estimate: exact identities at machine tolerance, inequality sweeps with
-zero violations, and empirical constant envelopes asserted to be bounded and
-stable under refinement.
+Each suite's case work turns one family of estimates into rows (written as CSV
+by the CLI); one function of those rows and the options alone turns them into
+contract checks, so a stored CSV can be checked again without a solve.  The
+contracts encode the measurable form of each estimate: exact identities at
+machine tolerance, inequality sweeps with zero violations, and empirical
+constant envelopes asserted to be bounded and stable under refinement.
 
 Suite -> estimate map:
 
@@ -56,6 +57,7 @@ from .nfunctions import (
     SumPower,
     Truncated,
     from_mapping,
+    from_text,
     to_text,
     truncation_dual_gap,
 )
@@ -204,75 +206,64 @@ class IndexRow(NamedTuple):
     quad_growth_hi: float | None = None
 
 
-def run_indices_suite(options: dict, seed: int, jobs: int) -> SuiteResult:
-    def work(spec):
+def run_indices_suite(options: dict, seed: int, jobs: int):
+    def work(spec) -> IndexRow:
         idx = spec.indices()
         grid = spec.indices_grid()
-        return spec, idx, grid, inequality_margins(spec)
-
-    results = _parallel(work, _specs(options), jobs)
-    rows = []
-    contracts = []
-    worst = {}
-    for spec, idx, grid, margins in results:
-        rows.append(
-            IndexRow(spec.describe(), idx.p_minus, idx.p_plus, grid.p_minus, grid.p_plus, **margins)
+        return IndexRow(
+            spec.describe(), idx.p_minus, idx.p_plus, grid.p_minus, grid.p_plus,
+            **inequality_margins(spec),
         )
-        for name, value in margins.items():
-            worst[name] = min(worst.get(name, math.inf), value)
 
-    exact_ok = True
+    return _parallel(work, _specs(options), jobs), {}
+
+
+def indices_contracts(rows: list, options: dict):
     details = []
-    for spec, idx, grid, _ in results:
+    grid_ok = True
+    worst = {}
+    for row in rows:
+        for name, value in zip(IndexRow._fields[5:], row[5:]):  # the margin columns
+            if value is not None:  # the margin is defined for this spec
+                worst[name] = min(worst.get(name, math.inf), value)
+        spec = from_text(row.spec)
+        inside = (
+            row.grid_p_minus >= row.p_minus - GRID_INDEX_TOL
+            and row.grid_p_plus <= row.p_plus + GRID_INDEX_TOL
+        )
+        close = (
+            row.p_minus - row.grid_p_minus <= GRID_INDEX_TOL
+            and row.p_plus - row.grid_p_plus <= GRID_INDEX_TOL
+        )
+        # hull indices of a truncation are conservative: containment only
+        grid_ok &= inside and (close or isinstance(spec, Truncated))
         if isinstance(spec, PowerLaw):
             expect = (spec.p, spec.p)
         elif isinstance(spec, DeltaPower) and spec.delta > 0:
             expect = (min(spec.p, 2.0), max(spec.p, 2.0))
         else:
             continue
-        err = max(abs(idx.p_minus - expect[0]), abs(idx.p_plus - expect[1]))
+        err = max(abs(row.p_minus - expect[0]), abs(row.p_plus - expect[1]))
         if err > INDEX_TOL:
-            exact_ok = False
-            details.append(f"{spec.describe()}: index error {err:.3e}")
-    contracts.append(
-        ContractCheck("index_exactness", exact_ok, "; ".join(details) or "all within 1e-6")
-    )
-
-    def _grid_consistent(spec, idx, grid):
-        inside = (
-            grid.p_minus >= idx.p_minus - GRID_INDEX_TOL
-            and grid.p_plus <= idx.p_plus + GRID_INDEX_TOL
-        )
-        if isinstance(spec, Truncated):
-            return inside  # hull indices are conservative: containment only
-        close = (
-            idx.p_minus - grid.p_minus <= GRID_INDEX_TOL
-            and idx.p_plus - grid.p_plus <= GRID_INDEX_TOL
-        )
-        return inside and close
-
-    grid_ok = all(_grid_consistent(spec, idx, grid) for spec, idx, grid, _ in results)
-    contracts.append(
-        ContractCheck(
-            "grid_reconciliation",
-            grid_ok,
-            f"grid estimates within {GRID_INDEX_TOL} of closed forms (inside for truncations)",
-        )
-    )
-
+            details.append(f"{row.spec}: index error {err:.3e}")
     violations = {
         name: value
         for name, value in worst.items()
         if value < -(YOUNG_TOL if name == "young" else MARGIN_TOL)
     }
-    contracts.append(
+    return [
+        ContractCheck("index_exactness", not details, "; ".join(details) or "all within 1e-6"),
+        ContractCheck(
+            "grid_reconciliation",
+            grid_ok,
+            f"grid estimates within {GRID_INDEX_TOL} of closed forms (inside for truncations)",
+        ),
         ContractCheck(
             "scalar_inequalities_zero_violations",
             not violations,
             f"violated: {violations}" if violations else "all inequality margins nonnegative",
-        )
-    )
-    return SuiteResult("indices_suite", rows, contracts, {"worst_margins": worst})
+        ),
+    ], {"worst_margins": worst}
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +281,9 @@ class HammerRow(NamedTuple):
     fd_err_transform: float
 
 
-def run_hammer_suite(options: dict, seed: int, jobs: int) -> SuiteResult:
+def run_hammer_suite(options: dict, seed: int, jobs: int):
     n_pairs = options["hammer"]["pairs"]
     n_fd = options["hammer"]["fd_samples"]
-    specs = _specs(options)
 
     def work(item) -> HammerRow:
         index, spec = item
@@ -328,28 +318,30 @@ def run_hammer_suite(options: dict, seed: int, jobs: int) -> SuiteResult:
             fd_error(v_map, dv_map),
         )
 
-    rows = _parallel(work, list(enumerate(specs)), jobs)
+    return _parallel(work, list(enumerate(_specs(options))), jobs), {}
+
+
+def hammer_contracts(rows: list, options: dict):
     env_ok = all(
         r.ratio_min >= 1.0 / HAMMER_ENVELOPE and r.ratio_max <= HAMMER_ENVELOPE for r in rows
     )
     p2_detail = "no quadratic spec in roster"
     p2_ok = True
-    for spec, r in zip(specs, rows):
+    for r in rows:
+        spec = from_text(r.spec)
         if isinstance(spec, PowerLaw) and spec.p == 2.0:
             p2_ok = (
                 abs(r.ratio_min - 1.0) <= HAMMER_P2_TOL and abs(r.ratio_max - 1.0) <= HAMMER_P2_TOL
             )
             p2_detail = f"envelope [{r.ratio_min:.2e}, {r.ratio_max:.2e}] at p=2"
     fd_ok = all(r.fd_err_stress <= FD_TOL and r.fd_err_transform <= FD_TOL for r in rows)
-
-    contracts = [
+    return [
         ContractCheck(
             "hammer_envelope", env_ok, f"pairwise ratios within [1/{HAMMER_ENVELOPE:g}, {HAMMER_ENVELOPE:g}]"
         ),
         ContractCheck("hammer_p2_exact", p2_ok, p2_detail),
         ContractCheck("derivative_fd_match", fd_ok, f"relative error <= {FD_TOL:g} at h=1e-5"),
-    ]
-    return SuiteResult("hammer_suite", rows, contracts)
+    ], {}
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +367,7 @@ class KornRow(NamedTuple):
 KORN_BLOCK = 16
 
 
-def run_korn_suite(options: dict, seed: int, jobs: int) -> SuiteResult:
+def run_korn_suite(options: dict, seed: int, jobs: int):
     ensemble = options["korn"]["ensemble"]
     domain = options["mesh"]["domain"]
     h_values = options["mesh"]["h"]
@@ -404,29 +396,31 @@ def run_korn_suite(options: dict, seed: int, jobs: int) -> SuiteResult:
             poincare_max = max(poincare_max, float(poincare.max()))
         return KornRow(p, h, korn_max, meanfree_max, poincare_max)
 
-    rows = _parallel(work, items, jobs)
+    return _parallel(work, items, jobs), {}
+
+
+def korn_contracts(rows: list, options: dict):
     korn_ok = all(
         r.korn_max <= KORN_ENVELOPE and r.korn_meanfree_max <= KORN_ENVELOPE for r in rows
     )
     poincare_ok = all(r.poincare_max <= POINCARE_ENVELOPE for r in rows)
-    stable = True
     details = []
-    for p in p_values:
-        maxima = [r.korn_max for r in rows if r.p == p]
+    h_sorted = sorted(options["mesh"]["h"], reverse=True)  # coarse to fine, in any given order
+    for p in options["sweep"]["p_values"]:
+        maxima = [r.korn_max for h in h_sorted for r in rows if r.p == p and r.h == h]
+        positive, note = _positive_finite(maxima)
         for a, b in zip(maxima, maxima[1:]):
-            if abs(b - a) / a > KORN_STABILITY:
-                stable = False
-                details.append(f"p={p}: korn max moved {a:.3f} -> {b:.3f}")
-    contracts = [
+            if not positive or _rel_step(a, b) > KORN_STABILITY:
+                details.append(f"p={p}: korn max moved {a:.3f} -> {b:.3f}{note}")
+    return [
         ContractCheck("korn_envelope", korn_ok, f"ensemble maxima <= {KORN_ENVELOPE}"),
         ContractCheck("poincare_envelope", poincare_ok, f"ensemble maxima <= {POINCARE_ENVELOPE}"),
         ContractCheck(
             "korn_refinement_stability",
-            stable,
+            not details,
             "; ".join(details) or f"maxima move <= {KORN_STABILITY:.0%} under refinement",
         ),
-    ]
-    return SuiteResult("korn_suite", rows, contracts)
+    ], {}
 
 
 # ---------------------------------------------------------------------------
@@ -453,36 +447,39 @@ class ManufacturedRow(NamedTuple):
     ls_rate: float
 
 
-def run_manufactured(options: dict, seed: int, jobs: int) -> SuiteResult:
+def run_manufactured(options: dict, seed: int, jobs: int):
     h_values = options["manufactured"]["h"]
     cfg = _solve_config(options)
     case = sine_bubble()
 
-    def work(entry):
-        label, base, (lo, hi), min_rate = entry
-        spec = base.truncate(lo, hi)
-        errors, rates = convergence_study(spec, case, h_values, cfg=cfg)
+    def work(entry) -> list:
+        label, base, (lo, hi), _ = entry
+        errors, rates = convergence_study(base.truncate(lo, hi), case, h_values, cfg=cfg)
         slope = float(
             np.polyfit(np.log(np.asarray(h_values)), np.log(np.asarray(errors)), 1)[0]
         )
-        return label, base, (lo, hi), min_rate, errors, rates, slope
+        return [
+            ManufacturedRow(label, lo, hi, h, errors[i], rates[i - 1] if i > 0 else None, slope)
+            for i, h in enumerate(h_values)
+        ]
 
-    results = _parallel(work, list(_MANUFACTURED_CASES), jobs)
-    rows = []
-    contracts = []
-    for label, base, (lo, hi), min_rate, errors, rates, slope in results:
-        for i, h in enumerate(h_values):
-            rows.append(
-                ManufacturedRow(label, lo, hi, h, errors[i], rates[i - 1] if i > 0 else None, slope)
-            )
-        contracts.append(
-            ContractCheck(
-                f"rate_{label}",
-                slope >= min_rate,
-                f"LS slope {slope:.3f} over {len(h_values)} refinements (need >= {min_rate})",
-            )
+    return [row for block in _parallel(work, list(_MANUFACTURED_CASES), jobs) for row in block], {}
+
+
+def manufactured_contracts(rows: list, options: dict):
+    least_rate = {label: rate for label, _, _, rate in _MANUFACTURED_CASES}
+    slopes = {}  # each case's LS slope, repeated on every row of the case
+    for row in rows:
+        slopes.setdefault(row.case, row.ls_rate)
+    return [
+        ContractCheck(
+            f"rate_{label}",
+            slope >= least_rate[label],
+            f"LS slope {slope:.3f} over {len(options['manufactured']['h'])} refinements "
+            f"(need >= {least_rate[label]})",
         )
-    return SuiteResult("manufactured", rows, contracts)
+        for label, slope in slopes.items()
+    ], {}
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +512,7 @@ class SweepRow(NamedTuple):
     cauchy: float | None = None
 
 
-def run_regularity_sweep(options: dict, seed: int, jobs: int) -> SuiteResult:
+def run_regularity_sweep(options: dict, seed: int, jobs: int):
     domain = options["mesh"]["domain"]
     h_values = options["mesh"]["h"]
     lattice_n = options["mesh"]["lattice_n"]
@@ -583,25 +580,27 @@ def run_regularity_sweep(options: dict, seed: int, jobs: int) -> SuiteResult:
             rows.append(SweepRow("interp_step", p, h, final.trunc_lo, final.trunc_hi, ratio=ratio))
         return rows, traces
 
+    rows, traces = [], {}
     items = [(p, h) for p in p_values for h in h_values]
-    results = _parallel(work, items, jobs)
-    rows = []
-    traces = {}
-    for row_block, trace_block in results:
+    for row_block, trace_block in _parallel(work, items, jobs):
         rows.extend(row_block)
         traces.update(trace_block)
+    return rows, traces
 
-    contracts = []
+
+def regularity_contracts(rows: list, options: dict):
+    h_values = options["mesh"]["h"]
+    p_values = options["sweep"]["p_values"]
     energy_ratios = np.array([r.ratio for r in rows if r.experiment == "energy"])
     spread = float(energy_ratios.max() / np.median(energy_ratios))
-    contracts.append(
+    contracts = [
         ContractCheck(
             "energy_envelope",
             spread <= ENERGY_SPREAD,
             f"max/median = {spread:.2f} over {energy_ratios.size} stage ratios "
             f"(need <= {ENERGY_SPREAD:g})",
         )
-    )
+    ]
 
     h_sorted = sorted(h_values, reverse=True)
     for p in p_values:
@@ -667,13 +666,12 @@ def run_regularity_sweep(options: dict, seed: int, jobs: int) -> SuiteResult:
             )
         )
 
-    summary = {
+    return contracts, {
         "energy_spread": spread,
         "h_values": list(h_values),
         "p_values": list(p_values),
-        "schedule": [list(s) for s in cfg.delta_schedule],
+        "schedule": [list(s) for s in _solve_config(options).delta_schedule],
     }
-    return SuiteResult("regularity_sweep", rows, contracts, summary, traces)
 
 
 # ---------------------------------------------------------------------------
@@ -738,83 +736,40 @@ class TruncationRow(NamedTuple):
     bad_fraction: float | None = None
 
 
-def run_truncation_suite(options: dict, seed: int, jobs: int) -> SuiteResult:
+def run_truncation_suite(options: dict, seed: int, jobs: int):
     lattice_n = options["truncation"]["lattice_n"]
     rows = []
-    contracts = []
 
     # conjugation duality of truncations
-    dual_worst = 0.0
     for spec, lo, hi in _DUAL_COMBOS:
         s = np.linspace(0.0, float(spec.d_phi(np.asarray(hi))), 256)
         gap = float(np.max(truncation_dual_gap(spec, lo, hi, s)))
-        dual_worst = max(dual_worst, gap)
         rows.append(TruncationRow("dual_gap", spec.describe(), lo, hi, value=gap))
-    contracts.append(
-        ContractCheck(
-            "truncation_duality",
-            dual_worst <= DUAL_TOL,
-            f"max gap {dual_worst:.2e} over 256 samples x {len(_DUAL_COMBOS)} combos",
-        )
-    )
 
     # Lipschitz truncation properties on the lattice
     bbox = (0.0, 1.0, 0.0, 1.0)
     spec_mod = PowerLaw(1.5)
-    lip_ok = True
-    containment_ok = True
-    recovery_ok = True
     ratio_worst = 0.0
     for name, func in _test_functions(seed).items():
         gf = GridFunction.sample(func, bbox, lattice_n)
         scale = max(1.0, float(np.abs(gf.values).max()))
-        records = truncation_modular_bounds(spec_mod, gf, _LAMBDA_SWEEP)
-        for rec in records:
-            lip = discrete_lipschitz(rec.trunc)
+        for rec in truncation_modular_bounds(spec_mod, gf, _LAMBDA_SWEEP):
             disagree = np.abs(gf.values - rec.trunc.values) > 1e-12 * scale
-            contained = not np.any(disagree & ~rec.bad)
             ratio_worst = max(ratio_worst, rec.value_ratio, rec.grad_ratio)
-            lip_ok &= lip <= rec.level * (1.0 + LIP_SLACK)
-            containment_ok &= contained
             rows.append(
                 TruncationRow(
                     "lipschitz",
                     name,
                     level=rec.level,
-                    value=lip,
-                    contained=int(contained),
+                    value=discrete_lipschitz(rec.trunc),
+                    contained=int(not np.any(disagree & ~rec.bad)),
                     diff_modular=rec.diff_modular,
                     bad_fraction=rec.bad.mean(),
                 )
             )
-        diff_mods = [rec.diff_modular for rec in records]
-        # recovery: exactly v at the top of the sweep, bounded on the way there
-        recovery_ok &= diff_mods[-1] == 0.0
-        recovery_ok &= max(diff_mods) <= 2.0 * max(diff_mods[0], 1e-300)
-    contracts.append(
-        ContractCheck("lipschitz_level_exact", lip_ok, "discrete Lipschitz constant <= level")
-    )
-    contracts.append(
-        ContractCheck(
-            "lipschitz_bad_set_containment",
-            containment_ok,
-            "replacement confined to the dyadic bad set",
-        )
-    )
-    contracts.append(
-        ContractCheck(
-            "lipschitz_recovery",
-            recovery_ok,
-            "difference modular bounded in the level and exactly 0 at the top",
-        )
-    )
-    contracts.append(
-        ContractCheck(
-            "truncation_modular_envelope",
-            ratio_worst <= MODULAR_ENVELOPE,
-            f"value/gradient modular ratios <= {MODULAR_ENVELOPE:g} (worst {ratio_worst:.2f})",
-        )
-    )
+    # The one contract input that is not a row: ROADMAP item 2's reference
+    # re-store makes the two ratios TruncationRow columns (a CSV header change).
+    options["truncation"]["modular_ratio_worst"] = ratio_worst
 
     # truncated-forcing modular bound
     mesh = build_mesh("unit_disk", 1.0 / 8.0)
@@ -824,7 +779,6 @@ def run_truncation_suite(options: dict, seed: int, jobs: int) -> SuiteResult:
         return np.stack([b * np.sin(4 * np.pi * x), b * np.cos(3 * np.pi * y)])
 
     f_rough = FemField.from_callable(mesh, rough, zero_boundary=True)
-    kdelta_worst = 0.0
     for p in (1.3, 1.5, 3.0):
         spec = PowerLaw(p)
         base_mod = modular(spec.conjugate_spec(), f_rough, "grad")
@@ -832,19 +786,56 @@ def run_truncation_suite(options: dict, seed: int, jobs: int) -> SuiteResult:
             fd = f_truncation_for_solver(f_rough, hi, spec, lattice_n)
             lhs = modular(spec.truncate(lo, hi).conjugate_spec(), fd, "grad")
             rhs = float(spec.phi(np.asarray(lo))) + base_mod
-            ratio = lhs / rhs
-            kdelta_worst = max(kdelta_worst, ratio)
-            rows.append(TruncationRow("kdelta", spec.describe(), lo, hi, value=ratio))
-    contracts.append(
+            rows.append(TruncationRow("kdelta", spec.describe(), lo, hi, value=lhs / rhs))
+    return rows, {}
+
+
+def truncation_contracts(rows: list, options: dict):
+    gaps = [r.value for r in rows if r.experiment == "dual_gap"]
+    dual_worst = max([0.0, *gaps])
+    lipschitz = [r for r in rows if r.experiment == "lipschitz"]
+    # recovery: exactly v at the top of the sweep, bounded on the way there
+    recovery_ok = True
+    for name in dict.fromkeys(r.label for r in lipschitz):
+        diff_mods = [r.diff_modular for r in lipschitz if r.label == name]
+        recovery_ok &= diff_mods[-1] == 0.0
+        recovery_ok &= max(diff_mods) <= 2.0 * max(diff_mods[0], 1e-300)
+    # absent when the rows are read back from a CSV (see run_truncation_suite)
+    ratio_worst = options["truncation"].get("modular_ratio_worst", math.nan)
+    kdelta_worst = max([0.0, *(r.value for r in rows if r.experiment == "kdelta")])
+    return [
+        ContractCheck(
+            "truncation_duality",
+            dual_worst <= DUAL_TOL,
+            f"max gap {dual_worst:.2e} over 256 samples x {len(gaps)} combos",
+        ),
+        ContractCheck(
+            "lipschitz_level_exact",
+            all(r.value <= r.level * (1.0 + LIP_SLACK) for r in lipschitz),
+            "discrete Lipschitz constant <= level",
+        ),
+        ContractCheck(
+            "lipschitz_bad_set_containment",
+            all(r.contained for r in lipschitz),
+            "replacement confined to the dyadic bad set",
+        ),
+        ContractCheck(
+            "lipschitz_recovery",
+            recovery_ok,
+            "difference modular bounded in the level and exactly 0 at the top",
+        ),
+        ContractCheck(
+            "truncation_modular_envelope",
+            ratio_worst <= MODULAR_ENVELOPE,
+            f"value/gradient modular ratios <= {MODULAR_ENVELOPE:g} (worst {ratio_worst:.2f})",
+        ),
         ContractCheck(
             "truncated_forcing_bound",
             kdelta_worst <= KDELTA_ENVELOPE,
             f"modular of truncated forcing gradient within {KDELTA_ENVELOPE:g}x of its bound "
             f"(worst {kdelta_worst:.2f})",
-        )
-    )
-
-    return SuiteResult("truncation_suite", rows, contracts)
+        ),
+    ], {}
 
 
 # ---------------------------------------------------------------------------
@@ -905,9 +896,12 @@ _TRUNCATION_IMPORTS = ("scipy.fft", "scipy.ndimage", "scipy.spatial", "scipy.spa
 
 @dataclass(frozen=True)
 class SuiteSpec:
-    """A suite: its runner, its row type (the CSV columns), its config table and imports.
+    """A suite: its case work and contracts, its row type (the CSV columns), config and imports.
 
-    The table maps each config section the suite takes to that section's keys.
+    ``runner(options, seed, jobs)`` returns the rows and Newton traces, and
+    ``contracts(rows, options)`` the checks and ``summary.json`` envelopes from
+    those alone (bar one input; see :func:`run_truncation_suite`).  The table
+    maps each config section the suite takes to that section's keys.
     ``imports`` names the modules a run of the suite imports on first use;
     ``orliczfem run`` imports them before the suite starts, so that their cost
     is set-up and not the suite's.
@@ -915,6 +909,7 @@ class SuiteSpec:
 
     name: str
     runner: object
+    contracts: object
     row: type
     config: dict
     description: str
@@ -968,12 +963,12 @@ SUITES = {
     suite.name: suite
     for suite in (
         SuiteSpec(
-            "indices_suite", run_indices_suite, IndexRow, {"spec": _SPEC},
+            "indices_suite", run_indices_suite, indices_contracts, IndexRow, {"spec": _SPEC},
             "index formulas and scalar inequality sweeps on log grids",
             (),
         ),
         SuiteSpec(
-            "hammer_suite", run_hammer_suite, HammerRow,
+            "hammer_suite", run_hammer_suite, hammer_contracts, HammerRow,
             {
                 "hammer": {"pairs": Key(int, 10_000, 1), "fd_samples": Key(int, 1_000, 1)},
                 "spec": _SPEC,
@@ -982,7 +977,7 @@ SUITES = {
             ("numpy.random",),
         ),
         SuiteSpec(
-            "korn_suite", run_korn_suite, KornRow,
+            "korn_suite", run_korn_suite, korn_contracts, KornRow,
             {
                 "korn": {"ensemble": Key(int, 100, 1)},
                 "mesh": {
@@ -995,13 +990,13 @@ SUITES = {
             ("numpy.random", "numpy.ma"),
         ),
         SuiteSpec(
-            "manufactured", run_manufactured, ManufacturedRow,
+            "manufactured", run_manufactured, manufactured_contracts, ManufacturedRow,
             {"manufactured": {"h": Key(float_list, [0.25, 0.125, 0.0625], 2)}, "solver": _SOLVER},
             "solver convergence rates against manufactured solutions",
             ("numpy.ma", "scipy.sparse.linalg"),
         ),
         SuiteSpec(
-            "regularity_sweep", run_regularity_sweep, SweepRow,
+            "regularity_sweep", run_regularity_sweep, regularity_contracts, SweepRow,
             {
                 "sweep": {"p_values": Key(float_list, [1.3, 1.5, 2.0, 3.0, 4.0], 1)},
                 "mesh": {
@@ -1017,7 +1012,7 @@ SUITES = {
             ("numpy.ma", "scipy.sparse.linalg", *_TRUNCATION_IMPORTS),
         ),
         SuiteSpec(
-            "truncation_suite", run_truncation_suite, TruncationRow,
+            "truncation_suite", run_truncation_suite, truncation_contracts, TruncationRow,
             {"truncation": {"lattice_n": Key(int, 64, 2)}},
             "truncation duality, lattice Lipschitz truncation, truncated-forcing bound",
             ("numpy.random", "numpy.ma", *_TRUNCATION_IMPORTS),
@@ -1038,4 +1033,7 @@ def run_suite(kind: str, options: dict, seed: int, jobs: int = 1) -> SuiteResult
     if jobs < 1:
         raise DomainError(f"jobs (the worker-pool size) must be at least 1, got {jobs}")
     suite = SUITES[kind]
-    return suite.runner(suite.options(options), seed, jobs)
+    options = suite.options(options)
+    rows, traces = suite.runner(options, seed, jobs)
+    contracts, summary = suite.contracts(rows, options)
+    return SuiteResult(kind, rows, contracts, summary, traces)

@@ -384,7 +384,8 @@ SMALL_SWEEP = (
 
 
 def test_forcing_beyond_the_solvable_range_stays_a_config_error(tmp_path, capsys):
-    # the regularity report's right-hand side overflows before any solve
+    # the regularity report's right-hand side overflows once the first case's
+    # continuation (p = 1.3, h = 1/4: six Newton solves, one per stage) is done
     cfg = _write(tmp_path, SMALL_SWEEP + "\n[forcing]\namplitude = 1e150\n")
     with np.errstate(all="ignore"):
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2

@@ -257,13 +257,6 @@ def test_every_exported_name_is_defined(path):
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
 
 
-#: public names that no library module, demo or benchmark script refers to, and why
-UNREACHED_KEEP = {
-    # reads the ``spec`` column back, for contracts re-derived from stored rows
-    ("nfunctions", "from_text"),
-}
-
-
 def _referenced_names(path):
     """Each name a ``Name``, ``Attribute`` or ``from ... import`` node of ``path`` refers to."""
     for node in ast.walk(ast.parse(path.read_text())):
@@ -288,4 +281,4 @@ def test_every_exported_name_is_reached_outside_the_tests():
         for name in importlib.import_module(f"orliczfem.{path.stem}").__all__
         if name not in referenced
     }
-    assert sorted(unreached ^ UNREACHED_KEEP) == []
+    assert sorted(unreached) == []
