@@ -90,6 +90,18 @@ def _p2_ref_grads(bary: np.ndarray) -> np.ndarray:
     return g
 
 
+#: Mandel row m of the strain of e_e N_b is d_d N_b / s, for each (m, e, d, s)
+_MANDEL_PLACEMENT = ((0, 0, 0, 1.0), (1, 1, 1, 1.0), (2, 0, 1, _SQRT2), (2, 1, 0, _SQRT2))
+
+
+def _strain_table(derivs: np.ndarray) -> np.ndarray:
+    """(..., 3, 12) Mandel strains of e_e N_b (column 2 b + e) from (..., 2d, 6b) d_d N_b."""
+    table = np.zeros(derivs.shape[:-2] + (3, 12))
+    for m, e, d, s in _MANDEL_PLACEMENT:
+        table[..., m, e::2] = derivs[..., d, :] / s
+    return table
+
+
 def _p2_ref_hessians() -> np.ndarray:
     """Constant reference Hessians, shape (6, 2, 2)."""
     h = np.empty((6, 2, 2))
@@ -153,33 +165,15 @@ class QuadCache:
 
         self.shape_values = _p2_values(_QP_BARY)
         ref_grads = _p2_ref_grads(_QP_BARY)  # (6q, 6b, 2)
-        # physical gradient: J^{-T} grad_ref  ->  g_d = inv[e, d] * ref_e
-        self.grads = np.einsum("ced,qbe->cqdb", inv, ref_grads)
+        # physical gradient: J^{-T} grad_ref  ->  g_d = inv[e, d] * ref_e, stored contiguous
+        # so that gradient_at_qp's (nc, 12, 6) table is a view, not a copy per call
+        self.grads = np.ascontiguousarray(np.einsum("ced,qbe->cqdb", inv, ref_grads))
 
-        nc = mesh.n_cells
-        B = np.zeros((nc, 6, 3, 12))
-        g = self.grads
-        for b in range(6):
-            # component 0: eps = sym(e_0 grad^T)
-            B[:, :, 0, 2 * b] = g[:, :, 0, b]
-            B[:, :, 2, 2 * b] = g[:, :, 1, b] / _SQRT2
-            # component 1
-            B[:, :, 1, 2 * b + 1] = g[:, :, 1, b]
-            B[:, :, 2, 2 * b + 1] = g[:, :, 0, b] / _SQRT2
-        self.strain_B = B
-
-        ref_hess = _p2_ref_hessians()  # (6b, 2, 2)
-        # physical Hessian: J^{-T} H_ref J^{-1}
-        hess = np.einsum("ced,bef,cfg->cbdg", inv, ref_hess, inv)  # (nc, 6b, 2, 2)
-        D = np.zeros((nc, 2, 3, 12))
-        for b in range(6):
-            for i in range(2):
-                hb = hess[:, b, :, i]  # column i: d_i grad(N_b), shape (nc, 2)
-                D[:, i, 0, 2 * b] = hb[:, 0]
-                D[:, i, 2, 2 * b] = hb[:, 1] / _SQRT2
-                D[:, i, 1, 2 * b + 1] = hb[:, 1]
-                D[:, i, 2, 2 * b + 1] = hb[:, 0] / _SQRT2
-        self.strain_D = D
+        self.strain_B = _strain_table(self.grads)
+        # physical Hessian: J^{-T} H_ref J^{-1}, of the (6b, 2, 2) reference Hessians
+        hess = np.einsum("ced,bef,cfg->cbdg", inv, _p2_ref_hessians(), inv)  # (nc, 6b, 2, 2)
+        # column i of the Hessian is grad(d_i N_b): the same table, per direction i
+        self.strain_D = _strain_table(hess.transpose(0, 3, 2, 1))
 
     @property
     def n_vector(self) -> int:
@@ -377,46 +371,35 @@ def _local_block(field: FemField) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(stack, 0, -1)).take(cache.cell_dofs, axis=0)
 
 
-def _fields_first(field: FemField, values: np.ndarray) -> np.ndarray:
-    """A kernel's (nc, ..., F) values as (F, nc, ...), or (nc, ...) for a single field."""
-    values = np.moveaxis(values, -1, 0)
+def _kernel(field: FemField, table: np.ndarray, shape: tuple) -> np.ndarray:
+    """([F,] nc, *shape) values of ``table``, per cell or shared, times the local block;
+    its last axis contracts the block's 12 rows 2 b + e, or its 6 rows b for both components."""
+    block = _local_block(field)
+    nc = len(block)
+    values = table @ block.reshape(nc, table.shape[-1], -1)
+    values = np.moveaxis(values.reshape(nc, *shape, -1), -1, 0)
     return values[0] if field.count is None else values
 
 
 def strain_mandel(field: FemField) -> np.ndarray:
     """([F,] nc, 6q, 3) Mandel strains at the quadrature points."""
-    cache = quad_cache(field.mesh)
-    block = _local_block(field)
-    nc = block.shape[0]
-    E = cache.strain_B.reshape(nc, 18, 12) @ block.reshape(nc, 12, -1)
-    return _fields_first(field, E.reshape(nc, 6, 3, -1))
+    return _kernel(field, quad_cache(field.mesh).strain_B.reshape(-1, 18, 12), (6, 3))
 
 
 def strain_grad_mandel(field: FemField) -> np.ndarray:
     """([F,] nc, 2, 3) cellwise-constant Mandel form of (d_1 eps u, d_2 eps u)."""
-    cache = quad_cache(field.mesh)
-    block = _local_block(field)
-    nc = block.shape[0]
-    dE = cache.strain_D.reshape(nc, 6, 12) @ block.reshape(nc, 12, -1)
-    return _fields_first(field, dE.reshape(nc, 2, 3, -1))
+    return _kernel(field, quad_cache(field.mesh).strain_D.reshape(-1, 6, 12), (2, 3))
 
 
 def values_at_qp(field: FemField) -> np.ndarray:
     """([F,] nc, 6q, 2) field values at the quadrature points."""
-    cache = quad_cache(field.mesh)
-    block = _local_block(field)
-    nc = block.shape[0]
-    U = cache.shape_values @ block.reshape(nc, 6, -1)
-    return _fields_first(field, U.reshape(nc, 6, 2, -1))
+    return _kernel(field, quad_cache(field.mesh).shape_values, (6, 2))
 
 
 def gradient_at_qp(field: FemField) -> np.ndarray:
     """([F,] nc, 6q, 2, 2) Jacobians du_e/dx_d at the quadrature points."""
-    cache = quad_cache(field.mesh)
-    block = _local_block(field)
-    nc = block.shape[0]
-    G = cache.grads.reshape(nc, 12, 6) @ block.reshape(nc, 6, -1)  # rows (q, d), columns (e, F)
-    return _fields_first(field, G.reshape(nc, 6, 2, 2, -1).swapaxes(2, 3))
+    grads = quad_cache(field.mesh).grads.reshape(-1, 12, 6)  # rows (q, d), columns b
+    return _kernel(field, grads, (6, 2, 2)).swapaxes(-2, -1)
 
 
 # ---------------------------------------------------------------------------

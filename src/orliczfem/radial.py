@@ -66,14 +66,10 @@ def ratio(spec: NFunction, t: np.ndarray) -> np.ndarray:
 
 def coefficients(spec: NFunction, t: np.ndarray):
     """(phi'(t)/t, phi''(t)), the coefficients of DA, both phi''(0) at t = 0."""
-    first = np.empty_like(t)
-    second = np.empty_like(t)
+    first = ratio(spec, t)
+    second = first.copy()  # keeps the limit phi''(0) at t = 0
     pos = t > 0.0
-    tp = t[pos]
-    first[pos] = spec.d_phi(tp) / tp
-    second[pos] = spec.dd_phi(tp)
-    if not pos.all():
-        first[~pos] = second[~pos] = at_zero(spec)
+    second[pos] = spec.dd_phi(t[pos])
     return first, second
 
 

@@ -63,6 +63,7 @@ from .nfunctions import (
 )
 from .regularity import (
     caccioppoli_ratio,
+    conjugate_forcing_modulars,
     default_disk_forcing,
     interpolation_step_check,
     regularity_ratio,
@@ -152,6 +153,11 @@ def _rel_step(previous: float, current: float) -> float:
     return abs(current - previous) / previous
 
 
+def _worst(values) -> float:
+    """The largest value, and NaN when any is NaN (Python's ``max`` keeps a NaN only first)."""
+    return float(np.max(values))
+
+
 def _positive_finite(ratios) -> tuple[bool, str]:
     """Whether every compared ratio is positive and finite, and a detail note when not.
 
@@ -225,7 +231,7 @@ def indices_contracts(rows: list, options: dict):
     for row in rows:
         for name, value in zip(IndexRow._fields[5:], row[5:]):  # the margin columns
             if value is not None:  # the margin is defined for this spec
-                worst[name] = min(worst.get(name, math.inf), value)
+                worst[name] = float(np.minimum(worst.get(name, math.inf), value))  # keeps NaN
         spec = from_text(row.spec)
         inside = (
             row.grid_p_minus >= row.p_minus - GRID_INDEX_TOL
@@ -243,13 +249,13 @@ def indices_contracts(rows: list, options: dict):
             expect = (min(spec.p, 2.0), max(spec.p, 2.0))
         else:
             continue
-        err = max(abs(row.p_minus - expect[0]), abs(row.p_plus - expect[1]))
-        if err > INDEX_TOL:
+        err = _worst([abs(row.p_minus - expect[0]), abs(row.p_plus - expect[1])])
+        if not err <= INDEX_TOL:
             details.append(f"{row.spec}: index error {err:.3e}")
     violations = {
         name: value
         for name, value in worst.items()
-        if value < -(YOUNG_TOL if name == "young" else MARGIN_TOL)
+        if not value >= -(YOUNG_TOL if name == "young" else MARGIN_TOL)
     }
     return [
         ContractCheck("index_exactness", not details, "; ".join(details) or "all within 1e-6"),
@@ -312,8 +318,8 @@ def run_hammer_suite(options: dict, seed: int, jobs: int):
 
         return HammerRow(
             spec.describe(),
-            float(min(r1.min(), r2.min())),
-            float(max(r1.max(), r2.max())),
+            float(np.minimum(r1.min(), r2.min())),
+            _worst([r1.max(), r2.max()]),
             fd_error(a_map, da_map),
             fd_error(v_map, dv_map),
         )
@@ -388,12 +394,11 @@ def run_korn_suite(options: dict, seed: int, jobs: int):
             G, E = gradient_at_qp(fields), strain_mandel(fields)
             grad_mod = modular(spec, fields, "grad", kernel=G)
             korn = korn_ratio(spec, fields, strain=E, grad_modular=grad_mod)
-            korn_max = max(korn_max, float(korn.max()))
-            meanfree_max = max(
-                meanfree_max, float(korn_ratio_meanfree(spec, fields, grad=G, strain=E).max())
-            )
+            meanfree = korn_ratio_meanfree(spec, fields, grad=G, strain=E)
             poincare = poincare_ratio(spec, fields, grad_modular=grad_mod)
-            poincare_max = max(poincare_max, float(poincare.max()))
+            korn_max = _worst([korn_max, korn.max()])
+            meanfree_max = _worst([meanfree_max, meanfree.max()])
+            poincare_max = _worst([poincare_max, poincare.max()])
         return KornRow(p, h, korn_max, meanfree_max, poincare_max)
 
     return _parallel(work, items, jobs), {}
@@ -532,6 +537,15 @@ def run_regularity_sweep(options: dict, seed: int, jobs: int):
     # is built before the first K is factored: factoring each K right after
     # its pattern raised the suite's peak RSS by 2.5 MB (102.8 -> 105.4)
     forcings = {h: default_disk_forcing(build_mesh(domain, h), amplitude) for h in h_values}
+    for p in p_values:  # each case's regularity report divides by this right side
+        for h, f in forcings.items():
+            with np.errstate(all="ignore"):  # an overflow is reported here, naming its key
+                rhs = sum(conjugate_forcing_modulars(PowerLaw(p), f))
+            if not math.isfinite(rhs):
+                raise DomainError(
+                    f"key 'amplitude' in section [forcing] is too large: at {amplitude} the "
+                    f"forcing's conjugate modulars overflow (p = {p}, h = {h})"
+                )
     for f in forcings.values():
         quad_cache(f.mesh).free_pattern()
     for f in forcings.values():
@@ -755,7 +769,7 @@ def run_truncation_suite(options: dict, seed: int, jobs: int):
         scale = max(1.0, float(np.abs(gf.values).max()))
         for rec in truncation_modular_bounds(spec_mod, gf, _LAMBDA_SWEEP):
             disagree = np.abs(gf.values - rec.trunc.values) > 1e-12 * scale
-            ratio_worst = max(ratio_worst, rec.value_ratio, rec.grad_ratio)
+            ratio_worst = _worst([ratio_worst, rec.value_ratio, rec.grad_ratio])
             rows.append(
                 TruncationRow(
                     "lipschitz",
@@ -792,17 +806,17 @@ def run_truncation_suite(options: dict, seed: int, jobs: int):
 
 def truncation_contracts(rows: list, options: dict):
     gaps = [r.value for r in rows if r.experiment == "dual_gap"]
-    dual_worst = max([0.0, *gaps])
+    dual_worst = _worst([0.0, *gaps])
     lipschitz = [r for r in rows if r.experiment == "lipschitz"]
     # recovery: exactly v at the top of the sweep, bounded on the way there
     recovery_ok = True
     for name in dict.fromkeys(r.label for r in lipschitz):
         diff_mods = [r.diff_modular for r in lipschitz if r.label == name]
         recovery_ok &= diff_mods[-1] == 0.0
-        recovery_ok &= max(diff_mods) <= 2.0 * max(diff_mods[0], 1e-300)
+        recovery_ok &= _worst(diff_mods) <= 2.0 * max(diff_mods[0], 1e-300)
     # absent when the rows are read back from a CSV (see run_truncation_suite)
     ratio_worst = options["truncation"].get("modular_ratio_worst", math.nan)
-    kdelta_worst = max([0.0, *(r.value for r in rows if r.experiment == "kdelta")])
+    kdelta_worst = _worst([0.0, *(r.value for r in rows if r.experiment == "kdelta")])
     return [
         ContractCheck(
             "truncation_duality",
@@ -1025,13 +1039,16 @@ def run_suite(kind: str, options: dict, seed: int, jobs: int = 1) -> SuiteResult
     """Run suite ``kind``; ``options`` maps sections to keys, as in a config file.
 
     An unknown section or key, a count below its minimum, a list shorter than it or
-    repeating a value where its key forbids that raises :class:`DomainError`, as does a
-    worker-pool size ``jobs`` below 1; every key left out takes its default.
+    repeating a value where its key forbids that raises :class:`DomainError`, as do a
+    worker-pool size ``jobs`` below 1 and a negative ``seed``; every key left out takes
+    its default.
     """
     if kind not in SUITES:
         raise DomainError(f"unknown suite {kind!r}; valid: {', '.join(sorted(SUITES))}")
     if jobs < 1:
         raise DomainError(f"jobs (the worker-pool size) must be at least 1, got {jobs}")
+    if seed < 0:  # numpy seeds its generators with non-negative integers only
+        raise DomainError(f"seed must be at least 0, got {seed}")
     suite = SUITES[kind]
     options = suite.options(options)
     rows, traces = suite.runner(options, seed, jobs)

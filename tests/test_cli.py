@@ -4,6 +4,7 @@ import csv
 import filecmp
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -339,6 +340,28 @@ def test_run_suite_rejects_jobs_below_one():
         run_suite("indices_suite", {}, seed=1, jobs=0)
 
 
+# numpy seeds only with non-negative integers; a negative seed is a config
+# error (exit 2), not a violated contract (exit 1)
+def test_negative_seed_key_exit_2_names_the_seed(tmp_path, capsys):
+    cfg = _write(tmp_path, KORN_SMALL.replace("seed = 5\n", "seed = -3\n"))
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "seed must be at least 0, got -3" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_negative_seed_flag_exit_2_names_the_seed(tmp_path, capsys):
+    cfg = _write(tmp_path, KORN_SMALL)
+    assert main(["run", cfg, "--out", str(tmp_path / "o"), "--seed", "-1"]) == 2
+    assert "seed must be at least 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("kind", sorted(SUITES))
+def test_run_suite_rejects_a_negative_seed(kind):
+    with pytest.raises(DomainError, match="seed must be at least 0, got -1"):
+        run_suite(kind, {}, seed=-1, jobs=1)
+
+
 @pytest.mark.parametrize(
     "text,where",
     [
@@ -367,8 +390,11 @@ def test_zero_or_non_finite_amplitude_exit_2_names_the_key(tmp_path, capsys, amp
     assert not (tmp_path / "o").exists()
 
 
-def test_overflowing_forcing_exit_2_names_its_maximal_function(tmp_path, capsys):
-    # the forcing's lattice gradient overflows, so its truncation has no bad set
+def test_overflowing_forcing_exit_2_names_its_maximal_function(tmp_path, capsys, monkeypatch):
+    # the forcing's lattice gradient overflows, so its truncation has no bad set;
+    # with the sweep's up-front amplitude check passed over, the truncation's own
+    # finiteness check must still stop the run as a config error
+    monkeypatch.setattr(suites, "conjugate_forcing_modulars", lambda spec, f: (1.0, 1.0))
     cfg = _write(tmp_path, REDUCED_SWEEP + "\n[forcing]\namplitude = 1e300\n")
     with np.errstate(all="ignore"):
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -383,13 +409,20 @@ SMALL_SWEEP = (
 )
 
 
-def test_forcing_beyond_the_solvable_range_stays_a_config_error(tmp_path, capsys):
-    # the regularity report's right-hand side overflows once the first case's
-    # continuation (p = 1.3, h = 1/4: six Newton solves, one per stage) is done
-    cfg = _write(tmp_path, SMALL_SWEEP + "\n[forcing]\namplitude = 1e150\n")
-    with np.errstate(all="ignore"):
-        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert "non-finite regularity report entry nan" in capsys.readouterr().err
+def test_forcing_beyond_the_solvable_range_stays_a_config_error(tmp_path, capsys, monkeypatch):
+    # the forcing's conjugate modulars, each case's regularity report's right
+    # side, overflow at p = 1.3: found before any solve, silently, naming the key
+    solved = []
+    monkeypatch.setattr(suites, "regularity_ratio", lambda *a, **k: solved.append(a))
+    for amplitude in ("1e150", "1e300"):
+        cfg = _write(tmp_path, SMALL_SWEEP + f"\n[forcing]\namplitude = {amplitude}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"key 'amplitude' in section [forcing] is too large: at {float(amplitude)}" in err
+        assert "(p = 1.3, h = 0.25)" in err
+    assert solved == [] and not (tmp_path / "o").exists()
 
 
 def test_contracts_fail_on_ratios_that_are_not_positive_and_finite(tmp_path):

@@ -146,6 +146,31 @@ def test_one_changed_cell_flips_its_contract(contract, source, cells, column, va
     assert _verdicts(suite.contracts(rows, options)[0], contract) == [False]
 
 
+#: (contract, stored rows, the cells that pick the row whose ``column`` becomes NaN).  A NaN
+#: loses every comparison, and Python's max and min keep it only as their first argument,
+#: so each picked cell is one that a fold meets after a finite value.
+NAN_FLIPS = [
+    ("index_exactness", "indices_suite", {"spec": "variant=power, p=1.3"}, "p_plus"),
+    ("scalar_inequalities_zero_violations", "indices_suite",
+     {"spec": "variant=power, p=3.0, trunc_lo=0.1, trunc_hi=10.0"}, "quad_growth_lo"),
+    ("truncation_duality", LATTICE, {"experiment": "dual_gap", "label": "variant=power, p=3.0"},
+     "value"),
+    ("lipschitz_recovery", LATTICE, {"experiment": "lipschitz", "label": "sine", "level": 4.0},
+     "diff_modular"),
+    ("truncated_forcing_bound", LATTICE, {"experiment": "kdelta", "label": "variant=power, p=1.5"},
+     "value"),
+]
+
+
+@pytest.mark.parametrize("contract,source,cells,column", NAN_FLIPS, ids=[f[0] for f in NAN_FLIPS])
+def test_a_nan_cell_flips_its_contract(contract, source, cells, column):
+    suite, rows, options = _stored(source)
+    i = next(i for i, r in enumerate(rows) if all(getattr(r, k) == v for k, v in cells.items()))
+    assert _verdicts(suite.contracts(rows, options)[0], contract) == [True]
+    rows[i] = rows[i]._replace(**{column: math.nan})
+    assert _verdicts(suite.contracts(rows, options)[0], contract) == [False]
+
+
 def test_the_modular_envelope_flips_on_its_measured_worst_ratio():
     suite, rows, options = _stored(LATTICE)
     for worst, held in ((MODULAR_ENVELOPE, True), (1.01 * MODULAR_ENVELOPE, False)):

@@ -103,6 +103,51 @@ def test_sym_grad_quadratic_field(square):
     assert np.abs(E[..., 1:]).max() <= 1e-12
 
 
+KERNEL_CASES = [
+    (domain, count) for domain in ("unit_disk", "unit_square", "half_disk") for count in (None, 3)
+]
+
+
+def _random_p2(domain, count):
+    """A field (count None) or a stack of standard-normal P2 coefficients, boundary included."""
+    mesh = build_mesh(domain, 0.25)
+    size = (quad_cache(mesh).n_scalar, 2)
+    if count is not None:
+        size = (count,) + size
+    return FemField(mesh, np.random.default_rng(27).standard_normal(size))
+
+
+def _as_stack(values, u):
+    return values if u.count is not None else values[None]
+
+
+def _close_relative(got, want, rel=1e-12):
+    return got.shape == want.shape and np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+@pytest.mark.parametrize("domain,count", KERNEL_CASES)
+def test_strain_is_the_mandel_symmetric_part_of_the_gradient(domain, count):
+    u = _random_p2(domain, count)
+    G = gradient_at_qp(u)  # G[..., e, d] = du_e/dx_d
+    mandel = np.stack(
+        [G[..., 0, 0], G[..., 1, 1], (G[..., 0, 1] + G[..., 1, 0]) / math.sqrt(2.0)], axis=-1
+    )
+    assert _close_relative(strain_mandel(u), mandel)
+
+
+@pytest.mark.parametrize("domain,count", KERNEL_CASES)
+def test_strain_gradient_is_the_gradient_of_the_fitted_strain(domain, count):
+    # the strain of a P2 field is linear on each cell, so the least-squares
+    # plane through its six quadrature values is exact, and its slope is dE
+    u = _random_p2(domain, count)
+    qp = quad_cache(u.mesh).qpoints
+    local = qp - qp.mean(axis=1, keepdims=True)
+    design = np.concatenate([np.ones(qp.shape[:2] + (1,)), local], axis=-1)  # (nc, 6q, 3)
+    fit = np.linalg.pinv(design)  # (nc, 3, 6q)
+    slopes = np.stack([(fit @ E)[:, 1:] for E in _as_stack(strain_mandel(u), u)])
+    assert _close_relative(_as_stack(strain_grad_mandel(u), u), slopes)
+
+
 # ---------------------------------------------------------------------------
 # modulars
 # ---------------------------------------------------------------------------

@@ -8,15 +8,22 @@ exponents, two meshes, a 16² lattice) to stay well under a second.  Cells
 compare at rtol 1e-6 and atol 1e-12, the tolerance of ``perfbench/reference``:
 reordering floating-point work legitimately moves the low bits.
 
-Regenerate, only when a change is meant to alter these outputs, with
+Measure how far a change moves these outputs, writing nothing, with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py --diff [suite ...]
+
+which prints, per suite, how many CSV cells differ from the snapshot's text
+and the largest relative and absolute change among them.  Regenerate, only when a change
+is meant to alter these outputs, with
+
+    PYTHONPATH=src python tests/test_golden.py [suite ...]
 """
 
 import csv
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 
@@ -90,6 +97,46 @@ def test_suite_matches_golden_snapshot(suite, tmp_path):
     assert problems == []
 
 
+def _change(a, b):
+    """(relative, absolute) change between two numeric cells; inf for any other pair."""
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return math.inf, math.inf
+    return abs(x - y) / max(abs(x), abs(y)), abs(x - y)
+
+
+def diff(suite) -> str:
+    """How many CSV cells of a fresh run differ from the snapshot, and by how much at most."""
+    with tempfile.TemporaryDirectory() as out_dir:
+        rows, _ = _run(suite, out_dir)
+    with open(os.path.join(GOLDEN, f"{suite}.csv"), newline="") as fh:
+        want_rows = list(csv.reader(fh))
+    if [len(r) for r in rows] != [len(r) for r in want_rows]:
+        return f"{suite}: the rows or columns differ from the snapshot's"
+    changes = [
+        _change(a, b) for got, want in zip(rows, want_rows) for a, b in zip(got, want) if a != b
+    ]
+    relative = max((r for r, _ in changes), default=0.0)
+    absolute = max((a for _, a in changes), default=0.0)
+    return (
+        f"{suite}: {len(changes)} of {sum(len(r) for r in rows[1:])} cells changed, "
+        f"largest change {relative:.3g} relative, {absolute:.3g} absolute"
+    )
+
+
+def _stamps():
+    return {name: os.stat(os.path.join(GOLDEN, name)).st_mtime_ns for name in os.listdir(GOLDEN)}
+
+
+def test_diff_reports_changed_cells_and_writes_nothing():
+    stored = _stamps()
+    line = diff("indices_suite")
+    pattern = r"indices_suite: \d+ of 198 cells changed, largest change \S+ relative, \S+ absolute"
+    assert re.fullmatch(pattern, line)
+    assert _stamps() == stored
+
+
 def main(suites) -> None:
     os.makedirs(GOLDEN, exist_ok=True)
     for suite in suites:
@@ -106,4 +153,9 @@ def main(suites) -> None:
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:] or SUITES)
+    args = sys.argv[1:]
+    if args[:1] == ["--diff"]:
+        for suite in args[1:] or SUITES:
+            print(diff(suite))
+    else:
+        main(args or SUITES)

@@ -1,5 +1,7 @@
 """Suite runners: row schemas, contract structure, option handling."""
 
+import dataclasses
+import math
 from collections import Counter
 
 import numpy as np
@@ -100,6 +102,48 @@ def test_korn_suite_evaluates_each_kernel_once_per_block(monkeypatch):
     assert calls == {"gradient_at_qp": blocks, "strain_mandel": blocks}
 
 
+@pytest.mark.parametrize(
+    "ratio,column",
+    [("korn_ratio", "korn_max"), ("korn_ratio_meanfree", "korn_meanfree_max"),
+     ("poincare_ratio", "poincare_max")],
+)
+def test_a_nan_ratio_in_a_later_korn_block_reaches_its_row(monkeypatch, ratio, column):
+    # Python's max drops a NaN that is not its first argument, so the NaN
+    # comes in the second block
+    real = getattr(suites, ratio)
+    blocks = []
+
+    def nan_in_the_second_block(*args, **kwargs):
+        values = real(*args, **kwargs)
+        blocks.append(values)
+        return np.full_like(values, math.nan) if len(blocks) == 2 else values
+
+    monkeypatch.setattr(suites, ratio, nan_in_the_second_block)
+    opts = {
+        "korn": {"ensemble": KORN_BLOCK + 5},
+        "mesh": {"domain": "unit_square", "h": [0.5, 0.25]},
+        "sweep": {"p_values": [2.0]},
+    }
+    result = run_suite("korn_suite", opts, seed=3)
+    assert math.isnan(getattr(result.rows[0], column)) and not result.passed
+
+
+def test_a_nan_hammer_ratio_reaches_both_envelope_columns(monkeypatch):
+    real = suites.hammer_triple
+
+    def nan_rhs(spec, P, Q):
+        trip = real(spec, P, Q)
+        rhs = trip.rhs.copy()
+        rhs[1] = math.nan  # r2 = mid / rhs, folded after r1
+        return dataclasses.replace(trip, rhs=rhs)
+
+    monkeypatch.setattr(suites, "hammer_triple", nan_rhs)
+    result = run_suite("hammer_suite", {"spec": {"variant": "power", "p": "3.0"}}, seed=1)
+    (row,) = result.rows
+    assert math.isnan(row.ratio_min) and math.isnan(row.ratio_max)
+    assert [c.passed for c in result.contracts if c.name == "hammer_envelope"] == [False]
+
+
 def test_manufactured_rows_per_case():
     result = run_suite("manufactured", {"manufactured": {"h": [0.25, 0.125]}}, seed=1, jobs=2)
     cases = {row[0] for row in result.rows}
@@ -152,6 +196,21 @@ def test_truncation_suite_structure():
     assert SUITES["truncation_suite"].row is TruncationRow
     assert all(isinstance(row, TruncationRow) for row in result.rows)
     assert result.passed
+
+
+def test_a_nan_modular_ratio_fails_the_modular_envelope(monkeypatch):
+    # Python's max would keep a NaN only as its first argument
+    real = suites.truncation_modular_bounds
+
+    def with_a_nan(spec, gf, levels):
+        records = real(spec, gf, levels)
+        records[2] = records[2]._replace(grad_ratio=math.nan)
+        return records
+
+    monkeypatch.setattr(suites, "truncation_modular_bounds", with_a_nan)
+    result = run_suite("truncation_suite", {"truncation": {"lattice_n": 16}}, seed=1, jobs=1)
+    (check,) = [c for c in result.contracts if c.name == "truncation_modular_envelope"]
+    assert not check.passed and "(worst nan)" in check.detail
 
 
 @pytest.mark.parametrize("kind", ["manufactured", "regularity_sweep"])
