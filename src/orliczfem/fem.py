@@ -456,7 +456,10 @@ def modular(
     F fields gives an (F,) array.  ``kernel``, X at the quadrature points (the
     field's :func:`strain_mandel`, :func:`gradient_at_qp` or
     :func:`values_at_qp`, or a shift of it), is evaluated here when not given.
+    A ``scale`` that is not positive and finite is a :class:`DomainError`.
     """
+    if not (0.0 < scale < math.inf):
+        raise DomainError(f"modular scale must be positive and finite, got {scale}")
     return integral(field.mesh, spec.phi(scale * _magnitudes(field, kind, kernel)), region)
 
 

@@ -81,14 +81,21 @@ def conjugate_forcing_modulars(spec: NFunction, f: FemField):
 
 
 def regularity_ratio(
-    spec: NFunction, f: FemField, cfg: SolveConfig | None = None, lattice_n: int = 64
+    spec: NFunction,
+    f: FemField,
+    cfg: SolveConfig | None = None,
+    lattice_n: int = 64,
+    coarse=None,
 ):
     """Run the truncation continuation on f's mesh and measure the global regularity ratio.
 
     Returns ``(report, stages)``.  The left side is the final-stage W^{1,2}
     data of the transformed strain; the right side is
     int phi*(|f|) + phi*(|grad f|).  Each stage solves against the forcing
-    Lipschitz-truncated at level phi'(trunc_hi) of that stage.
+    Lipschitz-truncated at level phi'(trunc_hi) of that stage.  ``coarse``,
+    a coarser mesh's stage fields interpolated onto f's mesh, goes to
+    :func:`~orliczfem.solver.delta_continuation` as its nested-iteration
+    predictor.
     """
     if not f.zero_boundary:
         raise DomainError("regularity experiments need a zero-trace forcing")
@@ -97,6 +104,7 @@ def regularity_ratio(
         f,
         cfg,
         stage_forcing=lambda lo, hi: f_truncation_for_solver(f, hi, spec, lattice_n),
+        coarse=coarse,
     )
     m_f, m_g = conjugate_forcing_modulars(spec, f)
     rhs = m_f + m_g
@@ -141,9 +149,12 @@ def caccioppoli_ratio(
     lhs: mean of phi(|eps u|) over B(center, radius).
     rhs: mean of phi(|u - pi| / radius) over 2B at the least-squares rigid
     motion pi, plus the mean of phi*(radius |f|) over 2B.  A forcing on
-    another mesh than the field's is a :class:`DomainError`.
+    another mesh than the field's, or a radius that is not positive and
+    finite, is a :class:`DomainError`.
     """
     same_mesh(field, f, "forcing")
+    if not (0.0 < radius < math.inf):
+        raise DomainError(f"caccioppoli radius must be positive and finite, got {radius}")
     mesh = field.mesh
     center = np.asarray(center, dtype=float)
     if float(mesh.boundary_distance(center[None, :])[0]) <= 2.0 * radius:

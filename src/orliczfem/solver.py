@@ -26,7 +26,9 @@ test stay in float64.
 ``delta_continuation`` solves a warm-started sequence of truncated problems
 with trunc_lo decreasing and trunc_hi increasing, recording the W^{1,2} data
 of the transformed strain per stage; that sequence approximates the
-untruncated degenerate/singular problem.
+untruncated degenerate/singular problem.  Given a coarser mesh's stage
+solutions, it starts each stage from their increment where that lowers the
+stage energy (nested iteration).
 """
 
 from __future__ import annotations
@@ -107,8 +109,8 @@ class SolveConfig:
     delta_schedule: tuple = DEFAULT_SCHEDULE
 
     def __post_init__(self):
-        if not (self.newton_tol > 0.0):
-            raise DomainError("newton_tol must be positive")
+        if not (0.0 < self.newton_tol < math.inf):
+            raise DomainError(f"newton_tol must be positive and finite, got {self.newton_tol}")
         if self.max_iters < 0:
             raise DomainError("max_iters must be non-negative")
         if not (0.0 < self.armijo_c < 1.0):
@@ -427,6 +429,7 @@ def delta_continuation(
     f: FemField,
     cfg: SolveConfig | None = None,
     stage_forcing=None,
+    coarse=None,
 ):
     """Warm-started truncation continuation on f's mesh; returns the list of stage results.
 
@@ -434,18 +437,39 @@ def delta_continuation(
     forcing (e.g. a Lipschitz-truncated one); by default every stage uses f.
     The first stage starts from zero on f's mesh, so a stage forcing on
     another mesh is a :class:`DomainError`.
+
+    ``coarse``, one zero-boundary field per schedule stage on f's mesh, holds a
+    coarser mesh's stage solutions U_k interpolated onto this one (nested
+    iteration).  Stage k then starts from u_{k-1} + U_k - U_{k-1} instead of
+    u_{k-1}, and stage 0 from U_0 instead of zero, when that start has the
+    lower stage energy; otherwise the stage is solved as without ``coarse``.
+    A ``coarse`` of another length than the schedule, or a field of it on
+    another mesh or without zero boundary values, is a :class:`DomainError`.
     """
     cfg = cfg or SolveConfig()
     if not cfg.delta_schedule:
         raise DomainError("delta schedule is empty")
+    if coarse is not None:
+        if len(coarse) != len(cfg.delta_schedule):
+            raise DomainError(
+                f"{len(coarse)} coarse stage fields for {len(cfg.delta_schedule)} schedule stages"
+            )
+        for field in coarse:
+            same_mesh(f, field, "coarse stage field")
+            if not field.zero_boundary:
+                raise DomainError("coarse stage fields must have zero boundary values")
     stages: list[StageResult] = []
     u = FemField.zeros(f.mesh)
     prev_v = None
-    for lo, hi in cfg.delta_schedule:
+    for k, (lo, hi) in enumerate(cfg.delta_schedule):
         stage_spec = spec.truncate(lo, hi)
         stage_f = f if stage_forcing is None else stage_forcing(lo, hi)
+        start = u
+        if coarse is not None:
+            before = coarse[k - 1].coeffs if k else 0.0
+            start = _lower_energy(stage_spec, stage_f, u, u.coeffs + (coarse[k].coeffs - before))
         try:
-            u, trace = solve(stage_spec, stage_f, cfg, initial=u)
+            u, trace = solve(stage_spec, stage_f, cfg, initial=start)
         except NonConvergenceError as exc:
             raise ContinuationError(
                 f"stage {len(stages)} (trunc_lo={lo}, trunc_hi={hi}) failed: {exc}", stages
@@ -458,3 +482,10 @@ def delta_continuation(
         prev_v = v_now
         stages.append(StageResult(lo, hi, u, l2_part, semi_part, cauchy, trace))
     return stages
+
+
+def _lower_energy(spec: NFunction, f: FemField, u: FemField, coeffs) -> FemField:
+    """The zero-boundary field of ``coeffs`` when its energy is strictly below u's, else u."""
+    candidate = FemField(u.mesh, coeffs, zero_boundary=True)
+    load = local_load(f)
+    return candidate if energy(spec, candidate, load)[0] < energy(spec, u, load)[0] else u

@@ -37,9 +37,11 @@ import numpy as np
 
 from .fem import (
     FemField,
+    evaluate_located,
     gradient_at_qp,
     korn_ratio,
     korn_ratio_meanfree,
+    locate_points,
     modular,
     poincare_ratio,
     quad_cache,
@@ -517,7 +519,26 @@ class SweepRow(NamedTuple):
     cauchy: float | None = None
 
 
+def _interpolant(field: FemField, mesh, cells: np.ndarray, bary: np.ndarray) -> FemField:
+    """``field`` at the dof points of the finer ``mesh``, boundary zeroed.
+
+    ``(cells, bary)`` locate those points in ``field``'s mesh (see
+    :func:`~orliczfem.fem.locate_points`); a point outside it gets 0.
+    """
+    values = evaluate_located(field, cells, bary)
+    values[quad_cache(mesh).boundary_scalar] = 0.0
+    return FemField(mesh, values, zero_boundary=True)
+
+
 def run_regularity_sweep(options: dict, seed: int, jobs: int):
+    """The sweep's rows and Newton traces: p-major, then h in the order ``[mesh] h`` lists it.
+
+    Each p is one work item (``jobs`` spreads over p), which solves its meshes
+    coarse to fine by nested iteration: every mesh after the coarsest passes
+    the next-coarser mesh's stage fields, interpolated at its dof points, to
+    :func:`regularity_ratio` as the continuation's predictor.  A p's item
+    reads only its own coarser results, so no output depends on ``jobs``.
+    """
     domain = options["mesh"]["domain"]
     h_values = options["mesh"]["h"]
     lattice_n = options["mesh"]["lattice_n"]
@@ -550,12 +571,17 @@ def run_regularity_sweep(options: dict, seed: int, jobs: int):
         quad_cache(f.mesh).free_pattern()
     for f in forcings.values():
         operator_solution(f)
+    # each finer mesh's dof points, located once in the next-coarser mesh
+    coarse_to_fine = sorted(h_values, reverse=True)
+    located = {
+        fine: locate_points(forcings[h].mesh, quad_cache(forcings[fine].mesh).dof_coords)
+        for h, fine in zip(coarse_to_fine, coarse_to_fine[1:])
+    }
 
-    def work(item):
-        p, h = item
+    def case(p, h, coarse):
         spec = PowerLaw(p)
         f = forcings[h]
-        report, stages = regularity_ratio(spec, f, cfg, lattice_n)
+        report, stages = regularity_ratio(spec, f, cfg, lattice_n, coarse)
         rows = []
         traces = {}
         for k, stage in enumerate(stages):
@@ -592,13 +618,24 @@ def run_regularity_sweep(options: dict, seed: int, jobs: int):
         if p < 2.0:
             ratio = interpolation_step_check(spec, final)
             rows.append(SweepRow("interp_step", p, h, final.trunc_lo, final.trunc_hi, ratio=ratio))
-        return rows, traces
+        return rows, traces, stages
+
+    def work(p):
+        blocks, stages = {}, None
+        for h in coarse_to_fine:
+            mesh = forcings[h].mesh
+            coarse = None
+            if stages is not None:  # not the coarsest mesh
+                coarse = [_interpolant(stage.field, mesh, *located[h]) for stage in stages]
+            rows, traces, stages = case(p, h, coarse)
+            blocks[h] = rows, traces
+        return [blocks[h] for h in h_values]
 
     rows, traces = [], {}
-    items = [(p, h) for p in p_values for h in h_values]
-    for row_block, trace_block in _parallel(work, items, jobs):
-        rows.extend(row_block)
-        traces.update(trace_block)
+    for blocks in _parallel(work, p_values, jobs):
+        for row_block, trace_block in blocks:
+            rows.extend(row_block)
+            traces.update(trace_block)
     return rows, traces
 
 

@@ -12,6 +12,7 @@ import pytest
 
 from orliczfem.cli import main as cli_main
 from orliczfem.nfunctions import DeltaPower, PowerLaw, SumPower, truncation_dual_gap
+from orliczfem.solver import SolveConfig
 from orliczfem.suites import run_suite
 
 SEED = 20240811
@@ -139,6 +140,12 @@ def test_criterion_10_lipschitz_truncation(truncation_result):
             "lipschitz_recovery",
         ),
     )
+
+
+def test_no_sweep_solve_reaches_max_iters(sweep_result):
+    # a nested-iteration start that misled Newton would show as a long solve
+    iterations = [trace.iterations for trace in sweep_result.traces.values()]
+    assert len(iterations) == 90 and max(iterations) < SolveConfig().max_iters
 
 
 def test_criterion_11_determinism(tmp_path):

@@ -270,8 +270,8 @@ KORN_SMALL = (
 def test_jobs_do_not_change_output(tmp_path):
     # the sweep is a solver suite: Newton traces, and per-mesh state memoised
     # in QuadCache; at h = 0.5 it legitimately misses its p = 3 h-stability
-    # contract, so both runs exit 1.  With 4 jobs both p of each h start at
-    # once on one shared forcing
+    # contract, so both runs exit 1.  With 2 or 4 jobs both p start at once
+    # on one shared forcing, and each starts h = 0.25 from its own h = 0.5
     cases = (("korn", KORN_SMALL, [4], 0), ("sweep", REDUCED_SWEEP, [2, 4], 1))
     for name, text, parallel, code in cases:
         cfg = _write(tmp_path, text, f"{name}.ini")
@@ -380,6 +380,16 @@ def test_run_failure_exit_3_names_stage_iteration_residual(tmp_path, capsys, tex
     err = capsys.readouterr().err
     assert re.search(r"run failed: Newton iteration 1, residual \d\.\d{3}e[-+]\d+", err)
     assert re.search(where, err)
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0"])
+def test_newton_tol_that_is_not_positive_and_finite_exit_2(tmp_path, capsys, tol):
+    # at inf every stage returned its start unsolved, and the run read as
+    # violated contracts (exit 1)
+    cfg = _write(tmp_path, REDUCED_SWEEP + f"\n[solver]\nnewton_tol = {tol}\n")
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "newton_tol must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("amplitude", ["0", "nan", "inf"])

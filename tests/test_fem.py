@@ -214,6 +214,15 @@ def test_modular_unknown_kind(square):
         modular(PowerLaw(2), FemField.zeros(square), "curl")
 
 
+@pytest.mark.parametrize("scale", [-1.0, 0.0, math.inf, math.nan])
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_modular_rejects_a_scale_that_is_not_positive_and_finite(square, p, scale):
+    # phi of a negative argument is negative (p = 3) or NaN (p = 1.5), not an error
+    u = FemField.from_callable(square, lambda x, y: np.stack([x, y]))
+    with pytest.raises(DomainError, match="modular scale must be positive and finite"):
+        modular(PowerLaw(p), u, "value", scale=scale)
+
+
 # ---------------------------------------------------------------------------
 # Korn / Poincare
 # ---------------------------------------------------------------------------

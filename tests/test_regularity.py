@@ -121,6 +121,12 @@ def test_caccioppoli_rejects_a_forcing_on_another_mesh(solved):
         caccioppoli_ratio(PowerLaw(3), solved.field, twin, (0.0, 0.0), 0.2)
 
 
+@pytest.mark.parametrize("radius", [-0.2, 0.0, math.nan])
+def test_caccioppoli_rejects_a_radius_that_is_not_positive(solved, swirl, radius):
+    with pytest.raises(DomainError, match="caccioppoli radius must be positive and finite"):
+        caccioppoli_ratio(PowerLaw(3), solved.field, swirl, (0.0, 0.0), radius)
+
+
 def test_caccioppoli_interior_check(disk, solved, swirl):
     field = solved.field
     with pytest.raises(DomainError):

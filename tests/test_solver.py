@@ -79,6 +79,13 @@ def test_config_validation():
         SolveConfig(max_iters=-1)
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1e-9])
+def test_newton_tol_must_be_positive_and_finite(tol):
+    # at newton_tol = inf every stage would return its start unsolved
+    with pytest.raises(DomainError, match="newton_tol must be positive and finite"):
+        SolveConfig(newton_tol=tol)
+
+
 def test_energy_monotone_along_trace(disk, swirl):
     _, trace = solve(Truncated(PowerLaw(3), 0.01, 100.0), swirl)
     energies = [row.energy for row in trace.rows]
@@ -850,6 +857,49 @@ def test_continuation_abort_carries_partial_stages(disk, swirl):
 def test_continuation_empty_schedule_rejected(disk, swirl):
     with pytest.raises(DomainError):
         delta_continuation(PowerLaw(3), swirl, SolveConfig(delta_schedule=()))
+
+
+THREE_STAGES = SolveConfig(delta_schedule=((1e-1, 1e1), (1e-2, 1e2), (1e-3, 1e3)))
+
+
+def test_a_coarse_field_that_raises_the_stage_energy_is_never_taken(disk, swirl):
+    # large random starts have far higher energies than the plain warm starts
+    rng = np.random.default_rng(3)
+    rough = [
+        FemField(disk, 1e3 * random_zero_boundary_field(disk, rng).coeffs, zero_boundary=True)
+        for _ in THREE_STAGES.delta_schedule
+    ]
+    solver.operator_solution(swirl)  # so that neither run's trace marks K factored
+    plain = delta_continuation(PowerLaw(3), swirl, THREE_STAGES)
+    guarded = delta_continuation(PowerLaw(3), swirl, THREE_STAGES, coarse=rough)
+    for a, b in zip(plain, guarded):
+        assert np.array_equal(a.field.coeffs, b.field.coeffs)
+        assert a.trace.rows == b.trace.rows
+        assert (a.w12_l2, a.w12_semi) == (b.w12_l2, b.w12_semi)
+        assert a.cauchy_prev == b.cauchy_prev or math.isnan(a.cauchy_prev + b.cauchy_prev)
+
+
+def test_coarse_stage_solutions_leave_no_newton_step(disk, swirl):
+    # the stage solutions themselves, as a perfect coarser mesh would give them:
+    # each stage starts at its solution, within newton_tol, and takes no step
+    plain = delta_continuation(PowerLaw(3), swirl, THREE_STAGES)
+    nested = delta_continuation(
+        PowerLaw(3), swirl, THREE_STAGES, coarse=[s.field for s in plain]
+    )
+    assert sum(s.trace.iterations for s in plain) > 0
+    assert all(s.trace.iterations == 0 for s in nested)
+
+
+def test_continuation_rejects_coarse_fields_of_another_length_mesh_or_boundary(disk, swirl):
+    zero = FemField.zeros(disk)
+    with pytest.raises(DomainError, match="2 coarse stage fields for 3 schedule stages"):
+        delta_continuation(PowerLaw(3), swirl, THREE_STAGES, coarse=[zero, zero])
+    other = FemField.zeros(build_mesh("unit_disk", 1.0 / 6.0))  # the disk's twin, not the disk
+    with pytest.raises(DomainError, match="coarse stage field lives on another mesh"):
+        delta_continuation(PowerLaw(3), swirl, THREE_STAGES, coarse=[zero, other, zero])
+    loose = FemField.zeros(disk, zero_boundary=False)
+    with pytest.raises(DomainError, match="coarse stage fields must have zero boundary values"):
+        delta_continuation(PowerLaw(3), swirl, THREE_STAGES, coarse=[zero, zero, loose])
 
 
 def test_continuation_stage_forcing_hook(disk, swirl):

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 from collections import Counter
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -176,6 +177,42 @@ def test_regularity_sweep_schedule_validation():
 def test_zero_or_non_finite_amplitude_rejected_naming_the_key(amplitude):
     with pytest.raises(DomainError, match=r"key 'amplitude' in section \[forcing\] must be finite"):
         run_suite("regularity_sweep", {"forcing": {"amplitude": amplitude}}, seed=1, jobs=1)
+
+
+def test_the_sweep_interpolant_is_exact_for_quadratics_and_zero_outside():
+    # P2 reproduces a global quadratic; at h = 1/8 the 72 dofs outside the
+    # h = 1/4 polygon all lie on the boundary, which the interpolant re-zeroes
+    coarse, fine = build_mesh("unit_disk", 0.25), build_mesh("unit_disk", 0.125)
+
+    def quadratic(x, y):
+        return np.stack([x * x + x * y - 0.3, y * y - 2.0 * x * y + 0.1 * x])
+
+    points = fem.quad_cache(fine).dof_coords
+    cells, bary = fem.locate_points(coarse, points)
+    got = suites._interpolant(fem.FemField.from_callable(coarse, quadratic), fine, cells, bary)
+    boundary = fem.quad_cache(fine).boundary_scalar
+    inside = (cells >= 0) & ~boundary
+    want = quadratic(*points.T).T
+    assert np.abs(got.coeffs[inside] - want[inside]).max() <= 1e-12
+    assert np.count_nonzero(cells < 0) == 72
+    assert got.zero_boundary and np.all(got.coeffs[(cells < 0) | boundary] == 0.0)
+
+
+def test_the_order_of_h_changes_no_sweep_value():
+    # each p solves its meshes coarse to fine whatever the order of [mesh] h,
+    # and lists its rows in the config's order
+    rows = {}
+    for h in ([0.125, 0.25], [0.25, 0.125]):
+        opts = {
+            "sweep": {"p_values": [1.5, 3.0]},
+            "mesh": {"h": h, "lattice_n": 16},
+            "schedule": {"delta_lo": [1e-1, 1e-2, 1e-3], "delta_hi": [1e1, 1e2, 1e3]},
+        }
+        result = run_suite("regularity_sweep", opts, seed=1, jobs=1)
+        cases = [case for case, _ in groupby((row.p, row.h) for row in result.rows)]
+        assert cases == [(p, value) for p in (1.5, 3.0) for value in h]
+        rows[tuple(h)] = Counter(map(repr, result.rows))  # repr: a NaN equals itself
+    assert rows[0.125, 0.25] == rows[0.25, 0.125]
 
 
 def test_negative_amplitude_runs():
