@@ -328,6 +328,9 @@ class FemField:
         return cls(mesh, vals, zero_boundary)
 
     def with_zero_boundary(self) -> "FemField":
+        """This field with its boundary coefficients zeroed: itself when they are already."""
+        if self.zero_boundary:
+            return self
         cache = quad_cache(self.mesh)
         coeffs = self.coeffs.copy()
         coeffs[..., cache.boundary_scalar, :] = 0.0

@@ -181,8 +181,13 @@ class NFunction:
         raise NotImplementedError
 
     def indices_grid(self, grid=None) -> IndexPair:
-        """Numeric index estimate: inf/sup of phi''(t) t / phi'(t) + 1 on a log grid."""
+        """Numeric index estimate: inf/sup of phi''(t) t / phi'(t) + 1 on a log grid.
+
+        A given ``grid`` needs positive entries, else :class:`DomainError`.
+        """
         t = INDEX_GRID if grid is None else np.asarray(grid, dtype=float)
+        if grid is not None and not (t.size and np.all(t > 0.0)):
+            raise DomainError(f"index grid must be non-empty with positive entries, got {grid!r}")
         ratio = self.dd_phi(t) * t / self.d_phi(t) + 1.0
         return IndexPair(float(ratio.min()), float(ratio.max()))
 

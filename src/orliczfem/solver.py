@@ -27,14 +27,14 @@ test stay in float64.
 with trunc_lo decreasing and trunc_hi increasing, recording the W^{1,2} data
 of the transformed strain per stage; that sequence approximates the
 untruncated degenerate/singular problem.  Given a coarser mesh's stage
-solutions, it starts each stage from their increment where that lowers the
-stage energy (nested iteration).
+solutions, it hands :func:`solve` their increment as a second start, taken
+where it lowers the stage energy (nested iteration).
 """
 
 from __future__ import annotations
 
 import math
-import threading
+from collections.abc import Sequence
 from dataclasses import dataclass, field as dataclass_field
 from typing import NamedTuple
 
@@ -126,11 +126,9 @@ class SolveConfig:
 class TraceRow(NamedTuple):
     """One Newton iterate's energy and residual norm, and the Armijo step to it (0 at first).
 
-    ``factored`` counts the calls of :func:`factorized` the direction of that
-    step took: 1 for a fresh factor of the Jacobian, or for an operator step
-    that computed its forcing's K^{-1} F; 0 for CG with an earlier factor, for
-    an operator step with K^{-1} F at hand, and at first.  An operator step
-    that computed K^{-1} F but failed its check and then factored counts 2.
+    ``factored`` is 1 when the direction of that step came from a fresh
+    factor of its own Jacobian, and 0 otherwise: an operator step, CG with an
+    earlier factor, and at first.
     """
 
     iter: int
@@ -258,32 +256,23 @@ def _constant(c1, c2):
     return None
 
 
-#: Serialises the first computations of operator_solution, so that threads
-#: sharing a forcing compute its K^{-1} F once.
-_OPERATOR_LOCK = threading.Lock()
-
-
-def operator_solution(f: FemField):
-    """(z, computed): z = K^{-1} F for the forcing ``f``, and 1 when this call
-    factored K, 0 when z was at hand.
+def operator_solution(f: FemField) -> np.ndarray:
+    """z = K^{-1} F for the forcing ``f``, memoised on ``f`` (its coefficients are read-only).
 
     K and F are the Jacobian and minus the residual of phi(t) = t^2/2 at
     u = 0 on f's mesh, over the free dofs in K's order, so z is that energy's
-    first Newton direction.  z is memoised on ``f``, as its lattice samples
-    are; a field's coefficients are read-only.  It is computed with one
-    :func:`factorized` call whose factor is dropped at once, so no factor of K
-    outlives it.
+    first Newton direction.  It is computed with one :func:`factorized` call
+    whose factor is dropped at once, so no factor of K outlives it.  Threads
+    that first use it together compute the same deterministic z; either serves.
     """
-    with _OPERATOR_LOCK:
-        z = getattr(f, "_operator_solution", None)
-        if z is not None:
-            return z, 0
+    z = getattr(f, "_operator_solution", None)
+    if z is None:
         quadratic, zero = PowerLaw(2.0), FemField.zeros(f.mesh)
         strain = strain_and_norm(zero)
         free = quad_cache(f.mesh).free_pattern().free_dofs
         load = -assemble_residual(quadratic, zero, local_load(f), strain)[free]
-        f._operator_solution = factorized(assemble_jacobian(quadratic, zero, strain))(load)
-        return f._operator_solution, 1
+        z = f._operator_solution = factorized(assemble_jacobian(quadratic, zero, strain))(load)
+    return z
 
 
 def energy(spec: NFunction, field: FemField, load: np.ndarray):
@@ -303,11 +292,13 @@ def solve(
     spec: NFunction,
     f: FemField,
     cfg: SolveConfig | None = None,
-    initial: FemField | None = None,
+    initial: FemField | Sequence[FemField] | None = None,
 ):
     """Newton-solve the zero-boundary problem on the forcing's mesh; returns (field, trace).
 
-    An ``initial`` guess on another mesh is a :class:`DomainError`.
+    ``initial`` is a start field or a sequence of candidate starts (zero by
+    default): each one's energy is evaluated once, and Newton starts from the
+    lowest, the first on a tie.  One on another mesh is a :class:`DomainError`.
     The spec must have quadratic growth (truncate degenerate specs first).
     The free-dof Jacobian is then SPD.  Newton works on the free dofs in the
     order of the mesh's :meth:`~orliczfem.fem.QuadCache.free_pattern`, the
@@ -339,9 +330,12 @@ def solve(
 
     if initial is None:
         initial = FemField.zeros(mesh)
-    same_mesh(f, initial, "initial guess")
-    u = initial.with_zero_boundary()
-    current, strain = energy(spec, u, load)
+    starts = [initial] if isinstance(initial, FemField) else initial
+    for start in starts:
+        same_mesh(f, start, "initial guess")
+    # (energy, strain, start) of each; min keeps the first of equal energies
+    scored = ((*energy(spec, s, load), s) for s in map(FemField.with_zero_boundary, starts))
+    current, strain, u = min(scored, key=lambda s: s[0])
     trace = SolveTrace()
     step, factored = 0.0, 0
     lagged, previous = None, math.inf  # the last factor's solve, the last residual
@@ -361,8 +355,7 @@ def solve(
         direction, factored = None, 0
         scale = _constant(*coefficients)
         if scale is not None:
-            z, factored = operator_solution(f)
-            operator_step = z / scale - u.coeffs.ravel()[free]
+            operator_step = operator_solution(f) / scale - u.coeffs.ravel()[free]
             if _solves(jacobian, operator_step, -residual):
                 direction = operator_step
         if direction is None and lagged is not None and res_norm <= CONTRACTION * previous:
@@ -371,7 +364,7 @@ def solve(
             lagged = None  # release the last factor before the next is made
             lagged = factorized(jacobian)
             direction = lagged(-residual)
-            factored += 1
+            factored = 1
         previous = res_norm
         slope = float(residual @ direction)
         if not (slope < 0.0) or not np.isfinite(slope):
@@ -440,9 +433,9 @@ def delta_continuation(
 
     ``coarse``, one zero-boundary field per schedule stage on f's mesh, holds a
     coarser mesh's stage solutions U_k interpolated onto this one (nested
-    iteration).  Stage k then starts from u_{k-1} + U_k - U_{k-1} instead of
-    u_{k-1}, and stage 0 from U_0 instead of zero, when that start has the
-    lower stage energy; otherwise the stage is solved as without ``coarse``.
+    iteration).  Stage k then hands :func:`solve` the starts (u_{k-1},
+    u_{k-1} + U_k - U_{k-1}), stage 0 (0, U_0), so the second is taken only
+    when its stage energy is strictly lower.
     A ``coarse`` of another length than the schedule, or a field of it on
     another mesh or without zero boundary values, is a :class:`DomainError`.
     """
@@ -464,12 +457,13 @@ def delta_continuation(
     for k, (lo, hi) in enumerate(cfg.delta_schedule):
         stage_spec = spec.truncate(lo, hi)
         stage_f = f if stage_forcing is None else stage_forcing(lo, hi)
-        start = u
+        starts = [u]
         if coarse is not None:
             before = coarse[k - 1].coeffs if k else 0.0
-            start = _lower_energy(stage_spec, stage_f, u, u.coeffs + (coarse[k].coeffs - before))
+            predicted = u.coeffs + (coarse[k].coeffs - before)
+            starts.append(FemField(f.mesh, predicted, zero_boundary=True))
         try:
-            u, trace = solve(stage_spec, stage_f, cfg, initial=start)
+            u, trace = solve(stage_spec, stage_f, cfg, initial=starts)
         except NonConvergenceError as exc:
             raise ContinuationError(
                 f"stage {len(stages)} (trunc_lo={lo}, trunc_hi={hi}) failed: {exc}", stages
@@ -482,10 +476,3 @@ def delta_continuation(
         prev_v = v_now
         stages.append(StageResult(lo, hi, u, l2_part, semi_part, cauchy, trace))
     return stages
-
-
-def _lower_energy(spec: NFunction, f: FemField, u: FemField, coeffs) -> FemField:
-    """The zero-boundary field of ``coeffs`` when its energy is strictly below u's, else u."""
-    candidate = FemField(u.mesh, coeffs, zero_boundary=True)
-    load = local_load(f)
-    return candidate if energy(spec, candidate, load)[0] < energy(spec, u, load)[0] else u

@@ -551,12 +551,12 @@ def run_regularity_sweep(options: dict, seed: int, jobs: int):
     cfg = _solve_config(options)
     # one mesh and forcing per h, shared by every p and thread: their per-mesh
     # memos (quadrature cache, located lattice, Jacobian pattern, forcing
-    # sample) are structural and deterministic, so a race only duplicates work.
-    # K^{-1} F, which every first stage's operator step at u = 0 takes, is
-    # computed here: a trace row that computed it would mark it factored, and
-    # which p gets there first depends on the threads.  Every Jacobian pattern
-    # is built before the first K is factored: factoring each K right after
-    # its pattern raised the suite's peak RSS by 2.5 MB (102.8 -> 105.4)
+    # sample, K^{-1} F) are structural and deterministic, so a race only
+    # duplicates work.  K^{-1} F, which every first stage's operator step at
+    # u = 0 takes, is computed here, so each forcing's is computed once, not
+    # by every thread that reaches it first.  Every Jacobian pattern is built
+    # before the first K is factored: factoring each K right after its
+    # pattern raised the suite's peak RSS by 2.5 MB (102.8 -> 105.4)
     forcings = {h: default_disk_forcing(build_mesh(domain, h), amplitude) for h in h_values}
     for p in p_values:  # each case's regularity report divides by this right side
         for h, f in forcings.items():

@@ -384,9 +384,12 @@ def f_truncation_for_solver(
 
     ``f`` itself is returned when the bad set {M(grad f) > BAD_SET_LEVEL * lam}
     is empty, and also when max |grad f| <= lam, where the bad set need not be.
+    A ``trunc_hi`` that is not positive is a :class:`DomainError`.
     """
     if not f.zero_boundary:
         raise DomainError("f_truncation_for_solver expects a zero-trace forcing")
+    if not (trunc_hi > 0.0):
+        raise DomainError(f"trunc_hi must be positive, got {trunc_hi}")
     lam = float(spec.d_phi(np.asarray(trunc_hi)))
     sample = _forcing_sample(f, lattice_n)
     # inert at the nominal level: M(grad f) <= max |grad f| <= lam, so {M(grad f) > lam}

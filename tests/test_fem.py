@@ -684,6 +684,26 @@ def test_writing_into_a_fields_coefficients_raises(square, build):
         u.coeffs *= 2.0
 
 
+def test_with_zero_boundary_returns_a_zero_boundary_field_itself(square):
+    u = FemField.from_callable(square, _swirl, zero_boundary=True)
+    assert u.with_zero_boundary() is u
+
+
+def test_with_zero_boundary_zeroes_a_copy_of_a_field_with_boundary_values(square):
+    boundary = quad_cache(square).boundary_scalar
+    u = FemField.from_callable(square, _swirl)
+    assert np.any(u.coeffs[boundary] != 0.0)
+    before = u.coeffs.copy()
+    zeroed = u.with_zero_boundary()
+    assert zeroed is not u and zeroed.zero_boundary and not u.zero_boundary
+    assert not np.shares_memory(zeroed.coeffs, u.coeffs)
+    assert np.array_equal(u.coeffs, before)
+    assert np.all(zeroed.coeffs[boundary] == 0.0)
+    interior = np.ones(len(before), dtype=bool)
+    interior[boundary] = False
+    assert np.array_equal(zeroed.coeffs[interior], before[interior])
+
+
 def test_a_field_keeps_the_array_it_is_given(square):
     coeffs = np.ones((quad_cache(square).n_scalar, 2))
     u = FemField(square, coeffs)

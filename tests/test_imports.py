@@ -148,7 +148,7 @@ def test_every_setup_import_is_one_the_run_makes(tmp_path, kind):
 ROOT = SRC.parent
 
 TRACER_PROBE = f"""
-import json, sys
+import json, math, sys
 sys.path.insert(0, {str(ROOT / "perfbench")!r})
 import numpy as np
 import tracer
@@ -168,8 +168,9 @@ for hi in (1.0, 2.0):
     truncation.f_truncation_for_solver(f, hi, nfunctions.PowerLaw(1.3), lattice_n=16)
 _, trace = solver.solve(nfunctions.Truncated(nfunctions.PowerLaw(3.0), 0.1, 10.0), f)
 factored = sum(row.factored for row in trace.rows)
+trials = sum(round(-math.log2(row.step)) + 1 for row in trace.rows[1:])
 counts = dict(spans.counts, spec_points=spec_points, newton_iters=trace.iterations)
-print(json.dumps(dict(counts, factored=factored)))
+print(json.dumps(dict(counts, factored=factored, trials=trials)))
 """
 
 
@@ -182,13 +183,16 @@ def test_benchmark_tracer_installs_on_the_library():
     # six outermost evaluations of 7 points each; the base and inverse calls
     # nested inside Truncated and conjugate evaluators count nothing
     assert counts["spec_points"] == 42
-    # one factorisation per trace row marked factored: the refinement sweeps,
-    # the CG on a later Jacobian and any float64 fallback stay inside the
-    # solve callable `factorized` returns
+    # one factorisation per trace row marked factored, and the probe forcing's
+    # K for the operator step at u = 0: the refinement sweeps, the CG on a
+    # later Jacobian and any float64 fallback stay inside the solve callable
+    # `factorized` returns
     assert counts["newton_iters"] >= 2
-    assert counts["solver.factorizations"] == counts["factored"]
+    assert counts["solver.factorizations"] == counts["factored"] + 1
     assert 1 <= counts["factored"] < counts["newton_iters"]  # the probe reuses a factor
     assert counts["solver.newton_iters"] == counts["newton_iters"]
+    # one energy for the one start candidate, then one per Armijo trial
+    assert counts["solver.energy_calls"] == 1 + counts["trials"]
 
 
 def _library_imports(path):

@@ -190,6 +190,23 @@ def test_indices_truncated_power():
     assert Truncated(PowerLaw(3), 0.1, 10).indices() == IndexPair(2.0, 3.0)
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [[-2.0, -1.0], [0.0, 1.0], [1.0, math.nan], [], np.array([1.0, -1e-300])],
+    ids=["negative", "zero", "nan", "empty", "tiny_negative"],
+)
+def test_indices_grid_rejects_an_entry_that_is_not_positive(grid):
+    # a negative grid read IndexPair(3.0, 3.0), and a 0 or NaN one failed later
+    # in IndexPair's own check, naming neither the grid nor its entry
+    with pytest.raises(DomainError, match="index grid"):
+        PowerLaw(3).indices_grid(grid)
+
+
+def test_indices_grid_takes_a_positive_grid():
+    assert PowerLaw(3).indices_grid([0.5, 2.0]) == pytest.approx(IndexPair(3.0, 3.0))
+    assert PowerLaw(3).indices_grid(INDEX_GRID) == PowerLaw(3).indices_grid()
+
+
 def test_indices_grid_consistent_with_closed_form(spec):
     closed = spec.indices()
     grid = spec.indices_grid()

@@ -40,6 +40,7 @@ from orliczfem.solver import (
     energy,
     solve,
 )
+from orliczfem.suites import _interpolant
 
 
 @pytest.fixture(scope="module")
@@ -198,6 +199,14 @@ def test_solve_rejects_an_initial_guess_on_another_mesh(hexagon_forcing):
     spec = Truncated(PowerLaw(3), 0.01, 100.0)
     with pytest.raises(DomainError, match="initial guess lives on another mesh"):
         solve(spec, hexagon_forcing, initial=FemField.zeros(disk))
+
+
+def test_solve_rejects_a_start_candidate_on_another_mesh(hexagon_forcing):
+    disk = build_mesh("unit_disk", 0.25)
+    spec = Truncated(PowerLaw(3), 0.01, 100.0)
+    zero = FemField.zeros(hexagon_forcing.mesh)
+    with pytest.raises(DomainError, match="initial guess lives on another mesh"):
+        solve(spec, hexagon_forcing, initial=(zero, FemField.zeros(disk)))
 
 
 def test_continuation_rejects_a_stage_forcing_on_another_mesh(hexagon_forcing):
@@ -496,11 +505,11 @@ def test_a_reused_factor_gives_the_fresh_newton_direction(newton_jacobians):
         tol = solver.REFINE_TOL * np.linalg.norm(b)
         assert np.linalg.norm(b - jacobians[k] @ x) <= tol
         assert np.linalg.norm(jacobians[k] @ (x - fresh)) <= tol
-    # the first direction, at u = 0, is an operator step that factored K (and
-    # no Jacobian), and leaves no factor to reuse at the second; solve took
-    # each later contracted direction from an earlier factor
+    # the first direction, at u = 0, is an operator step, which takes K once
+    # and factors no Jacobian, so it leaves no factor to reuse at the second;
+    # solve took each later contracted direction from an earlier factor
     assert len(operators) == 1
-    assert [row.factored for row in trace.rows[1:3]] == [1, 1]
+    assert [row.factored for row in trace.rows[1:3]] == [0, 1]
     assert [row.factored for row in trace.rows[3:]] == [
         int(k - 1 not in contracted) for k in range(3, len(trace.rows))
     ]
@@ -606,8 +615,9 @@ def test_continuation_takes_the_same_path_with_and_without_reuse(monkeypatch, p)
             assert stage.trace.iterations == 0 or "cg" not in tried[k]
     assert not any("cg" in tried_k for tried_k in factoring_sources)
     assert sum("cg" in tried_k for tried_k in reusing_sources) >= 3
-    # stage 0 starts at u = 0, so its first direction is an operator step
-    assert "operator" in reusing_sources[0] and reusing[0].trace.rows[1].factored == 1
+    # stage 0 starts at u = 0, so its first direction is an operator step,
+    # which marks no row factored whether or not it computed K^{-1} F
+    assert "operator" in reusing_sources[0] and reusing[0].trace.rows[1].factored == 0
     assert "operator" in factoring_sources[0] and factoring[0].trace.rows[1].factored == 0
 
 
@@ -635,22 +645,22 @@ def test_an_operator_step_is_the_fresh_newton_direction(disk, swirl, monkeypatch
     jacobian = assemble_jacobian(spec, u, strain)
     scale = solver._constant(*radial.coefficients(spec, strain[1]))
     assert scale is not None
-    z, computed = solver.operator_solution(f)
-    assert computed == 1
+    calls = []
+    factorized = solver.factorized
+    monkeypatch.setattr(solver, "factorized", lambda m: calls.append(m) or factorized(m))
+    z = solver.operator_solution(f)
+    assert len(calls) == 1  # K, factored by this first call
     step = z / scale - u.coeffs.ravel()[free]
-    fresh = solver.factorized(jacobian)(-residual)
+    fresh = factorized(jacobian)(-residual)
     tol = solver.REFINE_TOL * np.linalg.norm(residual)
     assert np.linalg.norm(jacobian @ step + residual) <= tol
     assert np.linalg.norm(jacobian @ (step - fresh)) <= tol
     # solve takes that step from u: with K^{-1} F memoised it factors nothing
-    calls = []
-    factorized = solver.factorized
-    monkeypatch.setattr(solver, "factorized", lambda m: calls.append(m) or factorized(m))
     try:
         _, trace = solve(spec, f, SolveConfig(max_iters=1), initial=u)
     except NonConvergenceError as exc:
         trace = exc.trace
-    assert trace.rows[1].factored == 0 and calls == []
+    assert trace.rows[1].factored == 0 and len(calls) == 1
 
 
 def test_the_operator_solution_is_computed_once_per_forcing(monkeypatch):
@@ -674,15 +684,19 @@ def test_the_operator_solution_is_computed_once_per_forcing(monkeypatch):
     monkeypatch.setattr(solver, "factorized", factoring)
     stages = [s for p in (1.3, 3.0) for s in delta_continuation(PowerLaw(p), f, cfg)]
     assert len(operators) == 1 and sum(factored) == 1  # at p = 1.3, stage 0; p = 3 takes the memo
-    assert len(factored) == sum(row.factored for s in stages for row in s.trace.rows)
-    assert (stages[0].trace.rows[1].factored, stages[3].trace.rows[1].factored) == (1, 0)
+    # every other factorisation is a Jacobian's, of a row marked factored; both
+    # stage 0 first directions are operator steps, and neither row counts K
+    assert len(factored) - 1 == sum(row.factored for s in stages for row in s.trace.rows)
+    assert (stages[0].trace.rows[1].factored, stages[3].trace.rows[1].factored) == (0, 0)
     with pytest.raises(ValueError, match="read-only"):
         f.coeffs *= 2.0  # so the memo cannot go stale
     # a forcing with other coefficients is another field, with its own K^{-1} F
     z = f._operator_solution
     doubled = FemField(mesh, 2.0 * f.coeffs, zero_boundary=True)
+    before = len(factored)
     stages = delta_continuation(PowerLaw(3.0), doubled, cfg)
-    assert sum(factored) == 2 and stages[0].trace.rows[1].factored == 1
+    assert sum(factored) == 2 and stages[0].trace.rows[1].factored == 0
+    assert len(factored) - before - 1 == sum(row.factored for s in stages for row in s.trace.rows)
     assert f._operator_solution is z
     assert np.allclose(doubled._operator_solution, 2.0 * z, rtol=1e-9, atol=0.0)
 
@@ -690,20 +704,35 @@ def test_the_operator_solution_is_computed_once_per_forcing(monkeypatch):
 def test_a_failing_operator_check_falls_back_to_a_factor(disk, swirl, monkeypatch):
     spec = Truncated(PowerLaw(3), 0.01, 100.0)
     _, honest = solve(spec, FemField(disk, swirl.coeffs, zero_boundary=True))
-    operator, factorized = solver.operator_solution, solver.factorized
-    computed, calls = [], []
+    assemble, operator, factorized = (
+        solver.assemble_jacobian,
+        solver.operator_solution,
+        solver.factorized,
+    )
+    operators, tried, calls = [], [], []  # calls: per factorisation, whether of K
+
+    def assembling(spec, *args):
+        matrix = assemble(spec, *args)
+        if not _newton_spec(spec):
+            operators.append(matrix)
+        return matrix
 
     def forged(f):  # K^{-1} F off by 1e-6: no operator step passes its check
-        z, fresh = operator(f)
-        computed.append(fresh)
-        return z * (1.0 + 1e-6), fresh
+        tried.append(f)
+        return operator(f) * (1.0 + 1e-6)
 
+    def factoring(matrix):
+        calls.append(any(matrix is k for k in operators))
+        return factorized(matrix)
+
+    monkeypatch.setattr(solver, "assemble_jacobian", assembling)
     monkeypatch.setattr(solver, "operator_solution", forged)
-    monkeypatch.setattr(solver, "factorized", lambda m: calls.append(m) or factorized(m))
+    monkeypatch.setattr(solver, "factorized", factoring)
     _, trace = solve(spec, FemField(disk, swirl.coeffs, zero_boundary=True))
-    assert computed == [1]  # tried at u = 0 only, where it factored K
-    assert trace.rows[1].factored == 2  # K, then the Jacobian the check fell back to
-    assert len(calls) == sum(row.factored for row in trace.rows)
+    assert len(tried) == 1  # tried at u = 0 only
+    assert calls.count(True) == 1  # K, inside that one try
+    assert trace.rows[1].factored == 1  # the Jacobian the check fell back to
+    assert calls.count(False) == sum(row.factored for row in trace.rows)
     assert [row.step for row in trace.rows] == [row.step for row in honest.rows]
     scale = honest.rows[0].residual
     for x, y in zip(trace.rows, honest.rows, strict=True):
@@ -741,7 +770,9 @@ def test_newton_census_of_a_reduced_continuation(monkeypatch):
                 for stage in stages
             ]
             census[p, h] = (backtracks, len(calls))
-            assert len(calls) == sum(row.factored for s in stages for row in s.trace.rows)
+            # p = 1.3 comes first on each forcing, and factors its K as well
+            marked = sum(row.factored for s in stages for row in s.trace.rows)
+            assert len(calls) == marked + (p == 1.3)
     assert census == NEWTON_CENSUS
 
 
@@ -869,7 +900,6 @@ def test_a_coarse_field_that_raises_the_stage_energy_is_never_taken(disk, swirl)
         FemField(disk, 1e3 * random_zero_boundary_field(disk, rng).coeffs, zero_boundary=True)
         for _ in THREE_STAGES.delta_schedule
     ]
-    solver.operator_solution(swirl)  # so that neither run's trace marks K factored
     plain = delta_continuation(PowerLaw(3), swirl, THREE_STAGES)
     guarded = delta_continuation(PowerLaw(3), swirl, THREE_STAGES, coarse=rough)
     for a, b in zip(plain, guarded):
@@ -888,6 +918,71 @@ def test_coarse_stage_solutions_leave_no_newton_step(disk, swirl):
     )
     assert sum(s.trace.iterations for s in plain) > 0
     assert all(s.trace.iterations == 0 for s in nested)
+
+
+def _counting(monkeypatch):
+    """The fields solver.energy is evaluated at, and the forcings solver.local_load
+    builds a load for, in the solves that follow."""
+    energies, loads = [], []
+    measure, build = solver.energy, solver.local_load
+
+    def energy_of(spec, u, load):
+        energies.append(u)
+        return measure(spec, u, load)
+
+    monkeypatch.setattr(solver, "energy", energy_of)
+    monkeypatch.setattr(solver, "local_load", lambda f: loads.append(f) or build(f))
+    return energies, loads
+
+
+def test_solve_starts_from_the_first_candidate_of_lowest_energy(disk, swirl, monkeypatch):
+    spec = Truncated(PowerLaw(3), 0.01, 100.0)
+    zero = FemField.zeros(disk)
+    low, _ = solve(spec, swirl)  # the minimiser: its energy is below zero's 0
+    twin = FemField(disk, np.zeros_like(zero.coeffs), zero_boundary=True)  # zero's energy
+    rng = np.random.default_rng(5)
+    rough = FemField(disk, 1e3 * random_zero_boundary_field(disk, rng).coeffs, True)
+    energies, loads = _counting(monkeypatch)
+    unsolved = SolveConfig(newton_tol=1e300)  # a solve returns the start it picked
+    for candidates, chosen in (
+        ((zero, low), low),
+        ((low, zero), low),
+        ((zero, twin), zero),
+        ((twin, zero), twin),
+        ((rough, zero, low), low),
+        (zero, zero),
+    ):
+        energies.clear()
+        loads.clear()
+        u, trace = solve(spec, swirl, unsolved, initial=candidates)
+        assert u is chosen and trace.iterations == 0
+        # each candidate's energy once, and not copied: it has zero boundary values
+        listed = candidates if isinstance(candidates, tuple) else (candidates,)
+        assert len(energies) == len(listed)
+        assert all(a is b for a, b in zip(energies, listed))
+        assert loads == [swirl]
+
+
+def test_a_nested_continuation_evaluates_each_stage_start_once(monkeypatch):
+    # a 3-stage continuation on the h = 1/8 disk with the h = 1/4 disk's stage
+    # fields: each guarded stage evaluates its two starts' energies and its
+    # load once, then one energy per Armijo trial
+    coarse_f = default_disk_forcing(build_mesh("unit_disk", 0.25))
+    f = default_disk_forcing(build_mesh("unit_disk", 0.125))
+    cells, bary = fem.locate_points(coarse_f.mesh, quad_cache(f.mesh).dof_coords)
+    coarse = [
+        _interpolant(s.field, f.mesh, cells, bary)
+        for s in delta_continuation(PowerLaw(3), coarse_f, THREE_STAGES)
+    ]
+    solver.operator_solution(f)  # so that its load is not counted below
+    energies, loads = _counting(monkeypatch)
+    stages = delta_continuation(PowerLaw(3), f, THREE_STAGES, coarse=coarse)
+    trials = [
+        sum(round(-math.log2(row.step)) + 1 for row in stage.trace.rows[1:]) for stage in stages
+    ]
+    assert sum(trials) > 0
+    assert len(energies) == sum(2 + n for n in trials)
+    assert loads == [f] * len(stages)
 
 
 def test_continuation_rejects_coarse_fields_of_another_length_mesh_or_boundary(disk, swirl):

@@ -517,6 +517,14 @@ def test_forcing_requires_zero_trace(disk):
         f_truncation_for_solver(f, 1.0, PowerLaw(2))
 
 
+@pytest.mark.parametrize("trunc_hi", [-2.0, 0.0, np.nan])
+def test_forcing_rejects_a_trunc_hi_that_is_not_positive(trunc_hi):
+    # trunc_hi = -2 truncated at phi'(-2) = 4, as trunc_hi = 2 does
+    f = default_disk_forcing(build_mesh("unit_disk", 0.25), 30.0)
+    with pytest.raises(DomainError, match="trunc_hi"):
+        f_truncation_for_solver(f, trunc_hi, PowerLaw(3), 32)
+
+
 def test_forcing_sampled_once_for_the_lifetime_of_its_field(disk, monkeypatch):
     def rough(x, y):
         b = (1.0 - x * x - y * y) ** 2
