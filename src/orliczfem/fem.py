@@ -26,6 +26,7 @@ from .meshing import LOCAL_EDGES, Mesh, cell_jacobians
 from .nfunctions import DomainError, NFunction
 
 __all__ = [
+    "memo",
     "QuadCache",
     "FemField",
     "quad_cache",
@@ -66,6 +67,20 @@ _QP_BARY = np.array(
 _QW = np.array([_W1, _W1, _W1, _W2, _W2, _W2])
 
 _GRAD_LAMBDA = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+
+
+def memo(owner, key, build):
+    """``build()`` for ``key`` on ``owner``, built on first use and kept in one dict on it.
+
+    Every cache kept on an object is one of these.  ``build`` reads only what
+    of ``owner`` never changes (a mesh, a field's read-only coefficients), so
+    threads whose first uses meet may each build it; every caller gets the
+    value stored first.
+    """
+    try:
+        return vars(owner)["_memo"][key]
+    except KeyError:
+        return vars(owner).setdefault("_memo", {}).setdefault(key, build())
 
 
 def _p2_values(bary: np.ndarray) -> np.ndarray:
@@ -133,7 +148,6 @@ class QuadCache:
     cell_origin: np.ndarray = dataclass_field(init=False)  # (nc, 2) first vertex
     cell_inv: np.ndarray = dataclass_field(init=False)  # (nc, 2, 2) inverse affine Jacobian
     vector_dofs: np.ndarray = dataclass_field(init=False)  # (nc, 12) interleaved vector dof ids
-    _free_pattern: "FreePattern | None" = dataclass_field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         mesh = self.mesh
@@ -179,21 +193,9 @@ class QuadCache:
     def n_vector(self) -> int:
         return 2 * self.n_scalar
 
-    def boundary_vector(self) -> np.ndarray:
-        out = np.zeros(self.n_vector, dtype=bool)
-        out[0::2] = self.boundary_scalar
-        out[1::2] = self.boundary_scalar
-        return out
-
     def free_pattern(self) -> "FreePattern":
-        """The free-dof Jacobian's structure and ordering, built once per mesh.
-
-        The memo is built on first use; concurrent first uses build the same
-        deterministic pattern, and either copy serves.
-        """
-        if self._free_pattern is None:
-            self._free_pattern = _free_pattern(self)
-        return self._free_pattern
+        """The free-dof Jacobian's structure and ordering, built once per mesh (see :func:`memo`)."""
+        return memo(self, "free_pattern", lambda: _free_pattern(self))
 
 
 @dataclass(frozen=True)
@@ -259,19 +261,15 @@ def _minimum_degree_order(indices: np.ndarray, indptr: np.ndarray) -> np.ndarray
 
 
 def _free_pattern(cache: QuadCache) -> FreePattern:
-    natural = np.flatnonzero(~cache.boundary_vector())
+    natural = np.flatnonzero(~np.repeat(cache.boundary_scalar, 2))  # vector dof 2 s + e
     indices, indptr, _ = _free_csc(cache, natural)
     free_dofs = natural[_minimum_degree_order(indices, indptr)]
     return FreePattern(free_dofs, *_free_csc(cache, free_dofs))
 
 
 def quad_cache(mesh: Mesh) -> QuadCache:
-    """The (memoised) quadrature cache of a mesh."""
-    cache = getattr(mesh, "_quad_cache", None)
-    if cache is None:
-        cache = QuadCache(mesh)
-        mesh._quad_cache = cache
-    return cache
+    """The quadrature cache of a mesh, built once (see :func:`memo`)."""
+    return memo(mesh, "quad_cache", lambda: QuadCache(mesh))
 
 
 # ---------------------------------------------------------------------------
@@ -322,19 +320,21 @@ class FemField:
         vals = np.asarray(func(cache.dof_coords[:, 0], cache.dof_coords[:, 1]), dtype=float)
         if vals.shape == (2, cache.n_scalar):
             vals = vals.T
-        if zero_boundary:
-            vals = vals.copy()
-            vals[cache.boundary_scalar] = 0.0
-        return cls(mesh, vals, zero_boundary)
+        return cls.zeroed(mesh, vals.copy()) if zero_boundary else cls(mesh, vals)
+
+    @classmethod
+    def zeroed(cls, mesh: Mesh, coeffs: np.ndarray) -> "FemField":
+        """The zero-boundary field of the fresh float array ``coeffs``, whose boundary
+        rows are set to 0 in place and which is kept without a copy.  No other code
+        writes boundary rows."""
+        cache = quad_cache(mesh)
+        if coeffs.shape[-2:] == (cache.n_scalar, 2):  # else the constructor names the shape
+            coeffs[..., cache.boundary_scalar, :] = 0.0
+        return cls(mesh, coeffs, zero_boundary=True)
 
     def with_zero_boundary(self) -> "FemField":
         """This field with its boundary coefficients zeroed: itself when they are already."""
-        if self.zero_boundary:
-            return self
-        cache = quad_cache(self.mesh)
-        coeffs = self.coeffs.copy()
-        coeffs[..., cache.boundary_scalar, :] = 0.0
-        return FemField(self.mesh, coeffs, zero_boundary=True)
+        return self if self.zero_boundary else FemField.zeroed(self.mesh, self.coeffs.copy())
 
 
 def random_zero_boundary_field(
@@ -345,11 +345,9 @@ def random_zero_boundary_field(
     ``count`` draws a stack of that many fields from the same stream as
     ``count`` successive single draws.
     """
-    cache = quad_cache(mesh)
-    size = (cache.n_scalar, 2) if count is None else (count, cache.n_scalar, 2)
-    coeffs = rng.uniform(-1.0, 1.0, size=size)
-    coeffs[..., cache.boundary_scalar, :] = 0.0
-    return FemField(mesh, coeffs, zero_boundary=True)
+    n_scalar = quad_cache(mesh).n_scalar
+    size = (n_scalar, 2) if count is None else (count, n_scalar, 2)
+    return FemField.zeroed(mesh, rng.uniform(-1.0, 1.0, size=size))
 
 
 def _single(field: FemField, name: str) -> None:

@@ -40,6 +40,7 @@ __all__ = [
     "default_disk_forcing",
     "conjugate_forcing_modulars",
     "regularity_ratio",
+    "caccioppoli_balls",
     "caccioppoli_ratio",
     "rigid_projection",
     "interpolation_step_check",
@@ -141,6 +142,25 @@ def rigid_projection(field: FemField, region: np.ndarray) -> np.ndarray:
     return np.linalg.solve(g, rhs)
 
 
+def caccioppoli_balls(mesh: Mesh, center, radius: float):
+    """((mask, measure) of B, (mask, measure) of 2B), masks of quadrature points, for
+    B = B(center, radius).  A radius that is not positive and finite, a 2B not inside
+    the domain, or a ball without a quadrature point is a :class:`DomainError`."""
+    if not (0.0 < radius < math.inf):
+        raise DomainError(f"caccioppoli radius must be positive and finite, got {radius}")
+    center = np.asarray(center, dtype=float)
+    if float(mesh.boundary_distance(center[None, :])[0]) <= 2.0 * radius:
+        raise DomainError("caccioppoli ball must satisfy 2B inside the domain")
+    x, y = np.moveaxis(quad_cache(mesh).qpoints, -1, 0)
+    dist2 = (x - center[0]) ** 2 + (y - center[1]) ** 2
+    inner, outer = dist2 <= radius * radius, dist2 <= (2.0 * radius) * (2.0 * radius)
+    lhs_meas = region_measure(mesh, inner)
+    rhs_meas = region_measure(mesh, outer)
+    if lhs_meas == 0.0 or rhs_meas == 0.0:
+        raise DomainError("caccioppoli ball contains no quadrature points")
+    return (inner, lhs_meas), (outer, rhs_meas)
+
+
 def caccioppoli_ratio(
     spec: NFunction, field: FemField, f: FemField, center, radius: float
 ) -> float:
@@ -149,24 +169,12 @@ def caccioppoli_ratio(
     lhs: mean of phi(|eps u|) over B(center, radius).
     rhs: mean of phi(|u - pi| / radius) over 2B at the least-squares rigid
     motion pi, plus the mean of phi*(radius |f|) over 2B.  A forcing on
-    another mesh than the field's, or a radius that is not positive and
-    finite, is a :class:`DomainError`.
+    another mesh than the field's, or a ball that :func:`caccioppoli_balls`
+    rejects, is a :class:`DomainError`.
     """
     same_mesh(field, f, "forcing")
-    if not (0.0 < radius < math.inf):
-        raise DomainError(f"caccioppoli radius must be positive and finite, got {radius}")
     mesh = field.mesh
-    center = np.asarray(center, dtype=float)
-    if float(mesh.boundary_distance(center[None, :])[0]) <= 2.0 * radius:
-        raise DomainError("caccioppoli ball must satisfy 2B inside the domain")
-
-    x, y = np.moveaxis(quad_cache(mesh).qpoints, -1, 0)
-    dist2 = (x - center[0]) ** 2 + (y - center[1]) ** 2
-    inner, outer = dist2 <= radius * radius, dist2 <= (2.0 * radius) * (2.0 * radius)
-    lhs_meas = region_measure(mesh, inner)
-    rhs_meas = region_measure(mesh, outer)
-    if lhs_meas == 0.0 or rhs_meas == 0.0:
-        raise DomainError("caccioppoli ball contains no quadrature points")
+    (inner, lhs_meas), (outer, rhs_meas) = caccioppoli_balls(mesh, center, radius)
     lhs = modular(spec, field, "sym_grad", region=inner) / lhs_meas
 
     a, b, c = rigid_projection(field, outer)

@@ -47,6 +47,7 @@ from .fem import (
     assemble_residual,
     integral,
     local_load,
+    memo,
     quad_cache,
     same_mesh,
     strain_and_norm,
@@ -257,22 +258,22 @@ def _constant(c1, c2):
 
 
 def operator_solution(f: FemField) -> np.ndarray:
-    """z = K^{-1} F for the forcing ``f``, memoised on ``f`` (its coefficients are read-only).
+    """z = K^{-1} F for the forcing ``f``, computed once and kept (see :func:`~orliczfem.fem.memo`).
 
     K and F are the Jacobian and minus the residual of phi(t) = t^2/2 at
     u = 0 on f's mesh, over the free dofs in K's order, so z is that energy's
     first Newton direction.  It is computed with one :func:`factorized` call
-    whose factor is dropped at once, so no factor of K outlives it.  Threads
-    that first use it together compute the same deterministic z; either serves.
+    whose factor is dropped at once, so no factor of K outlives it.
     """
-    z = getattr(f, "_operator_solution", None)
-    if z is None:
+
+    def build():
         quadratic, zero = PowerLaw(2.0), FemField.zeros(f.mesh)
         strain = strain_and_norm(zero)
         free = quad_cache(f.mesh).free_pattern().free_dofs
         load = -assemble_residual(quadratic, zero, local_load(f), strain)[free]
-        z = f._operator_solution = factorized(assemble_jacobian(quadratic, zero, strain))(load)
-    return z
+        return factorized(assemble_jacobian(quadratic, zero, strain))(load)
+
+    return memo(f, "operator_solution", build)
 
 
 def energy(spec: NFunction, field: FemField, load: np.ndarray):

@@ -64,6 +64,7 @@ from .nfunctions import (
     truncation_dual_gap,
 )
 from .regularity import (
+    caccioppoli_balls,
     caccioppoli_ratio,
     conjugate_forcing_modulars,
     default_disk_forcing,
@@ -183,6 +184,13 @@ def _solve_config(options: dict) -> SolveConfig:
         los, his = options["schedule"]["delta_lo"], options["schedule"]["delta_hi"]
         if len(los) != len(his):
             raise DomainError("schedule needs matching delta_lo and delta_hi lists")
+        for lo, hi in zip(los, his):  # here, before any solve: Truncated checks a pair at its stage
+            if not (0.0 < lo <= hi < math.inf):
+                key = "delta_lo" if hi < math.inf else "delta_hi"
+                raise DomainError(
+                    f"key '{key}' in section [schedule]: each pair needs "
+                    f"0 < delta_lo <= delta_hi < inf, got ({lo}, {hi})"
+                )
         kwargs["delta_schedule"] = tuple(zip(los, his))
     return SolveConfig(**kwargs)
 
@@ -497,6 +505,17 @@ _CACC_CENTERS = ((0.0, 0.0), (0.25, 0.1), (-0.15, 0.2))
 _CACC_RADII = (0.05, 0.1, 0.2, 0.3)
 
 
+def _caccioppoli_kept(h: float) -> list:
+    """The sweep's (center, radius) balls at mesh size ``h``: 2B within 0.98 of the origin,
+    and no radius below ``h`` (ball means below mesh resolution are noise)."""
+    return [
+        (center, radius)
+        for center in _CACC_CENTERS
+        for radius in _CACC_RADII
+        if math.hypot(*center) + 2.0 * radius < 0.98 and radius >= h
+    ]
+
+
 class SweepRow(NamedTuple):
     """One measured ratio lhs/rhs; the columns an experiment does not use are None.
 
@@ -519,17 +538,6 @@ class SweepRow(NamedTuple):
     cauchy: float | None = None
 
 
-def _interpolant(field: FemField, mesh, cells: np.ndarray, bary: np.ndarray) -> FemField:
-    """``field`` at the dof points of the finer ``mesh``, boundary zeroed.
-
-    ``(cells, bary)`` locate those points in ``field``'s mesh (see
-    :func:`~orliczfem.fem.locate_points`); a point outside it gets 0.
-    """
-    values = evaluate_located(field, cells, bary)
-    values[quad_cache(mesh).boundary_scalar] = 0.0
-    return FemField(mesh, values, zero_boundary=True)
-
-
 def run_regularity_sweep(options: dict, seed: int, jobs: int):
     """The sweep's rows and Newton traces: p-major, then h in the order ``[mesh] h`` lists it.
 
@@ -549,15 +557,17 @@ def run_regularity_sweep(options: dict, seed: int, jobs: int):
             f"key 'amplitude' in section [forcing] must be finite and nonzero, got {amplitude}"
         )
     cfg = _solve_config(options)
-    # one mesh and forcing per h, shared by every p and thread: their per-mesh
-    # memos (quadrature cache, located lattice, Jacobian pattern, forcing
-    # sample, K^{-1} F) are structural and deterministic, so a race only
-    # duplicates work.  K^{-1} F, which every first stage's operator step at
-    # u = 0 takes, is computed here, so each forcing's is computed once, not
-    # by every thread that reaches it first.  Every Jacobian pattern is built
-    # before the first K is factored: factoring each K right after its
-    # pattern raised the suite's peak RSS by 2.5 MB (102.8 -> 105.4)
+    # one mesh and forcing per h, shared by every p and thread (their caches: fem.memo)
     forcings = {h: default_disk_forcing(build_mesh(domain, h), amplitude) for h in h_values}
+    for h, f in forcings.items():
+        for center, radius in _caccioppoli_kept(h):
+            try:
+                caccioppoli_balls(f.mesh, center, radius)
+            except DomainError as exc:
+                raise DomainError(
+                    f"key 'domain' in section [mesh]: the {domain} mesh at h = {h} does not "
+                    f"hold the Caccioppoli ball of center {center} and radius {radius}: {exc}"
+                ) from None
     for p in p_values:  # each case's regularity report divides by this right side
         for h, f in forcings.items():
             with np.errstate(all="ignore"):  # an overflow is reported here, naming its key
@@ -567,8 +577,12 @@ def run_regularity_sweep(options: dict, seed: int, jobs: int):
                     f"key 'amplitude' in section [forcing] is too large: at {amplitude} the "
                     f"forcing's conjugate modulars overflow (p = {p}, h = {h})"
                 )
+    # every Jacobian pattern before the first K is factored: factoring each K right
+    # after its pattern raised the suite's peak RSS by 2.5 MB (102.8 -> 105.4)
     for f in forcings.values():
         quad_cache(f.mesh).free_pattern()
+    # K^{-1} F, which every first stage's operator step at u = 0 takes: computed
+    # here once per forcing, not by each thread that first reaches it
     for f in forcings.values():
         operator_solution(f)
     # each finer mesh's dof points, located once in the next-coarser mesh
@@ -603,18 +617,11 @@ def run_regularity_sweep(options: dict, seed: int, jobs: int):
             traces[f"p{p:g}_h{h:g}_stage{k}"] = stage.trace
 
         final = stages[-1]
-        for cx, cy in _CACC_CENTERS:
-            for radius in _CACC_RADII:
-                if math.hypot(cx, cy) + 2.0 * radius >= 0.98:
-                    continue
-                if radius < h:  # ball means below mesh resolution are noise
-                    continue
-                ratio = caccioppoli_ratio(spec, final.field, f, (cx, cy), radius)
-                rows.append(
-                    SweepRow(
-                        "caccioppoli", p, h, center_x=cx, center_y=cy, radius=radius, ratio=ratio
-                    )
-                )
+        for (cx, cy), radius in _caccioppoli_kept(h):
+            ratio = caccioppoli_ratio(spec, final.field, f, (cx, cy), radius)
+            rows.append(
+                SweepRow("caccioppoli", p, h, center_x=cx, center_y=cy, radius=radius, ratio=ratio)
+            )
         if p < 2.0:
             ratio = interpolation_step_check(spec, final)
             rows.append(SweepRow("interp_step", p, h, final.trunc_lo, final.trunc_hi, ratio=ratio))
@@ -625,8 +632,10 @@ def run_regularity_sweep(options: dict, seed: int, jobs: int):
         for h in coarse_to_fine:
             mesh = forcings[h].mesh
             coarse = None
-            if stages is not None:  # not the coarsest mesh
-                coarse = [_interpolant(stage.field, mesh, *located[h]) for stage in stages]
+            if stages is not None:  # the coarser stage fields at this mesh's dof points
+                coarse = [
+                    FemField.zeroed(mesh, evaluate_located(s.field, *located[h])) for s in stages
+                ]
             rows, traces, stages = case(p, h, coarse)
             blocks[h] = rows, traces
         return [blocks[h] for h in h_values]

@@ -71,12 +71,12 @@ def _radial_apply(P, coeff_of_t):
 
 def a_map(spec: NFunction, P):
     """Stress map phi'(|P|) P / |P|, with value 0 at P = 0."""
-    return _radial_apply(P, lambda t: spec.d_phi(t) / t)
+    return _radial_apply(P, lambda t: radial.ratio(spec, t))
 
 
 def v_map(spec: NFunction, P):
     """sqrt(phi'(|P|) |P|) P / |P|, with value 0 at P = 0."""
-    return _radial_apply(P, lambda t: np.sqrt(spec.d_phi(t) / t))
+    return _radial_apply(P, lambda t: np.sqrt(radial.ratio(spec, t)))
 
 
 def v_inv(spec: NFunction, Q):

@@ -43,14 +43,13 @@ is exactly 0 and nothing is searched.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .fem import FemField, evaluate_located, locate_points, quad_cache
+from .fem import FemField, evaluate_located, locate_points, memo, quad_cache
 from .nfunctions import DomainError, NFunction
 
 __all__ = [
@@ -329,30 +328,12 @@ def truncation_modular_bounds(spec: NFunction, gf: GridFunction, levels) -> list
     return records
 
 
-@dataclass(frozen=True)
-class _ForcingSample:
-    """A forcing sampled on a lattice: the part of its truncation that no level changes."""
+def _forcing_sample(f: FemField, lattice_n: int):
+    """(components, joint): ``f``'s two components on the n x n lattice over the square on
+    the longer side of its nodes' bounding box (padded by 1e-9 of it), and their joint
+    gradient magnitude; built once per field and size (see :func:`~orliczfem.fem.memo`)."""
 
-    comps: list  # the two components as lattice functions
-    joint: np.ndarray  # their joint gradient magnitude
-
-    @functools.cached_property
-    def maximal(self) -> np.ndarray:
-        """M(joint), computed for the first level that is not inert and kept for the rest."""
-        return maximal_function(self.joint)
-
-
-def _forcing_sample(f: FemField, lattice_n: int) -> _ForcingSample:
-    """The sample of ``f`` on its mesh's n x n lattice, memoised on ``f`` (whose
-    coefficients are read-only).
-
-    The lattice is the square over the longer side of the nodes' bounding box,
-    padded by 1e-9 of it.  Concurrent first uses compute the same
-    deterministic sample, and either copy serves.
-    """
-    samples = vars(f).setdefault("_lattice_samples", {})
-    sample = samples.get(lattice_n)
-    if sample is None:
+    def build():
         lo = f.mesh.nodes.min(axis=0)
         side = max(f.mesh.nodes.max(axis=0) - lo)
         pad = 1e-9 * side
@@ -363,10 +344,9 @@ def _forcing_sample(f: FemField, lattice_n: int) -> _ForcingSample:
             GridFunction(vals[:, c].reshape(lattice_n, lattice_n), origin, spacing)
             for c in (0, 1)
         ]
-        joint = np.sqrt(sum(gradient_magnitude(g) ** 2 for g in comps))
-        sample = _ForcingSample(comps, joint)
-        samples[lattice_n] = sample
-    return sample
+        return comps, np.sqrt(sum(gradient_magnitude(g) ** 2 for g in comps))
+
+    return memo(f, ("lattice_sample", lattice_n), build)
 
 
 def f_truncation_for_solver(
@@ -391,17 +371,15 @@ def f_truncation_for_solver(
     if not (trunc_hi > 0.0):
         raise DomainError(f"trunc_hi must be positive, got {trunc_hi}")
     lam = float(spec.d_phi(np.asarray(trunc_hi)))
-    sample = _forcing_sample(f, lattice_n)
+    comps, joint = _forcing_sample(f, lattice_n)
     # inert at the nominal level: M(grad f) <= max |grad f| <= lam, so {M(grad f) > lam}
     # is empty; the bad set, thresholded at BAD_SET_LEVEL * lam, need not be
-    if float(sample.joint.max()) <= lam:
+    if float(joint.max()) <= lam:
         return f
-    bad = bad_set(sample.maximal, lam)
+    bad = bad_set(memo(f, ("maximal", lattice_n), lambda: maximal_function(joint)), lam)
     if not bad.any():
         return f
 
-    cache = quad_cache(f.mesh)
-    grids = [lipschitz_truncate(g, bad, lam) for g in sample.comps]
-    coeffs = np.column_stack([g.interp(cache.dof_coords) for g in grids])
-    coeffs[cache.boundary_scalar] = 0.0
-    return FemField(f.mesh, coeffs, zero_boundary=True)
+    dof_coords = quad_cache(f.mesh).dof_coords
+    grids = [lipschitz_truncate(g, bad, lam) for g in comps]
+    return FemField.zeroed(f.mesh, np.column_stack([g.interp(dof_coords) for g in grids]))

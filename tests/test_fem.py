@@ -1,6 +1,8 @@
 """P2 elements: quadrature, strains, modulars, assembly, and the transform norm."""
 
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from orliczfem.fem import (
     korn_ratio,
     korn_ratio_meanfree,
     locate_points,
+    memo,
     modular,
     poincare_ratio,
     quad_cache,
@@ -483,7 +486,8 @@ def test_jacobian_coercive_on_free_dofs():
 def test_free_dofs_are_each_interior_vector_dof_once(disk):
     cache = quad_cache(disk)
     free_dofs = cache.free_pattern().free_dofs
-    assert np.array_equal(np.sort(free_dofs), np.flatnonzero(~cache.boundary_vector()))
+    interior = np.flatnonzero(~np.repeat(cache.boundary_scalar, 2))  # vector dof 2 s + e
+    assert np.array_equal(np.sort(free_dofs), interior)
 
 
 def test_jacobian_columns_are_residual_differences():
@@ -648,6 +652,11 @@ def test_field_shape_validation(square):
     for shape in ((3, 2), (cache.n_scalar, 3), (2, 2, cache.n_scalar, 2)):
         with pytest.raises(DomainError):
             FemField(square, np.zeros(shape))
+        with pytest.raises(DomainError, match="coefficient shape"):
+            FemField.zeroed(square, np.ones(shape))
+    for func in (lambda x, y: x, lambda x, y: np.stack([x, y, x])):
+        with pytest.raises(DomainError, match="coefficient shape"):
+            FemField.from_callable(square, func, zero_boundary=True)
     for bad in (np.ones((cache.n_scalar, 2)), np.ones((4, cache.n_scalar, 2))):
         with pytest.raises(DomainError):
             FemField(square, bad, zero_boundary=True)
@@ -708,3 +717,44 @@ def test_a_field_keeps_the_array_it_is_given(square):
     coeffs = np.ones((quad_cache(square).n_scalar, 2))
     u = FemField(square, coeffs)
     assert u.coeffs is coeffs and not coeffs.flags.writeable
+
+
+def test_zeroed_zeroes_the_boundary_rows_of_the_array_it_keeps(square):
+    boundary = quad_cache(square).boundary_scalar
+    coeffs = np.random.default_rng(3).uniform(-1.0, 1.0, (2, len(boundary), 2))
+    before = coeffs.copy()
+    u = FemField.zeroed(square, coeffs)
+    assert u.coeffs is coeffs and u.zero_boundary and not coeffs.flags.writeable
+    assert np.all(coeffs[:, boundary] == 0.0)
+    assert np.array_equal(coeffs[:, ~boundary], before[:, ~boundary])
+
+
+class _Owner:
+    """An object to keep memos on."""
+
+
+def test_memo_builds_once_per_owner_and_key():
+    built = []
+
+    def build(tag):
+        return lambda: built.append(tag) or [tag]
+
+    first, other = _Owner(), _Owner()
+    kept = memo(first, "key", build("first"))
+    assert memo(first, "key", build("again")) is kept and kept == ["first"]
+    assert memo(first, ("key", 2), build("second key")) == ["second key"]
+    assert memo(other, "key", build("other owner")) == ["other owner"]
+    assert built == ["first", "second key", "other owner"]
+
+
+def test_memo_gives_concurrent_first_uses_the_one_value_kept():
+    # both threads miss and build; every caller gets the value stored first
+    owner, both_building = _Owner(), threading.Barrier(2)
+
+    def build():
+        both_building.wait(timeout=10)
+        return object()
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        got = list(pool.map(lambda _: memo(owner, "key", build), range(2)))
+    assert got[0] is got[1] is memo(owner, "key", build)

@@ -17,6 +17,19 @@ and the largest relative and absolute change among them.  Regenerate, only when 
 is meant to alter these outputs, with
 
     PYTHONPATH=src python tests/test_golden.py [suite ...]
+
+Check that a change moves no output at all, bit for bit, by writing a
+snapshot of each checkout and comparing the two:
+
+    PYTHONPATH=src python tests/test_golden.py --snapshot DIR
+
+runs, with the package of the checkout that holds this file, every suite's
+template (``orliczfem list-suites NAME``) at ``--jobs`` 1 and 2, each
+``perfbench/configs/*.ini`` at seeds 1-8 and 1009 (reading the configs only),
+and demos 01-06, and writes their outputs (CSVs, ``summary.json``, Newton
+traces) and console text under ``DIR``, which must lie outside the checkout.
+With this file copied into a checkout of the parent commit,
+``diff -r PARENT_DIR DIR`` is then empty exactly when no output moved.
 """
 
 import csv
@@ -24,6 +37,7 @@ import json
 import math
 import os
 import re
+import subprocess
 import sys
 import tempfile
 
@@ -137,6 +151,59 @@ def test_diff_reports_changed_cells_and_writes_nothing():
     assert _stamps() == stored
 
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SNAPSHOT_SEEDS = (*range(1, 9), 1009)
+
+
+def snapshot(target) -> None:
+    """Write the outputs of this checkout's templates, benchmark configs and demos under
+    ``target`` (see the module docstring)."""
+    target = os.path.abspath(target)
+    if os.path.commonpath([target, ROOT]) == ROOT:
+        raise SystemExit(f"snapshot directory {target} lies inside the checkout {ROOT}")
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+
+    def run(args, out_dir, console="console.txt"):
+        """Run ``python args`` in ``out_dir`` and write its exit code, stdout and stderr there."""
+        os.makedirs(out_dir, exist_ok=True)
+        done = subprocess.run(
+            [sys.executable, *args], cwd=out_dir, env=env, capture_output=True, text=True
+        )
+        with open(os.path.join(out_dir, console), "w") as fh:
+            fh.write(f"exit {done.returncode}\n{done.stdout}--- stderr\n{done.stderr}")
+        return done.stdout
+
+    cli = ["-m", "orliczfem.cli"]
+    templates = os.path.join(target, "templates")
+    for line in run([*cli, "list-suites"], templates).splitlines():
+        suite = line.split(":")[0]
+        config = os.path.join(templates, f"{suite}.ini")
+        with open(config, "w") as fh:
+            fh.write(run([*cli, "list-suites", suite], templates, f"{suite}.txt"))
+        for jobs in (1, 2):
+            out = os.path.join(templates, suite, f"jobs{jobs}")
+            run([*cli, "run", config, "--jobs", str(jobs), "--out", out], out)
+    configs = os.path.join(ROOT, "perfbench", "configs")
+    for name in sorted(os.listdir(configs)):
+        part = os.path.splitext(name)[0]
+        for seed in SNAPSHOT_SEEDS:
+            out = os.path.join(target, "perfbench", part, f"seed{seed}")
+            config = os.path.join(configs, name)
+            run([*cli, "run", config, "--jobs", "1", "--seed", str(seed), "--out", out], out)
+    demos = os.path.join(ROOT, "demos")
+    for name in sorted(os.listdir(demos)):
+        if re.fullmatch(r"0[1-6]_\w+\.py", name):
+            run([os.path.join(demos, name)], os.path.join(target, "demos"), f"{name}.txt")
+    print(f"snapshot written to {target}")
+
+
+def test_snapshot_writes_nothing_inside_the_checkout():
+    inside = os.path.join(ROOT, "snapshot-here")
+    with pytest.raises(SystemExit, match="inside the checkout"):
+        snapshot(inside)
+    assert not os.path.exists(inside)
+
+
 def main(suites) -> None:
     os.makedirs(GOLDEN, exist_ok=True)
     for suite in suites:
@@ -157,5 +224,7 @@ if __name__ == "__main__":
     if args[:1] == ["--diff"]:
         for suite in args[1:] or SUITES:
             print(diff(suite))
+    elif args[:1] == ["--snapshot"] and len(args) == 2:
+        snapshot(args[1])
     else:
         main(args or SUITES)

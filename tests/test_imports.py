@@ -6,9 +6,10 @@ Loading the CLI and listing the suites load no SciPy, and no run loads sympy
 more, and each of those modules is one its run imports; the Korn, index and
 hammer suites never load SciPy; the library imports only the standard library
 and its declared dependencies; no library module takes a private name from
-another; every name a module lists in ``__all__`` exists and is reached from
-outside the tests; and the benchmark tracer, which rebinds library functions by
-module and name, still finds them all.
+another, and none but ``fem`` reads the boundary rows or keeps state on
+another object; every name a module lists in ``__all__`` exists and is reached
+from outside the tests; and the benchmark tracer, which rebinds library
+functions by module and name, still finds them all.
 """
 
 import ast
@@ -238,6 +239,59 @@ def test_only_fem_reads_the_quadrature_weights():
         if isinstance(node, ast.Attribute) and node.attr == "weights"
     )
     assert readers == []
+
+
+def _outside_fem():
+    """(file name, AST node) of every node of the library's modules but ``fem``."""
+    for path in sorted((SRC / "orliczfem").glob("*.py")):
+        if path.name != "fem.py":
+            yield from ((path.name, node) for node in ast.walk(ast.parse(path.read_text())))
+
+
+def test_only_fem_reads_the_boundary_rows():
+    # every zero-boundary field is FemField.zeroed's, so the boundary rows stay behind fem
+    readers = [
+        name
+        for name, node in _outside_fem()
+        if isinstance(node, ast.Attribute) and node.attr == "boundary_scalar"
+    ]
+    assert readers == []
+
+
+def _assigned(node):
+    """The targets an assignment node binds, tuples unpacked."""
+    if isinstance(node, ast.Assign):
+        todo = list(node.targets)
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        todo = [node.target]
+    else:
+        todo = []
+    while todo:
+        target = todo.pop()
+        if isinstance(target, (ast.Tuple, ast.List)):
+            todo.extend(target.elts)
+        elif isinstance(target, ast.Starred):
+            todo.append(target.value)
+        else:
+            yield target
+
+
+def test_only_fem_keeps_state_on_other_objects():
+    # every per-object cache is fem.memo's: no other module calls vars or
+    # setattr, or assigns an attribute of anything but self
+    writers = [
+        f"{name}:{node.lineno}"
+        for name, node in _outside_fem()
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("vars", "setattr")
+        or any(
+            isinstance(target, ast.Attribute)
+            and not (isinstance(target.value, ast.Name) and target.value.id == "self")
+            for target in _assigned(node)
+        )
+    ]
+    assert writers == []
 
 
 def test_no_module_imports_another_modules_private_names():

@@ -21,7 +21,13 @@ from orliczfem.regularity import (
     regularity_ratio,
     rigid_projection,
 )
-from orliczfem.solver import SolveConfig, SolveTrace, StageResult, delta_continuation
+from orliczfem.solver import (
+    SolveConfig,
+    SolveTrace,
+    StageResult,
+    delta_continuation,
+    operator_solution,
+)
 
 
 @pytest.fixture(scope="module")
@@ -207,4 +213,4 @@ def test_threads_sharing_a_mesh_and_forcing_match_serial_runs():
     for (want_rows, want_coeffs), (got_rows, got_coeffs) in zip(want, got):
         assert got_rows == want_rows
         assert np.array_equal(got_coeffs, want_coeffs)
-    assert np.array_equal(shared._operator_solution, serial._operator_solution)
+    assert np.array_equal(operator_solution(shared), operator_solution(serial))

@@ -40,7 +40,6 @@ from orliczfem.solver import (
     energy,
     solve,
 )
-from orliczfem.suites import _interpolant
 
 
 @pytest.fixture(scope="module")
@@ -131,7 +130,7 @@ def test_galerkin_orthogonality_at_solution(disk, swirl):
     cfg = SolveConfig(newton_tol=1e-10)
     u, _ = solve(spec, swirl, cfg)
     residual = assemble_residual(spec, u, swirl)
-    free = ~quad_cache(disk).boundary_vector()
+    free = ~np.repeat(quad_cache(disk).boundary_scalar, 2)
     assert np.abs(residual[free]).max() <= cfg.newton_tol
 
 
@@ -691,14 +690,15 @@ def test_the_operator_solution_is_computed_once_per_forcing(monkeypatch):
     with pytest.raises(ValueError, match="read-only"):
         f.coeffs *= 2.0  # so the memo cannot go stale
     # a forcing with other coefficients is another field, with its own K^{-1} F
-    z = f._operator_solution
+    z = solver.operator_solution(f)
     doubled = FemField(mesh, 2.0 * f.coeffs, zero_boundary=True)
     before = len(factored)
     stages = delta_continuation(PowerLaw(3.0), doubled, cfg)
     assert sum(factored) == 2 and stages[0].trace.rows[1].factored == 0
     assert len(factored) - before - 1 == sum(row.factored for s in stages for row in s.trace.rows)
-    assert f._operator_solution is z
-    assert np.allclose(doubled._operator_solution, 2.0 * z, rtol=1e-9, atol=0.0)
+    assert solver.operator_solution(f) is z
+    assert np.allclose(solver.operator_solution(doubled), 2.0 * z, rtol=1e-9, atol=0.0)
+    assert sum(factored) == 2  # both kept: neither call above factored K again
 
 
 def test_a_failing_operator_check_falls_back_to_a_factor(disk, swirl, monkeypatch):
@@ -971,7 +971,7 @@ def test_a_nested_continuation_evaluates_each_stage_start_once(monkeypatch):
     f = default_disk_forcing(build_mesh("unit_disk", 0.125))
     cells, bary = fem.locate_points(coarse_f.mesh, quad_cache(f.mesh).dof_coords)
     coarse = [
-        _interpolant(s.field, f.mesh, cells, bary)
+        FemField.zeroed(f.mesh, fem.evaluate_located(s.field, cells, bary))
         for s in delta_continuation(PowerLaw(3), coarse_f, THREE_STAGES)
     ]
     solver.operator_solution(f)  # so that its load is not counted below

@@ -8,7 +8,7 @@ from itertools import groupby
 import numpy as np
 import pytest
 
-from orliczfem import fem, suites
+from orliczfem import fem, solver, suites
 from orliczfem.fem import (
     korn_ratio,
     korn_ratio_meanfree,
@@ -173,6 +173,47 @@ def test_regularity_sweep_schedule_validation():
         run_suite("regularity_sweep", {"schedule": {"delta_lo": [0.1]}}, seed=1, jobs=1)
 
 
+def _counted_solves(monkeypatch) -> list:
+    """The solves the continuation's stages start, recorded as they start."""
+    solves, solve = [], solver.solve
+    monkeypatch.setattr(solver, "solve", lambda *a, **k: solves.append(a) or solve(*a, **k))
+    return solves
+
+
+REDUCED_SWEEP = {"sweep": {"p_values": [1.5, 3.0]}, "mesh": {"h": [0.25, 0.125], "lattice_n": 16}}
+
+
+@pytest.mark.parametrize(
+    "schedule, key",
+    [
+        ({"delta_lo": [1e-1, 0.0], "delta_hi": [1e1, 1e2]}, "delta_lo"),
+        ({"delta_lo": [1e-1, 1e-2], "delta_hi": [1e1, math.inf]}, "delta_hi"),
+        ({"delta_lo": [2.0, 2.0], "delta_hi": [1.0, 1.0]}, "delta_lo"),
+    ],
+    ids=["zero_lo", "infinite_hi", "lo_above_hi"],
+)
+def test_a_schedule_pair_outside_its_range_is_rejected_before_any_solve(
+    monkeypatch, schedule, key
+):
+    solves = _counted_solves(monkeypatch)
+    with pytest.raises(DomainError, match=rf"key '{key}' in section \[schedule\]"):
+        run_suite("regularity_sweep", REDUCED_SWEEP | {"schedule": schedule}, seed=1, jobs=1)
+    assert solves == []
+
+
+@pytest.mark.parametrize(
+    "domain", ["unit_square", "half_disk", "unit_disk_polygonal(3)", "unit_disk_polygonal(4)"]
+)
+def test_a_domain_without_room_for_the_caccioppoli_balls_is_rejected_before_any_solve(
+    monkeypatch, domain
+):
+    solves = _counted_solves(monkeypatch)
+    opts = REDUCED_SWEEP | {"mesh": REDUCED_SWEEP["mesh"] | {"domain": domain}}
+    with pytest.raises(DomainError, match=r"key 'domain' in section \[mesh\].* ball of center"):
+        run_suite("regularity_sweep", opts, seed=1, jobs=1)
+    assert solves == []
+
+
 @pytest.mark.parametrize("amplitude", [0.0, float("nan"), float("inf"), -float("inf")])
 def test_zero_or_non_finite_amplitude_rejected_naming_the_key(amplitude):
     with pytest.raises(DomainError, match=r"key 'amplitude' in section \[forcing\] must be finite"):
@@ -189,7 +230,8 @@ def test_the_sweep_interpolant_is_exact_for_quadratics_and_zero_outside():
 
     points = fem.quad_cache(fine).dof_coords
     cells, bary = fem.locate_points(coarse, points)
-    got = suites._interpolant(fem.FemField.from_callable(coarse, quadratic), fine, cells, bary)
+    field = fem.FemField.from_callable(coarse, quadratic)
+    got = fem.FemField.zeroed(fine, fem.evaluate_located(field, cells, bary))
     boundary = fem.quad_cache(fine).boundary_scalar
     inside = (cells >= 0) & ~boundary
     want = quadratic(*points.T).T
