@@ -11,17 +11,22 @@ A Newton direction comes from one of three sources, tried in this order:
   c at every quadrature point (the quadratic part of the truncated spec, as at
   u = 0), the Jacobian is c K for K the Jacobian of phi(t) = t^2/2, and the
   direction is z/c - u with z = K^{-1} F for the load F, once per forcing;
-- once a step has cut the residual ten-fold, SciPy's CG on the new Jacobian,
-  preconditioned by the last float32 factor;
+  it is taken when its residual against the assembled Jacobian is within
+  1e-10 relative;
+- once the solve holds a factor, SciPy's CG on the new Jacobian,
+  preconditioned by that float32 factor, to the forcing term eta_k of an
+  inexact Newton method (Dembo, Eisenstat and Steihaug, SIAM J. Numer. Anal.
+  19, 1982) chosen as in Eisenstat and Walker (SIAM J. Sci. Comput. 17, 1996,
+  choice 2): the direction d is taken when |J d + r| <= eta_k |r|;
 - a float32 LU factor of the Jacobian and two float64 refinement sweeps
   (:func:`factorized`); a direction whose residual is still above 1e-10
   relative, or not finite, is solved again with a float64 factor.
 
-An operator step or a CG direction is taken only when its residual against
-the assembled Jacobian is within 1e-10 relative, and a factored direction is
-refined to that or solved in float64, so every direction is the Jacobian's
-Newton direction to that tolerance.  The residual, the energy and the Armijo
-test stay in float64.
+So an operator step or a factored direction is the Jacobian's Newton
+direction to 1e-10, and a CG direction to eta_k, whose floor lets CG stop
+at a linear residual of a hundredth of ``newton_tol`` instead of solving
+further than the stopping test can see.  The residual, the energy and the
+Armijo test stay in float64.
 
 ``delta_continuation`` solves a warm-started sequence of truncated problems
 with trunc_lo decreasing and trunc_hi increasing, recording the W^{1,2} data
@@ -89,11 +94,14 @@ MIN_STEP = 1e-12
 REFINE_SWEEPS = 2
 REFINE_TOL = 1e-10
 
-#: After a Newton step that cut the residual to CONTRACTION times the previous
-#: one or less, the next direction is first sought by CG on the new Jacobian,
-#: preconditioned by the last float32 factor; CG that has not reached
-#: REFINE_TOL within CG_MAX_ITERS iterations gives way to a fresh factor.
-CONTRACTION = 0.1
+#: Once a solve holds a float32 factor, each later direction is first sought
+#: by CG on the new Jacobian, preconditioned by that factor, to the forcing
+#: term eta_k = max(REFINE_TOL, min(ETA_MAX, ETA_GAMMA (r_k/r_{k-1})^2),
+#: ETA_FLOOR newton_tol/r_k); CG that has not reached it within CG_MAX_ITERS
+#: iterations gives way to a fresh factor.
+ETA_MAX = 0.9
+ETA_GAMMA = 0.9
+ETA_FLOOR = 1e-2
 CG_MAX_ITERS = 20
 
 #: The Armijo test also accepts a step whose predicted decrease is below the
@@ -129,7 +137,9 @@ class TraceRow(NamedTuple):
 
     ``factored`` is 1 when the direction of that step came from a fresh
     factor of its own Jacobian, and 0 otherwise: an operator step, CG with an
-    earlier factor, and at first.
+    earlier factor, and at first.  ``cg_iters`` counts the CG iterations
+    spent on that step's direction, an attempt that fell short included, and
+    is 0 when no CG ran.
     """
 
     iter: int
@@ -137,6 +147,7 @@ class TraceRow(NamedTuple):
     residual: float
     step: float
     factored: int
+    cg_iters: int
 
 
 @dataclass
@@ -145,9 +156,14 @@ class SolveTrace:
 
     rows: list = dataclass_field(default_factory=list)  # of TraceRow
 
-    def append(self, iteration, energy_value, residual, step, factored):
+    def append(self, iteration, energy_value, residual, step, factored, cg_iters):
         row = TraceRow(
-            int(iteration), float(energy_value), float(residual), float(step), int(factored)
+            int(iteration),
+            float(energy_value),
+            float(residual),
+            float(step),
+            int(factored),
+            int(cg_iters),
         )
         self.rows.append(row)
 
@@ -192,12 +208,13 @@ def factorized(matrix):
     the float32 factorisation fails, it solves with a float64 factor of
     ``matrix`` instead, as plain LU would, from then on.
 
-    Called as ``solve(b, other)`` with another SPD matrix of the same order,
-    the callable solves ``other`` x = b by SciPy's CG with float64 products,
-    one float32 solve per iteration as the preconditioner, and returns x once
-    |b - other x| <= ``REFINE_TOL``·|b|.  It returns None when CG gets no
-    such x within ``CG_MAX_ITERS`` iterations, and always once the float64
-    factor has taken over: a float64 factor is not reused.
+    Called as ``solve(b, other, rtol)`` with another SPD matrix of the same
+    order, the callable solves ``other`` x = b by SciPy's CG with float64
+    products, one float32 solve per iteration as the preconditioner, and
+    returns (x, iterations) once |b - other x| <= ``rtol``·|b|.  It returns
+    (None, iterations) when CG gets no such x within ``CG_MAX_ITERS``
+    iterations, and (None, 0) once the float64 factor has taken over: a
+    float64 factor is not reused.
 
     :func:`solve` calls it on a Newton Jacobian, and :func:`operator_solution`
     once per forcing on K, whose factor it drops after that one solve.
@@ -216,36 +233,54 @@ def factorized(matrix):
     def precondition(r):
         return solve32(r.astype(np.float32)).astype(np.float64)
 
-    def solve(b, other=None):
+    def solve(b, other=None, rtol=REFINE_TOL):
         nonlocal solve32
         if solve32 is not None:
             with np.errstate(all="ignore"):
                 if other is not None:
-                    return _preconditioned_cg(other, b, precondition)
+                    return _preconditioned_cg(other, b, precondition, rtol)
                 x = precondition(b)
                 for _ in range(REFINE_SWEEPS):
                     x += precondition(b - matrix @ x)
                 if _solves(matrix, x, b):
                     return x
             solve32 = None  # the float32 factor failed this matrix
-        return None if other is not None else factor(matrix)(b)
+        return (None, 0) if other is not None else factor(matrix)(b)
 
     return solve
 
 
-def _solves(matrix, x, b) -> bool:
-    """|b - matrix x| <= REFINE_TOL·|b|; False for a residual that is not finite."""
-    return bool(np.linalg.norm(b - matrix @ x) <= REFINE_TOL * np.linalg.norm(b))
+def _solves(matrix, x, b, rtol=REFINE_TOL) -> bool:
+    """|b - matrix x| <= rtol·|b|; False for a residual that is not finite."""
+    return bool(np.linalg.norm(b - matrix @ x) <= rtol * np.linalg.norm(b))
 
 
-def _preconditioned_cg(matrix, b, precondition):
-    """SciPy's CG solution of matrix x = b to REFINE_TOL (checked on the true residual), or None."""
+def _preconditioned_cg(matrix, b, precondition, rtol):
+    """SciPy's CG solution of matrix x = b to ``rtol``, checked on the true residual.
+
+    Returns (x or None, the iterations CG ran).
+    """
     from scipy.sparse.linalg import LinearOperator, cg
 
     M = LinearOperator(matrix.shape, matvec=precondition, dtype=np.float64)
+    iterates = []  # SciPy's callback gets each iteration's x, one preconditioner solve each
     # SciPy tests the residual before each iteration, so one more tests the last update
-    x, info = cg(matrix, b, rtol=REFINE_TOL, atol=0.0, maxiter=CG_MAX_ITERS + 1, M=M)
-    return x if info == 0 and _solves(matrix, x, b) else None
+    x, info = cg(
+        matrix, b, rtol=rtol, atol=0.0, maxiter=CG_MAX_ITERS + 1, M=M, callback=iterates.append
+    )
+    return (x if info == 0 and _solves(matrix, x, b, rtol) else None), len(iterates)
+
+
+def _forcing_term(res_norm, previous, newton_tol):
+    """eta_k of the inexact Newton step at residual ``res_norm`` after ``previous``.
+
+    Eisenstat and Walker's choice 2 (gamma = ``ETA_GAMMA``, alpha = 2), capped
+    at ``ETA_MAX``.  It is floored at ``REFINE_TOL``, and at
+    ``ETA_FLOOR``·``newton_tol``/r_k, so CG never solves for a linear residual
+    below a hundredth of ``newton_tol``.
+    """
+    contraction = ETA_GAMMA * (res_norm / previous) ** 2
+    return max(REFINE_TOL, min(ETA_MAX, contraction), ETA_FLOOR * newton_tol / res_norm)
 
 
 def _constant(c1, c2):
@@ -312,11 +347,12 @@ def solve(
     ``REFINE_TOL`` over all quadrature points, the direction is first the
     operator step z/c - u, with z = K^{-1} F memoised on the forcing (see
     :func:`operator_solution`); it is taken when |J d + r| <= ``REFINE_TOL``
-    |r|.  Otherwise, after a step that cut the residual to ``CONTRACTION``
-    times the previous one or less, the direction is sought by CG on that
-    Jacobian with the last factor of this solve (see :func:`factorized`);
-    otherwise, or when CG falls short, the last factor is dropped and the
-    Jacobian factored.  An operator step leaves the last factor as it was.
+    |r|.  Otherwise, once this solve holds a factor, the direction is sought
+    by CG on that Jacobian preconditioned by the factor (see
+    :func:`factorized`), and taken when |J d + r| <= eta_k |r| for the
+    forcing term eta_k of :func:`_forcing_term`; otherwise, or when CG falls
+    short, the last factor is dropped and the Jacobian factored.  An operator
+    step leaves the last factor as it was.
     """
     cfg = cfg or SolveConfig()
     if not spec.has_quadratic_growth():
@@ -338,12 +374,12 @@ def solve(
     scored = ((*energy(spec, s, load), s) for s in map(FemField.with_zero_boundary, starts))
     current, strain, u = min(scored, key=lambda s: s[0])
     trace = SolveTrace()
-    step, factored = 0.0, 0
+    step, factored, cg_iters = 0.0, 0, 0
     lagged, previous = None, math.inf  # the last factor's solve, the last residual
     for it in range(cfg.max_iters + 1):
         residual = assemble_residual(spec, u, load, strain)[free]
         res_norm = float(np.linalg.norm(residual))
-        trace.append(it, current, res_norm, step, factored)
+        trace.append(it, current, res_norm, step, factored, cg_iters)
         if res_norm <= cfg.newton_tol:
             return u, trace
         if not math.isfinite(res_norm):
@@ -353,14 +389,15 @@ def solve(
 
         coefficients = radial.coefficients(spec, strain[1])
         jacobian = assemble_jacobian(spec, u, strain, coefficients)
-        direction, factored = None, 0
+        direction, factored, cg_iters = None, 0, 0
         scale = _constant(*coefficients)
         if scale is not None:
             operator_step = operator_solution(f) / scale - u.coeffs.ravel()[free]
             if _solves(jacobian, operator_step, -residual):
                 direction = operator_step
-        if direction is None and lagged is not None and res_norm <= CONTRACTION * previous:
-            direction = lagged(-residual, jacobian)
+        if direction is None and lagged is not None:
+            eta = _forcing_term(res_norm, previous, cfg.newton_tol)
+            direction, cg_iters = lagged(-residual, jacobian, eta)
         if direction is None:
             lagged = None  # release the last factor before the next is made
             lagged = factorized(jacobian)

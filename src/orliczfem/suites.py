@@ -548,6 +548,8 @@ def run_regularity_sweep(options: dict, seed: int, jobs: int):
     reads only its own coarser results, so no output depends on ``jobs``.
     """
     domain = options["mesh"]["domain"]
+    if domain != "unit_disk":  # the Caccioppoli balls are laid out for the unit disk
+        raise DomainError(f"key 'domain' in section [mesh] must be 'unit_disk', got {domain!r}")
     h_values = options["mesh"]["h"]
     lattice_n = options["mesh"]["lattice_n"]
     p_values = options["sweep"]["p_values"]

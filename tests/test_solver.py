@@ -170,11 +170,11 @@ def test_trace_csv(disk, swirl, tmp_path):
     path = tmp_path / "trace.csv"
     trace.to_csv(path)
     lines = path.read_text().splitlines()
-    assert lines[0] == "iter,energy,residual,step,factored"
+    assert lines[0] == "iter,energy,residual,step,factored,cg_iters"
     assert len(lines) == len(trace.rows) + 1
     assert all(isinstance(row, TraceRow) for row in trace.rows)
     first, last = trace.rows[0], trace.rows[-1]
-    assert (first.iter, first.step, first.factored) == (0, 0.0, 0)
+    assert (first.iter, first.step, first.factored, first.cg_iters) == (0, 0.0, 0, 0)
     assert last.iter == trace.iterations and last.residual <= SolveConfig().newton_tol
     assert last[3] == last.step  # the rows still index as tuples
 
@@ -457,17 +457,24 @@ def test_a_float64_factor_is_never_reused(monkeypatch, fine_jacobians, name):
     factored = []
     monkeypatch.setattr("scipy.sparse.linalg.splu", _splu_recording(factored))
     # a right-hand side CG with the float32 factor would solve (the rhs cases)
-    assert solve_with(matrix @ np.ones(matrix.shape[0]), matrix) is None
+    assert solve_with(matrix @ np.ones(matrix.shape[0]), matrix) == (None, 0)
     assert factored == []
 
 
 @pytest.fixture(scope="module")
 def newton_jacobians():
-    """Free-dof residuals and Jacobians of a Newton solve on the h = 1/16 disk, and its trace."""
+    """Free-dof residuals and Jacobians of a Newton solve on the h = 1/16 disk, its trace,
+    and per CG call the iteration, the tolerance and the direction (None when CG fell short)."""
     mesh = build_mesh("unit_disk", 1.0 / 16.0)
     free = quad_cache(mesh).free_pattern().free_dofs
     spec = Truncated(PowerLaw(3.0), 1e-3, 1e3)
     recorded = {"residual": [], "jacobian": [], "operator": []}
+    calls, cg = [], solver._preconditioned_cg
+
+    def conjugating(matrix, b, precondition, rtol):
+        x, iterations = cg(matrix, b, precondition, rtol)
+        calls.append((len(recorded["jacobian"]) - 1, rtol, x))
+        return x, iterations
 
     def recording(name, func):
         def wrapped(*args):
@@ -483,35 +490,66 @@ def newton_jacobians():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver, "assemble_residual", recording("residual", assemble_residual))
         patch.setattr(solver, "assemble_jacobian", recording("jacobian", assemble_jacobian))
+        patch.setattr(solver, "_preconditioned_cg", conjugating)
         _, trace = solve(spec, default_disk_forcing(mesh, 30.0))
     residuals = [r[free] for r in recorded["residual"]]
-    return residuals, recorded["jacobian"], recorded["operator"], trace
+    return residuals, recorded["jacobian"], recorded["operator"], trace, calls
 
 
-def test_a_reused_factor_gives_the_fresh_newton_direction(newton_jacobians):
-    residuals, jacobians, operators, trace = newton_jacobians
-    rows = trace.rows
-    contracted = [
-        k
-        for k in range(1, len(jacobians))
-        if rows[k].residual <= solver.CONTRACTION * rows[k - 1].residual
-    ]
-    assert len(contracted) >= 3
-    for k in contracted:
-        b = -residuals[k]
-        x = solver.factorized(jacobians[k - 1])(b, jacobians[k])
-        fresh = solver.factorized(jacobians[k])(b)
-        tol = solver.REFINE_TOL * np.linalg.norm(b)
-        assert np.linalg.norm(b - jacobians[k] @ x) <= tol
-        assert np.linalg.norm(jacobians[k] @ (x - fresh)) <= tol
+@pytest.mark.parametrize(
+    "res_norm, previous, eta",
+    [
+        (1e-4, 1e-1, 9e-7),  # fast: 0.9 (r_k/r_{k-1})^2
+        (0.5, 1.0, 0.225),
+        (0.5, 0.5, 0.9),  # slow: the cap
+        (1.0, 0.5, 0.9),  # a residual that grew
+        (2e-9, 1e-6, 5e-3),  # near newton_tol: 1e-2 newton_tol / r_k
+        (1.0, 1e6, solver.REFINE_TOL),  # far from it: REFINE_TOL
+    ],
+)
+def test_the_forcing_term(res_norm, previous, eta):
+    assert solver._forcing_term(res_norm, previous, 1e-9) == pytest.approx(eta, rel=1e-12)
+
+
+def test_a_reused_factor_gives_a_newton_direction_to_the_forcing_term(newton_jacobians):
+    residuals, jacobians, operators, trace, calls = newton_jacobians
+    rows, newton_tol = trace.rows, SolveConfig().newton_tol
+    taken = set()
+    for k, rtol, x in calls:
+        assert rtol == solver._forcing_term(rows[k].residual, rows[k - 1].residual, newton_tol)
+        if x is not None:  # accepted on its true residual
+            b = -residuals[k]
+            assert np.linalg.norm(b - jacobians[k] @ x) <= rtol * np.linalg.norm(b)
+            taken.add(k)
+    assert len(taken) >= 3
     # the first direction, at u = 0, is an operator step, which takes K once
     # and factors no Jacobian, so it leaves no factor to reuse at the second;
-    # solve took each later contracted direction from an earlier factor
+    # every later direction tried CG first, and factored exactly where CG fell short
     assert len(operators) == 1
-    assert [row.factored for row in trace.rows[1:3]] == [0, 1]
-    assert [row.factored for row in trace.rows[3:]] == [
-        int(k - 1 not in contracted) for k in range(3, len(trace.rows))
+    assert [k for k, _, _ in calls] == list(range(2, len(jacobians)))
+    assert [row.factored for row in rows[1:]] == [
+        int(k != 0 and k not in taken) for k in range(len(jacobians))
     ]
+    assert all((row.cg_iters > 0) == (k >= 2) for k, row in enumerate(rows[1:]))
+
+
+def test_a_solve_whose_last_cg_step_stopped_at_the_floor_meets_newton_tol(swirl, monkeypatch):
+    # the last direction's CG stopped at eta_k = 1e-2 newton_tol / r_k, far above
+    # REFINE_TOL, and the iterate it reached is still within newton_tol
+    calls, cg = [], solver._preconditioned_cg
+
+    def conjugating(matrix, b, precondition, rtol):
+        calls.append(rtol)
+        return cg(matrix, b, precondition, rtol)
+
+    monkeypatch.setattr(solver, "_preconditioned_cg", conjugating)
+    cfg = SolveConfig()
+    _, trace = solve(Truncated(PowerLaw(3), 0.01, 100.0), swirl, cfg)
+    before, last = trace.rows[-2:]
+    assert last.factored == 0 and last.cg_iters > 0
+    assert calls[-1] == solver.ETA_FLOOR * cfg.newton_tol / before.residual
+    assert calls[-1] > 1e6 * solver.REFINE_TOL
+    assert last.residual <= cfg.newton_tol
 
 
 def test_cg_with_an_unrelated_factor_gives_up_within_its_cap(monkeypatch, fine_jacobians):
@@ -520,33 +558,35 @@ def test_cg_with_an_unrelated_factor_gives_up_within_its_cap(monkeypatch, fine_j
     products = []
     cg = solver._preconditioned_cg
 
-    def counted(matrix, rhs, precondition):
+    def counted(matrix, rhs, precondition, rtol):
         def product(r):
             products.append(1)
             return precondition(r)
 
-        return cg(matrix, rhs, product)
+        return cg(matrix, rhs, product, rtol)
 
     monkeypatch.setattr(solver, "_preconditioned_cg", counted)
-    assert solve_with(b, fine_jacobians[1.3]) is None
-    assert len(products) == solver.CG_MAX_ITERS + 1  # one per SciPy CG iteration
+    x, iterations = solve_with(b, fine_jacobians[1.3], solver.REFINE_TOL)
+    assert x is None
+    assert len(products) == iterations == solver.CG_MAX_ITERS + 1  # one per SciPy CG iteration
 
 
 def test_solve_factors_when_cg_falls_short(disk, swirl, monkeypatch):
-    # one CG iteration cannot reach 1e-10 with a float32 preconditioner, so
-    # every direction after the operator step at u = 0 (swirl's K^{-1} F is
-    # memoised by the first solve) comes from a fresh factor, and the
-    # iterates are alike
+    # with no CG iteration allowed, CG always falls short after its one SciPy
+    # iteration, so every direction after the operator step at u = 0 (swirl's
+    # K^{-1} F is memoised by the first solve) and the first factor comes from a
+    # fresh factor; the solve still ends within newton_tol
     spec = Truncated(PowerLaw(3), 0.01, 100.0)
     _, reusing = solve(spec, swirl)
     factored = []
-    monkeypatch.setattr(solver, "CG_MAX_ITERS", 1)
+    monkeypatch.setattr(solver, "CG_MAX_ITERS", 0)
     monkeypatch.setattr("scipy.sparse.linalg.splu", _splu_recording(factored))
     _, trace = solve(spec, swirl)
     assert 0 in [row.factored for row in reusing.rows[2:]]
     assert [row.factored for row in trace.rows[1:]] == [0] + [1] * (trace.iterations - 1)
+    assert [row.cg_iters for row in trace.rows] == [0, 0, 0] + [1] * (trace.iterations - 2)
     assert len(factored) == trace.iterations - 1
-    assert [row.step for row in trace.rows] == [row.step for row in reusing.rows]
+    assert trace.rows[-1].residual <= SolveConfig().newton_tol
 
 
 def _newton_spec(spec) -> bool:
@@ -577,10 +617,10 @@ def _recording_sources(monkeypatch):
         return operator(*args)
 
     def conjugating(*args):
-        x = cg(*args)
+        x, iterations = cg(*args)
         if x is not None:
             sources[-1].add("cg")
-        return x
+        return x, iterations
 
     monkeypatch.setattr(solver, "assemble_jacobian", assembling)
     monkeypatch.setattr(solver, "operator_solution", operating)
@@ -588,21 +628,31 @@ def _recording_sources(monkeypatch):
     return sources
 
 
+def _oracle_tol(scale):
+    """A quarter of the benchmark's reference tolerance at values of size ``scale``."""
+    return 0.25 * (1e-6 * scale + 1e-12)
+
+
 @pytest.mark.parametrize("p", [1.3, 3.0])
-def test_continuation_takes_the_same_path_with_and_without_reuse(monkeypatch, p):
+def test_continuation_meets_newton_tol_alike_with_and_without_reuse(monkeypatch, p):
     mesh = build_mesh("unit_disk", 0.25)
     f = default_disk_forcing(mesh)
+    cfg = SolveConfig()
     sources = _recording_sources(monkeypatch)
-    reusing = delta_continuation(PowerLaw(p), f)
+    reusing = delta_continuation(PowerLaw(p), f, cfg)
     reusing_sources = sources[:]
-    monkeypatch.setattr(solver, "CONTRACTION", 0.0)  # no residual is ever that small
-    factoring = delta_continuation(PowerLaw(p), f)
+    monkeypatch.setattr(solver, "CG_MAX_ITERS", 0)  # CG always falls short
+    factoring = delta_continuation(PowerLaw(p), f, cfg)
     factoring_sources = sources[len(reusing_sources) :]
-    scale = reusing[0].trace.rows[0].residual
+    # the inexact directions take another path to the same stage solutions
     for a, b in zip(reusing, factoring, strict=True):
-        assert [row.step for row in a.trace.rows] == [row.step for row in b.trace.rows]
-        for x, y in zip(a.trace.rows, b.trace.rows):
-            assert abs(x.residual - y.residual) <= 1e-12 * scale
+        assert a.trace.rows[-1].residual <= cfg.newton_tol
+        assert b.trace.rows[-1].residual <= cfg.newton_tol
+        scale = max(np.abs(a.field.coeffs).max(), np.abs(b.field.coeffs).max())
+        assert np.abs(a.field.coeffs - b.field.coeffs).max() <= _oracle_tol(scale)
+        pairs = ((a.w12_l2, b.w12_l2), (a.w12_semi, b.w12_semi), (a.cauchy_prev, b.cauchy_prev))
+        for x, y in pairs:
+            assert math.isnan(x + y) or abs(x - y) <= _oracle_tol(max(abs(x), abs(y)))
     for stages, tried in ((reusing, reusing_sources), (factoring, factoring_sources)):
         rows = [row for stage in stages for row in stage.trace.rows[1:]]
         assert len(rows) == len(tried)
@@ -733,29 +783,36 @@ def test_a_failing_operator_check_falls_back_to_a_factor(disk, swirl, monkeypatc
     assert calls.count(True) == 1  # K, inside that one try
     assert trace.rows[1].factored == 1  # the Jacobian the check fell back to
     assert calls.count(False) == sum(row.factored for row in trace.rows)
-    assert [row.step for row in trace.rows] == [row.step for row in honest.rows]
+    # the factored first direction is the operator step's to 1e-10; the factor it
+    # leaves sends the later directions through CG, so the path differs after it
     scale = honest.rows[0].residual
-    for x, y in zip(trace.rows, honest.rows, strict=True):
-        assert abs(x.residual - y.residual) <= 1e-12 * scale
+    assert trace.rows[1].step == honest.rows[1].step
+    assert abs(trace.rows[1].residual - honest.rows[1].residual) <= 1e-12 * scale
+    assert trace.rows[-1].residual <= SolveConfig().newton_tol
 
 
 #: Per (p, h) of a reduced continuation (the unit disk, the default schedule,
 #: p = 1.3 then p = 3 on one forcing per h): each stage's Armijo backtracks per
 #: Newton iteration, which give its iterations and steps, and the
-#: factorisations of the whole continuation.
+#: factorisations and CG iterations of the whole continuation.
 NEWTON_CENSUS = {
-    (1.3, 0.25): ([(0,), (1, 0), (1, 0, 0), (1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0), (0, 0, 0)], 12),
-    (3.0, 0.25): ([(1, 0, 0, 0, 0), (0, 0, 0), (), (), (), ()], 3),
-    (1.3, 0.125): (
-        [(0,), (1, 0), (1, 0), (1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0)],
-        16,
+    (1.3, 0.25): (
+        [(0,), (1, 0), (1, 0, 0), (1, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0), (0, 0, 0)],
+        6,
+        65,
     ),
-    (3.0, 0.125): ([(1, 0, 0, 0, 0), (0, 0, 0), (), (), (), ()], 3),
+    (3.0, 0.25): ([(1, 0, 0, 0, 0), (0, 0, 0), (), (), (), ()], 2, 19),
+    (1.3, 0.125): (
+        [(0,), (1, 0), (1, 0), (1, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0)],
+        6,
+        71,
+    ),
+    (3.0, 0.125): ([(1, 0, 0, 0, 0), (0, 0, 0), (), (), (), ()], 2, 23),
 }
 
 
 def test_newton_census_of_a_reduced_continuation(monkeypatch):
-    # a change that moves the Newton path or adds factorisations fails here
+    # a change that moves the Newton path or adds factorisations or CG iterations fails here
     calls = []
     factorized = solver.factorized
     monkeypatch.setattr(solver, "factorized", lambda m: calls.append(m) or factorized(m))
@@ -769,7 +826,8 @@ def test_newton_census_of_a_reduced_continuation(monkeypatch):
                 tuple(round(-math.log2(row.step)) for row in stage.trace.rows[1:])
                 for stage in stages
             ]
-            census[p, h] = (backtracks, len(calls))
+            cg_iters = sum(row.cg_iters for stage in stages for row in stage.trace.rows)
+            census[p, h] = (backtracks, len(calls), cg_iters)
             # p = 1.3 comes first on each forcing, and factors its K as well
             marked = sum(row.factored for s in stages for row in s.trace.rows)
             assert len(calls) == marked + (p == 1.3)

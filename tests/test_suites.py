@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 from collections import Counter
 from itertools import groupby
 
@@ -202,16 +203,40 @@ def test_a_schedule_pair_outside_its_range_is_rejected_before_any_solve(
 
 
 @pytest.mark.parametrize(
-    "domain", ["unit_square", "half_disk", "unit_disk_polygonal(3)", "unit_disk_polygonal(4)"]
+    "domain",
+    [
+        "unit_square",
+        "half_disk",
+        "unit_disk_polygonal(3)",
+        "unit_disk_polygonal(4)",
+        "unit_disk_polygonal(8)",  # holds the balls, and ran before the sweep took unit_disk only
+    ],
 )
 def test_a_domain_without_room_for_the_caccioppoli_balls_is_rejected_before_any_solve(
     monkeypatch, domain
 ):
     solves = _counted_solves(monkeypatch)
     opts = REDUCED_SWEEP | {"mesh": REDUCED_SWEEP["mesh"] | {"domain": domain}}
-    with pytest.raises(DomainError, match=r"key 'domain' in section \[mesh\].* ball of center"):
+    message = rf"key 'domain' in section \[mesh\] must be 'unit_disk'.*got '{re.escape(domain)}'"
+    with pytest.raises(DomainError, match=message):
         run_suite("regularity_sweep", opts, seed=1, jobs=1)
     assert solves == []
+
+
+def test_the_reduced_sweep_cauchy_cells_match_a_tighter_solve():
+    # every stage ends within newton_tol, and its cauchy cell (the distance of
+    # two consecutive stage fields) stays within a quarter of the benchmark's
+    # reference tolerance, 1e-6 relative + 1e-12, of a newton_tol = 1e-13 run
+    loose = run_suite("regularity_sweep", REDUCED_SWEEP, seed=1, jobs=1)
+    tight = REDUCED_SWEEP | {"solver": {"newton_tol": 1e-13}}
+    cells = [
+        (a.cauchy, b.cauchy)
+        for a, b in zip(loose.rows, run_suite("regularity_sweep", tight, seed=1, jobs=1).rows)
+        if a.cauchy is not None and not math.isnan(a.cauchy)
+    ]
+    assert len(cells) == 40
+    for a, b in cells:
+        assert abs(a - b) <= 0.25 * (1e-6 * max(abs(a), abs(b)) + 1e-12)
 
 
 @pytest.mark.parametrize("amplitude", [0.0, float("nan"), float("inf"), -float("inf")])
